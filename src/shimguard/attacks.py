@@ -200,11 +200,18 @@ def mutate(corpus: Sequence[RawFrame], budget: MutationBudget) -> Iterator[RawFr
     length-truncate either cuts the frame short or, on an IPv4 frame, shrinks
     the claimed total length. lse-duplicate re-inserts the top label stack
     entry. Strategies that do not apply to the chosen frame fall back to
-    byteflip so every iteration yields a mutant.
+    byteflip so every iteration yields a mutant. Empty frames are skipped:
+    no strategy can mutate zero octets.
     """
-    if not corpus:
+    return _mutation_stream(_non_empty(corpus), budget)
+
+
+def _non_empty(corpus: Sequence[RawFrame]) -> tuple[RawFrame, ...]:
+    """The corpus without its empty frames; raises ValueError when nothing is left."""
+    seeds = tuple(frame for frame in corpus if frame.data)
+    if not seeds:
         raise ValueError("corpus must be non-empty")
-    return _mutation_stream(tuple(corpus), budget)
+    return seeds
 
 
 def _mutation_stream(corpus: tuple[RawFrame, ...], budget: MutationBudget) -> Iterator[RawFrame]:
@@ -265,18 +272,17 @@ class FuzzReport:
     equivalence_violations: int = 0
     violation_exemplar: RawFrame | None = None
     hardened_event_count: int = 0
+    empty_seeds: int = 0
 
     @property
     def has_failures(self) -> bool:
         return self.hardened_event_count > 0 or self.equivalence_violations > 0
 
     def to_text(self) -> str:
-        lines = [
-            "profiles=" + ",".join(p.mode.value for p in self.profiles),
-            f"seeds={self.seed_count}",
-            f"mutants={self.mutant_count}",
-            f"frames_evaluated={self.seed_count + self.mutant_count}",
-        ]
+        lines = ["profiles=" + ",".join(p.mode.value for p in self.profiles), f"seeds={self.seed_count}"]
+        if self.empty_seeds:
+            lines.append(f"empty_seeds_skipped={self.empty_seeds}")
+        lines += [f"mutants={self.mutant_count}", f"frames_evaluated={self.seed_count + self.mutant_count}"]
         for cls in (VulnClass.LONG_STACK_232, VulnClass.SHORT_LSE_240, VulnClass.IP_UNDERFLOW_250):
             count = self.class_counts.get(cls, 0)
             exemplar = self.exemplars.get(cls)
@@ -328,13 +334,15 @@ def diff_fuzz(
     minimized. Frames that trigger no profile must produce identical flow
     keys everywhere; any divergence is an equivalence violation. The merge
     rules (commutative counts, smallest-then-lexicographic exemplars) make
-    the report independent of evaluation order.
+    the report independent of evaluation order. Empty seed frames cannot be
+    extracted or mutated; they are skipped and counted in ``empty_seeds``.
     """
     profiles = tuple(profiles)
     if not any(p.mode is ParserMode.HARDENED for p in profiles):
         raise ValueError("profiles must include the hardened parser")
     if not any(p.mode is not ParserMode.HARDENED for p in profiles):
         raise ValueError("profiles must include at least one vulnerable parser")
+    seeds = _non_empty(corpus)
 
     class_counts: dict[VulnClass, int] = {}
     candidates: dict[VulnClass, tuple[int, bytes]] = {}
@@ -365,9 +373,9 @@ def diff_fuzz(
                 if violation_best is None or rank < violation_best:
                     violation_best = rank
 
-    for frame in corpus:
+    for frame in seeds:
         consider(frame)
-    for frame in mutate(corpus, budget):
+    for frame in mutate(seeds, budget):
         consider(frame)
 
     exemplars = {
@@ -376,11 +384,12 @@ def diff_fuzz(
     }
     return FuzzReport(
         profiles=profiles,
-        seed_count=len(corpus),
+        seed_count=len(seeds),
         mutant_count=budget.iterations,
         class_counts=class_counts,
         exemplars=exemplars,
         equivalence_violations=violations,
         violation_exemplar=RawFrame(violation_best[1], violation_best[0]) if violation_best else None,
         hardened_event_count=hardened_events,
+        empty_seeds=len(corpus) - len(seeds),
     )

@@ -104,10 +104,6 @@ class BenchResult:
     warnings: list[str] = field(default_factory=list)
 
 
-class RateUnachievable(Warning):
-    """Generator could not have sustained the offered rate in real time."""
-
-
 # Rule set the benchmark state runs: a few specific rules ahead of a
 # wildcard, so the slow path pays a realistic scan cost.
 BENCH_RULES = """

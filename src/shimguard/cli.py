@@ -18,6 +18,7 @@ import sys
 
 from . import attacks, bench, flowtable, pcap, wormsim
 from .extract import (
+    EmptyFrameError,
     ParserProfile,
     classify_events,
     extract,
@@ -138,7 +139,11 @@ def _cmd_craft(args) -> int:
 def _cmd_extract(args) -> int:
     profile = ParserProfile(parser_mode(args.profile), args.label_limit)
     for i, frame in enumerate(pcap.read_pcap(args.infile)):
-        result = extract(frame, 0, profile)
+        try:
+            result = extract(frame, 0, profile)
+        except EmptyFrameError:
+            print(f"frame={i} len=0 verdict=Drop reason=empty-frame")
+            continue
         events = ";".join(e.describe() for e in result.events) or "-"
         cls = classify_events(result.events)
         print(

@@ -14,16 +14,16 @@ packet for packet.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .extract import MemoryModel, ParserMode, ParserProfile, extract
+from .extract import EmptyFrameError, MemoryModel, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
     ETHERTYPE_MPLS_UNICAST,
     MPLS_ETHERTYPES,
     FlowKey,
     MplsLse,
-    ParseStatus,
     RawFrame,
     parse_ipv4,
     parse_mac,
@@ -156,25 +156,35 @@ def pop_mpls(key: FlowKey) -> FlowKey:
     )
 
 
+def disposition_of(actions: Sequence[Action]) -> Disposition:
+    """The disposition an action list gives every packet; the key never changes it."""
+    ports = tuple(action.port for action in actions if isinstance(action, Output))
+    if ports:
+        return Forwarded(ports)
+    if any(isinstance(action, ToController) for action in actions):
+        return SentToController()
+    return Dropped()
+
+
 def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict | None = None) -> tuple[Disposition, FlowKey]:
-    ports: list[int] = []
-    to_controller = False
     for action in actions:
-        if isinstance(action, Output):
-            ports.append(action.port)
-        elif isinstance(action, ToController):
-            to_controller = True
-        elif isinstance(action, PushMpls):
+        if isinstance(action, PushMpls):
             key = push_mpls(key, action.lse)
         elif isinstance(action, PopMpls):
             if not key.mpls_labels and stats is not None:
                 stats["pop_mpls_noop"] += 1
             key = pop_mpls(key)
-    if ports:
-        return Forwarded(tuple(ports)), key
-    if to_controller:
-        return SentToController(), key
-    return Dropped(), key
+    return disposition_of(actions), key
+
+
+_COUNTERS = {Forwarded: "forwards", SentToController: "to_controller", Dropped: "drops"}
+
+
+def _outcome(actions: tuple[Action, ...]) -> tuple[tuple[Action, ...], Disposition, str, bool]:
+    """What a MegaflowEntry carries besides its match: actions, disposition, counter, pops_mpls."""
+    disposition = disposition_of(actions)
+    pops = any(isinstance(action, PopMpls) for action in actions)
+    return actions, disposition, _COUNTERS[type(disposition)], pops
 
 
 # --- matching ---------------------------------------------------------------
@@ -190,20 +200,32 @@ def _mpls_s(key: FlowKey):
     return int(top.bottom_of_stack) if top else None
 
 
+# Rule fields the FlowKey stores as they are, by position in the key.
+_KEY_POSITIONS = {
+    name: FlowKey._fields.index("ethertype" if name == "eth_type" else name)
+    for name in (
+        "in_port", "eth_src", "eth_dst", "eth_type", "ip_src", "ip_dst", "ip_proto", "l4_src", "l4_dst", "parse_status"
+    )
+}
+
 FIELD_GETTERS: dict[str, Callable[[FlowKey], object]] = {
-    "in_port": lambda k: k.in_port,
-    "eth_src": lambda k: k.eth_src,
-    "eth_dst": lambda k: k.eth_dst,
-    "eth_type": lambda k: k.ethertype,
+    **{name: itemgetter(position) for name, position in _KEY_POSITIONS.items()},
     "mpls_label": _mpls_label,
     "mpls_s": _mpls_s,
-    "ip_src": lambda k: k.ip_src,
-    "ip_dst": lambda k: k.ip_dst,
-    "ip_proto": lambda k: k.ip_proto,
-    "l4_src": lambda k: k.l4_src,
-    "l4_dst": lambda k: k.l4_dst,
-    "parse_status": lambda k: k.parse_status,
 }
+
+
+def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
+    """Compile the projection of a key onto a mask: its field values, in mask order.
+
+    Two or more fields the key stores as they are take one itemgetter; a
+    shorter mask, or one with mpls_label or mpls_s, goes through the
+    per-field getters, so a one-field mask still yields a 1-tuple.
+    """
+    if len(mask) > 1 and all(name in _KEY_POSITIONS for name in mask):
+        return itemgetter(*(_KEY_POSITIONS[name] for name in mask))
+    getters = tuple(FIELD_GETTERS[name] for name in mask)
+    return lambda key: tuple([get(key) for get in getters])
 
 
 @dataclass(frozen=True)
@@ -240,13 +262,22 @@ def _format_value(name: str, value) -> str:
     return str(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class MegaflowEntry:
-    """A wildcard cache entry: values of the masked fields plus the actions."""
+    """A wildcard cache entry: values of the masked fields plus the actions.
+
+    The disposition and the counter it bumps depend only on the actions, so
+    they are computed once per rule. ``pops_mpls`` marks the one case where
+    the key still matters per packet: a pop on a key without labels counts
+    as ``pop_mpls_noop``.
+    """
 
     mask: tuple[str, ...]
     masked_key: dict[str, object]
     actions: tuple[Action, ...]
+    disposition: Disposition
+    counter: str
+    pops_mpls: bool
     hits: int = 0
 
     def describe(self) -> str:
@@ -283,53 +314,56 @@ class SwitchState:
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         self.megaflows: dict[tuple[str, ...], dict[tuple, MegaflowEntry]] = {}
+        # (projector, table) for each mask in self.megaflows, in install order.
+        self._probes: list[tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = []
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
-        # Scan order: descending priority, ties by file order. For each scan
-        # position, the union of match fields of every rule at that priority
-        # or higher (the mask rule selection must preserve).
+        # Scan order: descending priority, ties by file order.
         self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
-        self._consulted: list[frozenset[str]] = []
+        self._scan = [self.rules[i] for i in self._ordered]
+        # The fields rule selection must preserve when a rule of a given
+        # priority wins: the union of match fields of every rule at that
+        # priority or higher.
+        consulted: dict[int, frozenset[str]] = {}
         acc: frozenset[str] = frozenset()
-        for idx in self._ordered:
-            acc |= self.rules[idx].fields()
-            self._consulted.append(acc)
-        self._all_fields = acc
+        for rule in self._scan:
+            acc |= rule.fields()
+            consulted[rule.priority] = acc
+
+        def target(fields: frozenset[str], actions: tuple[Action, ...]) -> tuple:
+            mask = tuple(sorted(fields))
+            return mask, mask_projector(mask), _outcome(actions)
+
+        # What an upcall installs when the rule at each scan position wins,
+        # and when none does: mask, compiled projector, outcome.
+        self._winners = [target(consulted[rule.priority], rule.actions) for rule in self._scan]
+        self._miss = target(acc, self.default_actions)
 
     def set_megaflow_enabled(self, enabled: bool) -> None:
         self.megaflow_enabled = enabled
         if not enabled:
             self.microflow.clear()
             self.megaflows.clear()
+            self._probes.clear()
 
     def megaflow_entry_count(self) -> int:
         return sum(len(table) for table in self.megaflows.values())
 
     # -- lookup paths --
 
-    def _consulted_fields(self, scan_pos: int | None) -> frozenset[str]:
-        """Fields examined by rules of priority >= the winner's priority."""
-        if scan_pos is None:
-            return self._all_fields
-        priority = self.rules[self._ordered[scan_pos]].priority
-        end = scan_pos
-        while end + 1 < len(self._ordered) and self.rules[self._ordered[end + 1]].priority == priority:
-            end += 1
-        return self._consulted[end]
-
     def _scan_rules(self, key: FlowKey) -> int | None:
-        for pos, idx in enumerate(self._ordered):
-            if self.rules[idx].matches(key):
+        for pos, rule in enumerate(self._scan):
+            if rule.matches(key):
                 return pos
         return None
 
     def _lookup_fast(self, key: FlowKey) -> MegaflowEntry | None:
-        entry = self.microflow.get(key)
+        microflow = self.microflow
+        entry = microflow.get(key)
         if entry is not None:
-            self.microflow.move_to_end(key)
+            microflow.move_to_end(key)
             return entry
-        for mask, table in self.megaflows.items():
-            projection = tuple(FIELD_GETTERS[name](key) for name in mask)
-            entry = table.get(projection)
+        for project, table in self._probes:
+            entry = table.get(project(key))
             if entry is not None:
                 self._install_microflow(key, entry)
                 return entry
@@ -340,28 +374,27 @@ class SwitchState:
             self.microflow.popitem(last=False)
         self.microflow[key] = entry
 
-    def _upcall(self, key: FlowKey) -> tuple[Action, ...]:
+    def _upcall(self, key: FlowKey) -> MegaflowEntry:
         self.stats["slow_path_upcalls"] += 1
         scan_pos = self._scan_rules(key)
         if scan_pos is None:
             self.stats["no_rule_match"] += 1
-            actions = self.default_actions
+            mask, project, outcome = self._miss
         else:
-            actions = self.rules[self._ordered[scan_pos]].actions
+            mask, project, outcome = self._winners[scan_pos]
         # The slow path always derives the cache entry (that computation is
         # part of upcall handling); disabling the megaflow cache only stops
         # the entry from being stored.
-        mask = tuple(sorted(self._consulted_fields(scan_pos)))
-        entry = MegaflowEntry(
-            mask=mask,
-            masked_key={name: FIELD_GETTERS[name](key) for name in mask},
-            actions=actions,
-        )
+        projection = project(key)
+        entry = MegaflowEntry(mask, dict(zip(mask, projection)), *outcome)
         if self.megaflow_enabled:
-            projection = tuple(entry.masked_key[name] for name in mask)
-            self.megaflows.setdefault(mask, {})[projection] = entry
+            table = self.megaflows.get(mask)
+            if table is None:
+                table = self.megaflows[mask] = {}
+                self._probes.append((project, table))
+            table[projection] = entry
             self._install_microflow(key, entry)
-        return actions
+        return entry
 
     def process(
         self,
@@ -370,37 +403,31 @@ class SwitchState:
         profile: ParserProfile,
         memory: MemoryModel | None = None,
     ) -> Disposition:
-        """Extract, look up, act. Returns the packet's disposition."""
-        self.stats["processed"] += 1
-        result = extract(frame, in_port, profile, memory)
-        if profile.mode is ParserMode.HARDENED and result.verdict.value == "Drop":
-            self.stats["drops"] += 1
+        """Extract, look up, act. Returns the packet's disposition.
+
+        A zero-length frame has nothing to extract; it is counted as a drop.
+        """
+        stats = self.stats
+        stats["processed"] += 1
+        try:
+            result = extract(frame, in_port, profile, memory)
+        except EmptyFrameError:
+            stats["drops"] += 1
             return Dropped()
-        entry = self._lookup_fast(result.key) if self.megaflow_enabled else None
-        if entry is not None:
+        if result.verdict is Verdict.DROP and profile.mode is ParserMode.HARDENED:
+            stats["drops"] += 1
+            return Dropped()
+        key = result.key
+        entry = self._lookup_fast(key) if self.megaflow_enabled else None
+        if entry is None:
+            entry = self._upcall(key)
+        else:
             entry.hits += 1
-            self.stats["fast_path_hits"] += 1
-            actions = entry.actions
-        else:
-            actions = self._upcall(result.key)
-        disposition, _ = apply_actions(result.key, actions, self.stats)
-        if isinstance(disposition, Forwarded):
-            self.stats["forwards"] += 1
-        elif isinstance(disposition, SentToController):
-            self.stats["to_controller"] += 1
-        else:
-            self.stats["drops"] += 1
-        return disposition
-
-
-def process(
-    frame: RawFrame,
-    in_port: int,
-    state: SwitchState,
-    profile: ParserProfile,
-    memory: MemoryModel | None = None,
-) -> Disposition:
-    return state.process(frame, in_port, profile, memory)
+            stats["fast_path_hits"] += 1
+        if entry.pops_mpls:
+            apply_actions(key, entry.actions, stats)
+        stats[entry.counter] += 1
+        return entry.disposition
 
 
 # --- rule file format ---------------------------------------------------------

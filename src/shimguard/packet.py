@@ -41,6 +41,11 @@ class ParseStatus(Enum):
     MPLS_TERMINATED = "MplsTerminated"
     MALFORMED = "Malformed"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with ==; Enum's own __hash__ runs in Python on every
+    # FlowKey hash.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 

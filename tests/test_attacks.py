@@ -191,6 +191,36 @@ def test_mutation_stream_deterministic():
     assert first != different
 
 
+@pytest.mark.parametrize("strategy", ["bitflip", "byteflip", "field-splice", "length-truncate", "lse-duplicate"])
+def test_mutate_skips_empty_seeds(strategy):
+    corpus = [craft(AttackSpec(AttackKind.LONG_SHIM)), craft(AttackSpec(AttackKind.ACL_BYPASS))]
+    budget = MutationBudget(iterations=300, seed=5, strategies=frozenset({strategy}))
+    with_empty = [RawFrame.of(b"")] + corpus[:1] + [RawFrame.of(b"")] + corpus[1:]
+    assert [f.data for f in mutate(with_empty, budget)] == [f.data for f in mutate(corpus, budget)]
+
+
+def test_corpus_without_non_empty_frame_rejected():
+    budget = MutationBudget(iterations=10)
+    for corpus in ([], [RawFrame.of(b"")], [RawFrame.of(b"")] * 3):
+        with pytest.raises(ValueError, match="corpus must be non-empty"):
+            mutate(corpus, budget)
+        with pytest.raises(ValueError, match="corpus must be non-empty"):
+            diff_fuzz(corpus, budget, ALL_PROFILES)
+
+
+def test_diff_fuzz_counts_skipped_empty_seeds():
+    corpus = [craft(AttackSpec(AttackKind.LONG_SHIM)), craft(AttackSpec(AttackKind.SHORT_SHIM))]
+    budget = MutationBudget(iterations=400, seed=3)
+    plain = diff_fuzz(corpus, budget, ALL_PROFILES)
+    report = diff_fuzz([RawFrame.of(b"")] + corpus + [RawFrame.of(b"")], budget, ALL_PROFILES)
+    assert plain.empty_seeds == 0 and report.empty_seeds == 2
+    assert report.seed_count == plain.seed_count == 2
+    text = report.to_text().splitlines()
+    assert text[2] == "empty_seeds_skipped=2"
+    assert text[:2] + text[3:] == plain.to_text().splitlines()
+    assert "empty_seeds" not in plain.to_text()
+
+
 def test_lse_duplicate_grows_stack():
     frame = encode_frame(
         EthernetHeader(bytes(6), bytes(6), 0x8847), [MplsLse(42, bottom_of_stack=True)]

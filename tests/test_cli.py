@@ -1,9 +1,11 @@
 import re
 from pathlib import Path
 
+from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
-from shimguard.pcap import read_pcap
+from shimguard.packet import RawFrame
+from shimguard.pcap import read_pcap, write_pcap
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "shimguard"
 
@@ -64,6 +66,30 @@ def test_pipeline_dispositions_and_dump(tmp_path, capsys):
     assert code == 0
     assert "frame=0 disposition=Forwarded(1)" in stdout
     assert "counters:" in stdout
+
+
+def test_empty_record_mid_pcap_does_not_abort(tmp_path, capsys):
+    frame_pcap = tmp_path / "gap.pcap"
+    frame = craft(AttackSpec(AttackKind.ACL_BYPASS))
+    write_pcap(frame_pcap, [frame, RawFrame.of(b""), frame])
+    rules = tmp_path / "rules.txt"
+    rules.write_text("priority=1, actions=output:1\n")
+    code, stdout, _ = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules), "--profile", "v250")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[:3] == [
+        "frame=0 disposition=Forwarded(1)",
+        "frame=1 disposition=Dropped",
+        "frame=2 disposition=Forwarded(1)",
+    ]
+    assert "processed=3 slow_path_upcalls=1 fast_path_hits=1 forwards=2 drops=1" in stdout
+    code, stdout, _ = run(capsys, "extract", "--in", str(frame_pcap), "--profile", "v250")
+    assert code == 0
+    lines = stdout.splitlines()
+    assert len(lines) == 3
+    assert lines[1] == "frame=1 len=0 verdict=Drop reason=empty-frame"
+    assert lines[0].startswith("frame=0 ") and lines[2].startswith("frame=2 ")
+    assert lines[0][len("frame=0"):] == lines[2][len("frame=2"):]
 
 
 def test_pipeline_no_megaflow_flag(tmp_path, capsys):

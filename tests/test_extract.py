@@ -21,6 +21,7 @@ from shimguard.extract import (
 )
 from shimguard.packet import (
     EthernetHeader,
+    FlowKey,
     Ipv4Header,
     MplsLse,
     ParseStatus,
@@ -252,6 +253,35 @@ def test_runt_frame_malformed():
         assert result.key.eth_src is None
         assert result.key.parse_status is ParseStatus.MALFORMED
         assert result.verdict is Verdict.DROP
+
+
+def test_keys_equal_keyword_built_flowkeys():
+    # extraction builds keys positionally; this pins every field's position
+    lse = MplsLse(16, exp=2, bottom_of_stack=True, ttl=9)
+    eth = {"eth_src": MAC_A, "eth_dst": MAC_B}
+    cases = [
+        (HARDENED, udp_frame(sport=53, dport=1024), FlowKey(
+            in_port=7, **eth, ethertype=0x0800, ip_src=0x0A000001, ip_dst=0x0A000002, ip_proto=17,
+            ip_tos=0, ip_ttl=64, l4_src=53, l4_dst=1024, parse_status=ParseStatus.COMPLETE)),
+        (VULN_250, acl_bypass_frame(sport=1234, dport=8080), FlowKey(
+            in_port=7, **eth, ethertype=0x0800, ip_src=0x0A000001, ip_dst=0x0A000002, ip_proto=17,
+            ip_tos=0, ip_ttl=64, l4_src=1234, l4_dst=8080, parse_status=ParseStatus.MALFORMED)),
+        (HARDENED, acl_bypass_frame(), FlowKey(
+            in_port=7, **eth, ethertype=0x0800, parse_status=ParseStatus.MALFORMED)),
+        (HARDENED, encode_frame(ETH_MPLS, [MplsLse(5), lse]), FlowKey(
+            in_port=7, **eth, ethertype=0x8847, mpls_labels=(MplsLse(5),), mpls_depth_seen=2,
+            parse_status=ParseStatus.MPLS_TERMINATED)),
+        (VULN_232, long_shim_frame(5), FlowKey(
+            in_port=7, **eth, ethertype=0x8847, mpls_labels=(MplsLse(0),), mpls_depth_seen=5,
+            parse_status=ParseStatus.MALFORMED)),
+        (HARDENED, long_shim_frame(5), FlowKey(
+            in_port=7, **eth, ethertype=0x8847, mpls_depth_seen=3, parse_status=ParseStatus.MALFORMED)),
+        (HARDENED, encode_frame(EthernetHeader(MAC_B, MAC_A, 0x9999)), FlowKey(
+            in_port=7, **eth, ethertype=0x9999, parse_status=ParseStatus.L2_ONLY)),
+        (HARDENED, RawFrame.of(b"\x01\x02"), FlowKey(in_port=7)),
+    ]
+    for profile, frame, expected in cases:
+        assert extract(frame, 7, profile).key == expected
 
 
 def test_empty_frame_raises():

@@ -3,8 +3,9 @@ import struct
 
 import pytest
 
-from shimguard.extract import HARDENED, VULN_250
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, MemoryModel, Verdict
 from shimguard.flowtable import (
+    FIELD_GETTERS,
     Drop,
     DuplicateFieldError,
     Dropped,
@@ -21,6 +22,7 @@ from shimguard.flowtable import (
     apply_actions,
     dump_state,
     load_rules,
+    mask_projector,
     pop_mpls,
     push_mpls,
 )
@@ -231,7 +233,18 @@ def test_counters_conserve():
 # --- megaflow correctness --------------------------------------------------------
 
 
-def _random_rules(rng):
+_RANDOM_ACTIONS = (
+    lambda rng: (Output(rng.randrange(1, 4)),),
+    lambda rng: (Drop(),),
+    lambda rng: (ToController(),),
+    lambda rng: (PopMpls(), Output(rng.randrange(1, 4))),
+    lambda rng: (PushMpls(MplsLse(rng.choice([16, 100]), bottom_of_stack=True)), Output(2)),
+    lambda rng: (PopMpls(), ToController()),
+    lambda rng: (PopMpls(), PopMpls()),
+)
+
+
+def _random_rules(rng, mpls_actions=False):
     pool = {
         "eth_type": [0x0800, 0x8847],
         "ip_proto": [6, 17],
@@ -248,7 +261,8 @@ def _random_rules(rng):
     for _ in range(rng.randrange(1, 9)):
         fields = rng.sample(sorted(pool), k=rng.randrange(0, 4))
         match = tuple((f, rng.choice(pool[f])) for f in fields)
-        actions = rng.choice([(Output(rng.randrange(1, 4)),), (Drop(),), (ToController(),)])
+        choices = _RANDOM_ACTIONS if mpls_actions else _RANDOM_ACTIONS[:3]
+        actions = rng.choice(choices)(rng)
         rules.append(Rule(priority=rng.randrange(1, 20), match=match, actions=actions))
     return rules
 
@@ -277,18 +291,75 @@ def _random_traffic(rng, count):
     return frames
 
 
+_DISPOSITION_COUNTERS = ("forwards", "drops", "to_controller", "pop_mpls_noop")
+
+
 def test_cache_equivalence_random_rulesets():
     rng = random.Random(42)
-    for round_no in range(20):
-        rules = _random_rules(rng)
-        cached = SwitchState(rules)
-        uncached = SwitchState(rules, megaflow_enabled=False)
-        for i, frame in enumerate(_random_traffic(rng, 100)):
-            port = rng.choice([1, 2])
-            d1 = cached.process(frame, port, HARDENED)
-            d2 = uncached.process(frame, port, HARDENED)
-            assert d1 == d2, f"round {round_no} frame {i}: {d1} != {d2}"
-        assert cached.stats["slow_path_upcalls"] == cached.megaflow_entry_count()
+    for profile in ALL_PROFILES:
+        for round_no in range(20):
+            # every other round adds push_mpls/pop_mpls actions
+            rules = _random_rules(rng, mpls_actions=round_no % 2 == 1)
+            cached = SwitchState(rules)
+            uncached = SwitchState(rules, megaflow_enabled=False)
+            where = f"{profile.mode} round {round_no}"
+            for i, frame in enumerate(_random_traffic(rng, 100)):
+                port = rng.choice([1, 2])
+                # the vulnerable parsers read adjacent memory into the key
+                memory_seed = rng.randrange(1 << 16)
+                d1 = cached.process(frame, port, profile, MemoryModel.seeded(profile.label_limit, memory_seed))
+                d2 = uncached.process(frame, port, profile, MemoryModel.seeded(profile.label_limit, memory_seed))
+                assert d1 == d2, f"{where} frame {i}: {d1} != {d2}"
+                for counter in _DISPOSITION_COUNTERS:
+                    assert cached.stats[counter] == uncached.stats[counter], f"{where} frame {i}: {counter}"
+            assert cached.stats["slow_path_upcalls"] == cached.megaflow_entry_count()
+
+
+def test_cache_equivalence_counts_pop_without_label():
+    rules = load_rules("priority=5, eth_type=0x8847, actions=pop_mpls,output:2\npriority=1, actions=pop_mpls,drop")
+    cached = SwitchState(rules)
+    uncached = SwitchState(rules, megaflow_enabled=False)
+    frames = [udp_frame(), encode_frame(ETH_MPLS, [MplsLse(16, bottom_of_stack=True)])] * 3
+    for frame in frames:
+        assert cached.process(frame, 1, HARDENED) == uncached.process(frame, 1, HARDENED)
+    for state in (cached, uncached):
+        assert state.stats["pop_mpls_noop"] == 3
+        assert state.stats["forwards"] == 3 and state.stats["drops"] == 3
+    assert cached.stats["fast_path_hits"] == 4
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_GETTERS))
+def test_mask_projector_one_field(name):
+    project = mask_projector((name,))
+    keys = [
+        FlowKey(in_port=2, eth_src=MAC_A, eth_dst=MAC_B, ethertype=0x0800, ip_src=1, ip_dst=2, ip_proto=17,
+                ip_tos=0, ip_ttl=64, l4_src=53, l4_dst=80, parse_status=ParseStatus.COMPLETE),
+        FlowKey(in_port=1, eth_src=MAC_A, eth_dst=MAC_B, ethertype=0x8847,
+                mpls_labels=(MplsLse(16, bottom_of_stack=True),), mpls_depth_seen=1,
+                parse_status=ParseStatus.MPLS_TERMINATED),
+        FlowKey(in_port=3),
+    ]
+    for key in keys:
+        assert project(key) == (FIELD_GETTERS[name](key),)
+
+
+def test_mask_projector_matches_field_getters():
+    rng = random.Random(9)
+    names = sorted(FIELD_GETTERS)
+    for _ in range(200):
+        mask = tuple(sorted(rng.sample(names, k=rng.randrange(0, len(names) + 1))))
+        key = _random_key(rng)
+        assert mask_projector(mask)(key) == tuple(FIELD_GETTERS[name](key) for name in mask)
+
+
+def test_empty_frame_counted_as_drop():
+    state = SwitchState(load_rules("priority=1, actions=output:2"))
+    for profile in ALL_PROFILES:
+        assert state.process(RawFrame.of(b""), 1, profile) == Dropped()
+    assert state.process(udp_frame(), 1, HARDENED) == Forwarded((2,))
+    stats = state.stats
+    assert stats["processed"] == 5 and stats["drops"] == 4 and stats["forwards"] == 1
+    assert stats["slow_path_upcalls"] == 1
 
 
 def test_megaflow_entries_reselect_same_actions():
@@ -301,7 +372,7 @@ def test_megaflow_entries_reselect_same_actions():
 
         result = extract(frame, 1, HARDENED)
         state.process(frame, 1, HARDENED)
-        if result.verdict.value == "Accept":
+        if result.verdict is Verdict.ACCEPT:
             keys.append(result.key)
     # re-evaluating the full table for any key must reproduce its entry's actions
     for key in keys:
