@@ -38,6 +38,7 @@ from .packet import (
     RawFrame,
     decode_lse,
     encode_frame,
+    enum_by_value,
 )
 
 DEFAULT_LONG_SHIM_SIZE = 1514
@@ -77,10 +78,7 @@ class AttackKind(Enum):
 
 
 def attack_kind(name: str) -> AttackKind:
-    for kind in AttackKind:
-        if kind.value == name.lower():
-            return kind
-    raise ValueError(f"unknown attack kind {name!r}")
+    return enum_by_value(AttackKind, name, "attack kind")
 
 
 @dataclass(frozen=True)

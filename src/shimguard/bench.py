@@ -23,12 +23,13 @@ import statistics
 import struct
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .extract import HARDENED
 from .flowtable import Forwarded, SwitchState, load_rules
-from .packet import EthernetHeader, Ipv4Header, RawFrame, encode_frame
+from .packet import EthernetHeader, Ipv4Header, RawFrame, encode_frame, enum_by_value
 
 DEFAULT_RATES = tuple(range(10_000, 100_001, 10_000))
 DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
@@ -44,10 +45,7 @@ class PathMode(Enum):
 
 
 def path_mode(name: str) -> PathMode:
-    for mode in PathMode:
-        if mode.value == name.lower():
-            return mode
-    raise ValueError(f"unknown bench mode {name!r}")
+    return enum_by_value(PathMode, name, "bench mode")
 
 
 @dataclass(frozen=True)
@@ -145,6 +143,19 @@ def _frame_pool(mode: PathMode, size: int, count: int, rng: random.Random) -> li
     return pool
 
 
+@contextmanager
+def _gc_paused():
+    """Collect once, then keep the cyclic collector off for the timed block."""
+    gc_was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
 def run_throughput(config: BenchConfig, state: SwitchState) -> BenchResult:
     """Sweep the offered rates; report forwarded counts and loss per rate."""
     state.set_megaflow_enabled(config.path_mode is PathMode.ALL_FAST_PATH)
@@ -165,11 +176,8 @@ def run_throughput(config: BenchConfig, state: SwitchState) -> BenchResult:
         forwarded = 0
         queue_lost = 0
         table_dropped = 0
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        wall_start = perf()
-        try:
+        with _gc_paused():
+            wall_start = perf()
             for i in range(total):
                 arrival = i * period
                 while completions and completions[0] <= arrival:
@@ -187,10 +195,7 @@ def run_throughput(config: BenchConfig, state: SwitchState) -> BenchResult:
                     forwarded += 1
                 else:
                     table_dropped += 1
-        finally:
             wall = perf() - wall_start
-            if gc_was_enabled:
-                gc.enable()
         achieved = wall <= config.duration_s
         if not achieved:
             result.warnings.append(
@@ -247,6 +252,27 @@ def _block_median_variance(samples_us: list[float], blocks: int = 10) -> float:
     return statistics.median(variances) if variances else 0.0
 
 
+def _sample(runs: list[tuple[SwitchState, list[RawFrame]]], count: int, pause: float) -> list[list[float]]:
+    """Per round, time one process() call of each (state, frame pool) run, in order.
+
+    Returns each run's service times in seconds, in round order; round i
+    sends frame i of the pool, cycling.
+    """
+    perf = time.perf_counter
+    profile = HARDENED
+    samples: list[list[float]] = [[] for _ in runs]
+    with _gc_paused():
+        for i in range(count):
+            for (state, pool), times in zip(runs, samples):
+                frame = pool[i % len(pool)]
+                t0 = perf()
+                state.process(frame, 1, profile)
+                times.append(perf() - t0)
+            if pause > 0:
+                time.sleep(pause)
+    return samples
+
+
 def compare_latency(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     count: int = 2000,
@@ -264,46 +290,16 @@ def compare_latency(
     if warmup >= count:
         raise ValueError("warmup must be < count")
     rng = random.Random(seed)
-    slow_state = build_bench_state(PathMode.ALL_SLOW_PATH)
-    fast_state = build_bench_state(PathMode.ALL_FAST_PATH)
-    perf = time.perf_counter
-    profile = HARDENED
+    states = {mode: build_bench_state(mode) for mode in (PathMode.ALL_SLOW_PATH, PathMode.ALL_FAST_PATH)}
     pairs = []
     for size in sizes:
-        slow_pool = _frame_pool(PathMode.ALL_SLOW_PATH, size, min(count, 8192), rng)
-        fast_pool = _frame_pool(PathMode.ALL_FAST_PATH, size, min(count, 8192), rng)
-        n_slow = len(slow_pool)
-        slow_samples: list[float] = []
-        fast_samples: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(count):
-                t0 = perf()
-                slow_state.process(slow_pool[i % n_slow], 1, profile)
-                t1 = perf()
-                fast_state.process(fast_pool[0], 1, profile)
-                t2 = perf()
-                slow_samples.append(t1 - t0)
-                fast_samples.append(t2 - t1)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        pair = []
-        for samples in (slow_samples, fast_samples):
-            kept_us = [s * 1e6 for s in samples[warmup:]]
-            summary = _summarize(size, samples[warmup:])
-            pair.append(
-                SizeSample(
-                    size_b=summary.size_b,
-                    median_us=summary.median_us,
-                    p95_us=summary.p95_us,
-                    variance_us2=_block_median_variance(kept_us),
-                    samples=summary.samples,
-                )
-            )
-        pairs.append((pair[0], pair[1]))
+        runs = [(state, _frame_pool(mode, size, min(count, 8192), rng)) for mode, state in states.items()]
+        summaries = []
+        for samples in _sample(runs, count, 0.0):
+            kept = samples[warmup:]
+            block_variance = _block_median_variance([s * 1e6 for s in kept])
+            summaries.append(replace(_summarize(size, kept), variance_us2=block_variance))
+        pairs.append(tuple(summaries))
     return pairs
 
 
@@ -312,27 +308,9 @@ def run_latency(config: BenchConfig, state: SwitchState) -> BenchResult:
     state.set_megaflow_enabled(config.path_mode is PathMode.ALL_FAST_PATH)
     rng = random.Random(config.seed)
     result = BenchResult(mode=config.path_mode)
-    perf = time.perf_counter
-    pause = config.interval_ms / 1000.0
-    profile = HARDENED
     for size in config.packet_sizes:
         pool = _frame_pool(config.path_mode, size, min(config.latency_count, 8192), rng)
-        n_pool = len(pool)
-        samples: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.collect()
-        gc.disable()
-        try:
-            for i in range(config.latency_count):
-                frame = pool[i % n_pool]
-                t0 = perf()
-                state.process(frame, 1, profile)
-                samples.append(perf() - t0)
-                if pause > 0:
-                    time.sleep(pause)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        (samples,) = _sample([(state, pool)], config.latency_count, config.interval_ms / 1000.0)
         result.sizes.append(_summarize(size, samples[config.warmup_drop :]))
     return result
 

@@ -220,23 +220,18 @@ def _cmd_bench(args, seed: int) -> int:
     mode = bench.path_mode(args.mode)
     rates = tuple(int(r) for r in args.rates.split(",") if r)
     sizes = tuple(int(s) for s in args.sizes.split(",") if s)
+    config = bench.BenchConfig(
+        path_mode=mode, rates_pps=rates or bench.DEFAULT_RATES, duration_s=args.duration,
+        packet_sizes=sizes or bench.DEFAULT_SIZES, latency_count=args.count,
+        warmup_drop=args.warmup, interval_ms=args.interval_ms, seed=seed,
+    )
     outputs = []
     if rates:
-        config = bench.BenchConfig(
-            path_mode=mode, rates_pps=rates, duration_s=args.duration,
-            packet_sizes=sizes or bench.DEFAULT_SIZES, latency_count=args.count,
-            warmup_drop=args.warmup, interval_ms=args.interval_ms, seed=seed,
-        )
         result = bench.run_throughput(config, bench.build_bench_state(mode))
         outputs.append(bench.throughput_csv(result))
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     if sizes:
-        config = bench.BenchConfig(
-            path_mode=mode, rates_pps=rates or bench.DEFAULT_RATES, duration_s=args.duration,
-            packet_sizes=sizes, latency_count=args.count, warmup_drop=args.warmup,
-            interval_ms=args.interval_ms, seed=seed,
-        )
         result = bench.run_latency(config, bench.build_bench_state(mode))
         outputs.append(bench.latency_csv(result))
     text = "".join(outputs)

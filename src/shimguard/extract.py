@@ -33,6 +33,7 @@ from .packet import (
     ParseStatus,
     RawFrame,
     decode_lse,
+    enum_by_value,
 )
 
 DEFAULT_LABEL_LIMIT = 3
@@ -69,10 +70,7 @@ class ParserMode(Enum):
 
 
 def parser_mode(name: str) -> ParserMode:
-    for mode in ParserMode:
-        if mode.value == name.lower():
-            return mode
-    raise ValueError(f"unknown parser profile {name!r}")
+    return enum_by_value(ParserMode, name, "parser profile")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ from .packet import (
     FlowKey,
     MplsLse,
     RawFrame,
+    format_ipv4,
+    format_mac,
     parse_ipv4,
     parse_mac,
     parse_status,
@@ -216,11 +218,12 @@ FIELD_GETTERS: dict[str, Callable[[FlowKey], object]] = {
 
 
 def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
-    """Compile the projection of a key onto a mask: its field values, in mask order.
+    """Compile the projection of a key onto a field list: its values, in list order.
 
-    Two or more fields the key stores as they are take one itemgetter; a
-    shorter mask, or one with mpls_label or mpls_s, goes through the
-    per-field getters, so a one-field mask still yields a 1-tuple.
+    Rule matches and megaflow masks both go through it. Two or more fields
+    the key stores as they are take one itemgetter; a shorter list, or one
+    with mpls_label or mpls_s, goes through the per-field getters, so a
+    one-field list still yields a 1-tuple.
     """
     if len(mask) > 1 and all(name in _KEY_POSITIONS for name in mask):
         return itemgetter(*(_KEY_POSITIONS[name] for name in mask))
@@ -236,12 +239,6 @@ class Rule:
     match: tuple[tuple[str, object], ...]
     actions: tuple[Action, ...]
 
-    def matches(self, key: FlowKey) -> bool:
-        for name, value in self.match:
-            if FIELD_GETTERS[name](key) != value:
-                return False
-        return True
-
     def fields(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.match)
 
@@ -253,18 +250,21 @@ class Rule:
 
 
 def _format_value(name: str, value) -> str:
+    """A field value as the rule file writes it; a field the key lacks prints as None."""
+    if value is None:
+        return "None"
     if name == "eth_type":
         return f"0x{value:04x}"
     if name in ("eth_src", "eth_dst"):
-        return ":".join(f"{b:02x}" for b in value)
+        return format_mac(value)
     if name in ("ip_src", "ip_dst"):
-        return ".".join(str((value >> s) & 0xFF) for s in (24, 16, 8, 0))
+        return format_ipv4(value)
     return str(value)
 
 
 @dataclass(slots=True)
 class MegaflowEntry:
-    """A wildcard cache entry: values of the masked fields plus the actions.
+    """A wildcard cache entry: the key's values on the mask, in mask order, plus the actions.
 
     The disposition and the counter it bumps depend only on the actions, so
     they are computed once per rule. ``pops_mpls`` marks the one case where
@@ -273,7 +273,7 @@ class MegaflowEntry:
     """
 
     mask: tuple[str, ...]
-    masked_key: dict[str, object]
+    values: tuple
     actions: tuple[Action, ...]
     disposition: Disposition
     counter: str
@@ -281,7 +281,7 @@ class MegaflowEntry:
     hits: int = 0
 
     def describe(self) -> str:
-        fields = " ".join(f"{n}={_format_value(n, self.masked_key[n])}" for n in self.mask)
+        fields = " ".join(f"{n}={_format_value(n, v)}" for n, v in zip(self.mask, self.values))
         acts = ",".join(str(a) for a in self.actions)
         return f"mask[{','.join(self.mask)}] {{{fields}}} -> {acts} hits={self.hits}"
 
@@ -313,19 +313,24 @@ class SwitchState:
         self.default_actions = tuple(default_actions)
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
-        self.megaflows: dict[tuple[str, ...], dict[tuple, MegaflowEntry]] = {}
-        # (projector, table) for each mask in self.megaflows, in install order.
-        self._probes: list[tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = []
+        # mask -> (compiled projector, table keyed by projection), in install order.
+        self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
         # Scan order: descending priority, ties by file order.
         self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
-        self._scan = [self.rules[i] for i in self._ordered]
+        scan = [self.rules[i] for i in self._ordered]
+        # Each rule's match compiled once: the projection onto its fields and
+        # the values that projection must equal.
+        self._matches = [
+            (mask_projector(tuple(name for name, _ in rule.match)), tuple(value for _, value in rule.match))
+            for rule in scan
+        ]
         # The fields rule selection must preserve when a rule of a given
         # priority wins: the union of match fields of every rule at that
         # priority or higher.
         consulted: dict[int, frozenset[str]] = {}
         acc: frozenset[str] = frozenset()
-        for rule in self._scan:
+        for rule in scan:
             acc |= rule.fields()
             consulted[rule.priority] = acc
 
@@ -335,7 +340,7 @@ class SwitchState:
 
         # What an upcall installs when the rule at each scan position wins,
         # and when none does: mask, compiled projector, outcome.
-        self._winners = [target(consulted[rule.priority], rule.actions) for rule in self._scan]
+        self._winners = [target(consulted[rule.priority], rule.actions) for rule in scan]
         self._miss = target(acc, self.default_actions)
 
     def set_megaflow_enabled(self, enabled: bool) -> None:
@@ -343,16 +348,15 @@ class SwitchState:
         if not enabled:
             self.microflow.clear()
             self.megaflows.clear()
-            self._probes.clear()
 
     def megaflow_entry_count(self) -> int:
-        return sum(len(table) for table in self.megaflows.values())
+        return sum(len(table) for _, table in self.megaflows.values())
 
     # -- lookup paths --
 
     def _scan_rules(self, key: FlowKey) -> int | None:
-        for pos, rule in enumerate(self._scan):
-            if rule.matches(key):
+        for pos, (project, values) in enumerate(self._matches):
+            if project(key) == values:
                 return pos
         return None
 
@@ -362,7 +366,7 @@ class SwitchState:
         if entry is not None:
             microflow.move_to_end(key)
             return entry
-        for project, table in self._probes:
+        for project, table in self.megaflows.values():
             entry = table.get(project(key))
             if entry is not None:
                 self._install_microflow(key, entry)
@@ -385,14 +389,11 @@ class SwitchState:
         # The slow path always derives the cache entry (that computation is
         # part of upcall handling); disabling the megaflow cache only stops
         # the entry from being stored.
-        projection = project(key)
-        entry = MegaflowEntry(mask, dict(zip(mask, projection)), *outcome)
+        values = project(key)
+        entry = MegaflowEntry(mask, values, *outcome)
         if self.megaflow_enabled:
-            table = self.megaflows.get(mask)
-            if table is None:
-                table = self.megaflows[mask] = {}
-                self._probes.append((project, table))
-            table[projection] = entry
+            _, table = self.megaflows.setdefault(mask, (project, {}))
+            table[values] = entry
             self._install_microflow(key, entry)
         return entry
 
@@ -534,7 +535,7 @@ def dump_state(state: SwitchState) -> str:
             f"caches: microflow={len(state.microflow)}/{state.microflow_capacity}"
             f" megaflow={state.megaflow_entry_count()}"
         )
-        for table in state.megaflows.values():
+        for _, table in state.megaflows.values():
             for entry in table.values():
                 lines.append(f"  {entry.describe()}")
     counters = " ".join(f"{k}={state.stats[k]}" for k in STAT_KEYS)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TypeVar
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
@@ -33,6 +33,20 @@ class InconsistentLayering(ValueError):
     """Frame layers contradict the declared ethertype."""
 
 
+_E = TypeVar("_E", bound=Enum)
+
+
+def enum_by_value(enum: type[_E], name: str, what: str) -> _E:
+    """The member of a string-valued enum whose value is ``name``, ignoring case.
+
+    ``what`` names the enum in the ValueError raised when no member matches.
+    """
+    for member in enum:
+        if member.value.lower() == name.lower():
+            return member
+    raise ValueError(f"unknown {what} {name!r}")
+
+
 class ParseStatus(Enum):
     """How far flow extraction got before it stopped."""
 
@@ -52,10 +66,7 @@ class ParseStatus(Enum):
 
 def parse_status(name: str) -> ParseStatus:
     """Look up a ParseStatus by its wire/rule-file name (case-insensitive)."""
-    for status in ParseStatus:
-        if status.value.lower() == name.lower():
-            return status
-    raise ValueError(f"unknown parse status {name!r}")
+    return enum_by_value(ParseStatus, name, "parse status")
 
 
 class MplsLse(NamedTuple):

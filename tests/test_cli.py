@@ -4,7 +4,7 @@ from pathlib import Path
 from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
-from shimguard.packet import RawFrame
+from shimguard.packet import EthernetHeader, RawFrame, encode_frame
 from shimguard.pcap import read_pcap, write_pcap
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "shimguard"
@@ -66,6 +66,18 @@ def test_pipeline_dispositions_and_dump(tmp_path, capsys):
     assert code == 0
     assert "frame=0 disposition=Forwarded(1)" in stdout
     assert "counters:" in stdout
+
+
+def test_pipeline_dump_with_field_the_frame_lacks(tmp_path, capsys):
+    arp = encode_frame(EthernetHeader(bytes(6), bytes.fromhex("020000000001"), 0x0806), payload=bytes(28))
+    frame_pcap = tmp_path / "arp.pcap"
+    write_pcap(frame_pcap, [arp])
+    rules = tmp_path / "rules.txt"
+    rules.write_text("priority=5, ip_dst=10.0.0.2, actions=output:2\n")
+    code, stdout, _ = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules), "--profile", "hardened")
+    assert code == 0
+    assert "frame=0 disposition=Dropped" in stdout
+    assert "mask[ip_dst] {ip_dst=None} -> drop hits=0" in stdout
 
 
 def test_empty_record_mid_pcap_does_not_abort(tmp_path, capsys):

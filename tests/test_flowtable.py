@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, MemoryModel, Verdict
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, MemoryModel, Verdict, extract
 from shimguard.flowtable import (
     FIELD_GETTERS,
     Drop,
@@ -77,6 +77,9 @@ def test_load_rules_syntax_error_line_number():
     with pytest.raises(RuleSyntaxError) as exc:
         load_rules("priority=1, actions=output:2\npriority=2, actions=bogus")
     assert exc.value.line == 2
+    with pytest.raises(RuleSyntaxError) as exc:
+        load_rules("priority=1, parse_status=Bogus, actions=drop")
+    assert str(exc.value) == "line 1: bad value for parse_status: unknown parse status 'Bogus'"
 
 
 def test_load_rules_unknown_and_duplicate_fields():
@@ -352,6 +355,36 @@ def test_mask_projector_matches_field_getters():
         assert mask_projector(mask)(key) == tuple(FIELD_GETTERS[name](key) for name in mask)
 
 
+def _reference_scan(rules_in_scan_order, key):
+    """Scan position of the first rule whose every field getter equals its value."""
+    for pos, rule in enumerate(rules_in_scan_order):
+        if all(FIELD_GETTERS[name](key) == value for name, value in rule.match):
+            return pos
+    return None
+
+
+def test_scan_rules_matches_per_field_reference():
+    rng = random.Random(23)
+    won_on: set[str] = set()
+    won_sizes: set[int] = set()
+    for profile in ALL_PROFILES:
+        for _ in range(30):
+            rules = _random_rules(rng)
+            state = SwitchState(rules)
+            scan = [rules[i] for i in state._ordered]
+            for frame in _random_traffic(rng, 60):
+                memory = MemoryModel.seeded(profile.label_limit, rng.randrange(1 << 16))
+                key = extract(frame, rng.choice([1, 2]), profile, memory).key
+                pos = state._scan_rules(key)
+                assert pos == _reference_scan(scan, key), f"{profile.mode}: {key.describe()}"
+                if pos is not None:
+                    won_on.update(name for name, _ in scan[pos].match)
+                    won_sizes.add(len(scan[pos].match))
+    # the draw must have exercised wildcards, one-field matches and the computed fields
+    assert {"mpls_label", "mpls_s", "parse_status"} <= won_on
+    assert {0, 1} <= won_sizes
+
+
 def test_empty_frame_counted_as_drop():
     state = SwitchState(load_rules("priority=1, actions=output:2"))
     for profile in ALL_PROFILES:
@@ -368,8 +401,6 @@ def test_megaflow_entries_reselect_same_actions():
     state = SwitchState(rules)
     keys = []
     for frame in _random_traffic(rng, 80):
-        from shimguard.extract import extract
-
         result = extract(frame, 1, HARDENED)
         state.process(frame, 1, HARDENED)
         if result.verdict is Verdict.ACCEPT:
@@ -446,6 +477,24 @@ def test_dump_state_after_one_packet():
     assert "hits=0" in report
     # deterministic given the same state
     assert report == dump_state(state)
+
+
+def test_dump_state_prints_absent_fields_as_none():
+    rules = load_rules(
+        "priority=5, eth_src=02:00:00:00:00:01, eth_dst=02:00:00:00:00:02, eth_type=0x0800, actions=output:1\n"
+        "priority=5, ip_src=10.0.0.1, ip_dst=10.0.0.2, actions=output:2\n"
+    )
+    state = SwitchState(rules)
+    # too short for an Ethernet header: the key has none of the masked fields
+    assert state.process(RawFrame.of(bytes(10)), 1, VULN_250) == Dropped()
+    assert state.process(udp_frame(), 1, HARDENED) == Forwarded((1,))
+    mask = "mask[eth_dst,eth_src,eth_type,ip_dst,ip_src]"
+    lines = dump_state(state).splitlines()
+    assert f"  {mask} {{eth_dst=None eth_src=None eth_type=None ip_dst=None ip_src=None}} -> drop hits=0" in lines
+    assert (
+        f"  {mask} {{eth_dst=02:00:00:00:00:02 eth_src=02:00:00:00:00:01 eth_type=0x0800"
+        " ip_dst=10.0.0.2 ip_src=10.0.0.1} -> output:1 hits=0"
+    ) in lines
 
 
 def test_dump_state_disabled_caches():

@@ -2,11 +2,15 @@ import random
 
 import pytest
 
+from shimguard.attacks import AttackKind, attack_kind
+from shimguard.bench import PathMode, path_mode
+from shimguard.extract import ParserMode, parser_mode
 from shimguard.packet import (
     EthernetHeader,
     InconsistentLayering,
     Ipv4Header,
     MplsLse,
+    ParseStatus,
     RawFrame,
     decode_lse,
     encode_frame,
@@ -14,6 +18,7 @@ from shimguard.packet import (
     format_mac,
     parse_ipv4,
     parse_mac,
+    parse_status,
 )
 
 MAC_A = bytes.fromhex("020000000001")
@@ -160,3 +165,21 @@ def test_mac_ip_text_helpers():
         parse_mac("02:00:00")
     with pytest.raises(ValueError):
         parse_ipv4("300.1.1.1")
+
+
+@pytest.mark.parametrize(
+    "lookup, enum, what",
+    [
+        (parse_status, ParseStatus, "parse status"),
+        (parser_mode, ParserMode, "parser profile"),
+        (attack_kind, AttackKind, "attack kind"),
+        (path_mode, PathMode, "bench mode"),
+    ],
+)
+def test_enum_lookup_by_value(lookup, enum, what):
+    for member in enum:
+        for name in (member.value, member.value.upper(), member.value.lower()):
+            assert lookup(name) is member
+    with pytest.raises(ValueError) as exc:
+        lookup("Bogus")
+    assert str(exc.value) == f"unknown {what} 'Bogus'"
