@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterator, Sequence
 
 from .extract import (
@@ -36,10 +35,12 @@ from .packet import (
     Ipv4Header,
     MplsLse,
     RawFrame,
+    TextEnum,
     decode_lse,
     encode_frame,
     enum_by_value,
 )
+from .pcap import SNAPLEN
 
 DEFAULT_LONG_SHIM_SIZE = 1514
 CRAFT_SRC_MAC = bytes.fromhex("020000000001")
@@ -68,13 +69,10 @@ class PayloadViolatesConstraint(ValueError):
         self.chunk_index = chunk_index
 
 
-class AttackKind(Enum):
+class AttackKind(TextEnum):
     LONG_SHIM = "long-shim"
     SHORT_SHIM = "short-shim"
     ACL_BYPASS = "acl-bypass"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def attack_kind(name: str) -> AttackKind:
@@ -87,7 +85,8 @@ class AttackSpec:
 
     frame_size drives the long-shim label count (floor((size-14)/4) entries);
     fragment_len the short-shim trailing stub; total_length and the ports the
-    malformed IPv4 frame.
+    malformed IPv4 frame. A long-shim frame must fit a pcap record
+    (frame_size <= SNAPLEN).
     """
 
     kind: AttackKind
@@ -101,6 +100,8 @@ class AttackSpec:
     def __post_init__(self) -> None:
         if self.kind is AttackKind.LONG_SHIM and self.label_count < 1:
             raise ValueError(f"frame_size {self.frame_size} leaves no room for a label stack")
+        if self.kind is AttackKind.LONG_SHIM and self.frame_size > SNAPLEN:
+            raise ValueError(f"frame_size {self.frame_size} exceeds the pcap snaplen {SNAPLEN}")
         if self.kind is AttackKind.SHORT_SHIM and self.fragment_len not in (1, 2, 3):
             raise ValueError(f"fragment_len must be 1..3, got {self.fragment_len}")
         if not 0 <= self.total_length <= 0xFFFF:

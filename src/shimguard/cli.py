@@ -19,6 +19,7 @@ import sys
 from . import attacks, bench, flowtable, pcap, wormsim
 from .extract import (
     EmptyFrameError,
+    ParserMode,
     ParserProfile,
     classify_events,
     extract,
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_craft = sub.add_parser("craft", help="write an attack frame to a pcap file")
-    p_craft.add_argument("--kind", required=True, choices=["long-shim", "short-shim", "acl-bypass"])
+    p_craft.add_argument("--kind", required=True, choices=list(map(str, attacks.AttackKind)))
     p_craft.add_argument("--size", type=int, default=attacks.DEFAULT_LONG_SHIM_SIZE,
                          help="long-shim frame size in octets (default 1514)")
     p_craft.add_argument("--fragment", type=int, default=2,
@@ -65,15 +66,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_extract = sub.add_parser("extract", help="run flow extraction over a pcap")
     p_extract.add_argument("--in", dest="infile", required=True, metavar="PCAP")
-    p_extract.add_argument("--profile", default="hardened",
-                           choices=["hardened", "v232", "v240", "v250"])
+    p_extract.add_argument("--profile", default="hardened", choices=list(map(str, ParserMode)))
     p_extract.add_argument("--label-limit", type=int, default=3)
 
     p_pipe = sub.add_parser("pipeline", help="run frames through extract/match/action")
     p_pipe.add_argument("--in", dest="infile", required=True, metavar="PCAP")
     p_pipe.add_argument("--rules", required=True, metavar="FILE")
-    p_pipe.add_argument("--profile", default="hardened",
-                        choices=["hardened", "v232", "v240", "v250"])
+    p_pipe.add_argument("--profile", default="hardened", choices=list(map(str, ParserMode)))
     p_pipe.add_argument("--label-limit", type=int, default=3)
     p_pipe.add_argument("--no-megaflow", action="store_true", help="disable both caches")
     p_pipe.add_argument("--in-port", type=int, default=1)
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_worm.add_argument("--csv", metavar="FILE", help="write the timeline CSV here")
 
     p_bench = sub.add_parser("bench", help="throughput sweep and latency per packet size")
-    p_bench.add_argument("--mode", required=True, choices=["slow", "fast"])
+    p_bench.add_argument("--mode", required=True, choices=list(map(str, bench.PathMode)))
     p_bench.add_argument("--rates", default=",".join(str(r) for r in bench.DEFAULT_RATES),
                          help="comma-separated offered rates in pps")
     p_bench.add_argument("--duration", type=float, default=5.0,

@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .packet import (
@@ -32,6 +31,7 @@ from .packet import (
     FlowKey,
     ParseStatus,
     RawFrame,
+    TextEnum,
     decode_lse,
     enum_by_value,
 )
@@ -59,14 +59,11 @@ class EmptyFrameError(ValueError):
     """extract() was handed a zero-length frame."""
 
 
-class ParserMode(Enum):
+class ParserMode(TextEnum):
     HARDENED = "hardened"
     VULN_232 = "v232"
     VULN_240 = "v240"
     VULN_250 = "v250"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def parser_mode(name: str) -> ParserMode:
@@ -123,12 +120,12 @@ class MemoryModel:
         self.overflow_bytes_written = 0
 
     @classmethod
-    def zeros(cls, capacity: int, size: int = DEFAULT_ADJACENT_LEN) -> "MemoryModel":
-        return cls(capacity, _ZERO_REGION if size == DEFAULT_ADJACENT_LEN else bytes(size))
+    def zeros(cls, capacity: int) -> "MemoryModel":
+        return cls(capacity)
 
     @classmethod
-    def seeded(cls, capacity: int, seed: int, size: int = DEFAULT_ADJACENT_LEN) -> "MemoryModel":
-        return cls(capacity, random.Random(seed).randbytes(size))
+    def seeded(cls, capacity: int, seed: int) -> "MemoryModel":
+        return cls(capacity, random.Random(seed).randbytes(DEFAULT_ADJACENT_LEN))
 
     def record_stack_writes(self, slots: int) -> None:
         self.stack_written_slots += slots
@@ -144,13 +141,10 @@ class MemoryModel:
         return region[:count]
 
 
-class CorruptionKind(Enum):
+class CorruptionKind(TextEnum):
     STACK_OVERFLOW_WRITE = "StackOverflowWrite"
     SHORT_LSE_OVERFLOW = "ShortLseOverflow"
     HEAP_OVERREAD = "HeapOverread"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class CorruptionEvent(NamedTuple):
@@ -164,36 +158,42 @@ class CorruptionEvent(NamedTuple):
     kind: CorruptionKind
     offset: int
     byte_count: int
-    profile: ParserProfile
 
     def describe(self) -> str:
         return f"{self.kind}(offset={self.offset},byte_count={self.byte_count})"
 
 
-class Verdict(Enum):
+class Verdict(TextEnum):
     ACCEPT = "Accept"
     DROP = "Drop"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class ExtractionResult(NamedTuple):
+    """A flow key, its corruption events and the verdict derived from both.
+
+    The verdict is DROP iff the key is MALFORMED and no event fired: a
+    correct parser drops a malformed frame, while a defective one acts on
+    the key it was tricked into building.
+    """
+
     key: FlowKey
     events: tuple[CorruptionEvent, ...]
     verdict: Verdict
     memory: MemoryModel
 
 
-class VulnClass(Enum):
+class VulnClass(TextEnum):
     LONG_STACK_232 = "LongStack-2.3.2"
     SHORT_LSE_240 = "ShortLse-2.4.0"
     IP_UNDERFLOW_250 = "IpUnderflow-2.5.0"
     BENIGN = "Benign"
 
-    def __str__(self) -> str:
-        return self.value
 
+# Module constants: a global lookup is cheaper than an attribute lookup on
+# the enum class, and extract() reads them on every frame.
+_MALFORMED = ParseStatus.MALFORMED
+_DROP = Verdict.DROP
+_ACCEPT = Verdict.ACCEPT
 
 _KIND_TO_CLASS = {
     CorruptionKind.STACK_OVERFLOW_WRITE: VulnClass.LONG_STACK_232,
@@ -234,20 +234,21 @@ def extract(
     if not data:
         raise EmptyFrameError("cannot extract from an empty frame")
     if memory is None:
-        memory = MemoryModel.zeros(profile.label_limit)
+        memory = MemoryModel(profile.label_limit)
 
+    events = ()
     if len(data) < ETHERNET_HEADER_LEN:
-        return ExtractionResult(_key(in_port, None, None, None, ParseStatus.MALFORMED), (), Verdict.DROP, memory)
-
-    eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
-
-    if ethertype in MPLS_ETHERTYPES:
-        return _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
-    if ethertype == ETHERTYPE_IPV4:
-        return _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
-
-    key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.L2_ONLY)
-    return ExtractionResult(key, (), Verdict.ACCEPT, memory)
+        key = _key(in_port, None, None, None, _MALFORMED)
+    else:
+        eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
+        if ethertype in MPLS_ETHERTYPES:
+            key, events = _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
+        elif ethertype == ETHERTYPE_IPV4:
+            key, events = _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
+        else:
+            key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.L2_ONLY)
+    verdict = _DROP if key.parse_status is _MALFORMED and not events else _ACCEPT
+    return ExtractionResult(key, events, verdict, memory)
 
 
 def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
@@ -267,21 +268,14 @@ def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
         memory.record_stack_writes(depth)
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth)
-        return ExtractionResult(key, (), Verdict.ACCEPT, memory)
+        return _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth), ()
 
     if profile.mode is ParserMode.VULN_232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         memory.record_stack_writes(n_complete)
-        event = CorruptionEvent(
-            CorruptionKind.STACK_OVERFLOW_WRITE,
-            offset=0,
-            byte_count=4 * (n_complete - limit),
-            profile=profile,
-        )
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED, (decode_lse(body[:4]),), n_complete)
-        return ExtractionResult(key, (event,), Verdict.ACCEPT, memory)
+        event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (decode_lse(body[:4]),), n_complete), (event,)
 
     if profile.mode is ParserMode.VULN_240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
@@ -290,28 +284,20 @@ def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
         first = decode_lse(body[:4]) if n_complete else blended
         depth = n_complete + 1
         memory.record_stack_writes(min(depth, limit))
-        event = CorruptionEvent(
-            CorruptionKind.SHORT_LSE_OVERFLOW,
-            offset=0,
-            byte_count=4 - frag_len,
-            profile=profile,
-        )
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED, (first,), depth)
-        return ExtractionResult(key, (event,), Verdict.ACCEPT, memory)
+        event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=4 - frag_len)
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (first,), depth), (event,)
 
     # Shared malformed path: the stack never terminated (and/or a trailing
     # fragment remained) and no profile-specific trigger applies.
     depth = n_complete if n_complete <= limit else limit
     memory.record_stack_writes(depth)
-    key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED, (), depth)
-    return ExtractionResult(key, (), Verdict.DROP, memory)
+    return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), depth), ()
 
 
 def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
     rem = len(data) - ETHERNET_HEADER_LEN
     if rem < IPV4_MIN_HEADER_LEN:
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED)
-        return ExtractionResult(key, (), Verdict.DROP, memory)
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), ()
 
     version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
     version = version_ihl >> 4
@@ -330,24 +316,18 @@ def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
             if len(raw) < 4:
                 raw += memory.read_adjacent(4 - len(raw))
             l4_src, l4_dst = _PORTS.unpack(raw)
-        event = CorruptionEvent(
-            CorruptionKind.HEAP_OVERREAD,
-            offset=header_len - total_length,
-            byte_count=2,
-            profile=profile,
-        )
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED, (), 0,
+        event = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, offset=header_len - total_length, byte_count=2)
+        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), 0,
                    (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-        return ExtractionResult(key, (event,), Verdict.ACCEPT, memory)
+        return key, (event,)
 
     well_formed = version == 4 and ihl >= 5 and total_length >= header_len
     if not well_formed or total_length > rem:
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MALFORMED)
-        return ExtractionResult(key, (), Verdict.DROP, memory)
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), ()
 
     l4_src = l4_dst = None
     if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
     key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.COMPLETE, (), 0,
                (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-    return ExtractionResult(key, (), Verdict.ACCEPT, memory)
+    return key, ()

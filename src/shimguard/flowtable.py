@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .extract import EmptyFrameError, MemoryModel, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
@@ -202,18 +203,48 @@ def _mpls_s(key: FlowKey):
     return int(top.bottom_of_stack) if top else None
 
 
+_int0 = partial(int, base=0)  # decimal, 0x, 0o or 0b
+
+
+class _Field(NamedTuple):
+    """One field of the rule language.
+
+    ``source`` is the FlowKey field holding the value, or a getter for a
+    value the key derives. ``bits`` is the header field's width; a numeric
+    rule value must fit it, and a MAC or IPv4 value fits it by its syntax.
+    """
+
+    source: str | Callable[[FlowKey], object]
+    parse: Callable[[str], object]
+    show: Callable[[object], str]
+    bits: int | None
+
+
+# The rule language, one row per field, in rule-file documentation order.
+# in_port and mpls_s parse as decimal only; int("01", 0) raises.
+_FIELDS: dict[str, _Field] = {
+    "in_port": _Field("in_port", int, str, 32),
+    "eth_src": _Field("eth_src", parse_mac, format_mac, 48),
+    "eth_dst": _Field("eth_dst", parse_mac, format_mac, 48),
+    "eth_type": _Field("ethertype", _int0, "0x{:04x}".format, 16),
+    "mpls_label": _Field(_mpls_label, _int0, str, 20),
+    "mpls_s": _Field(_mpls_s, int, str, 1),
+    "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, 32),
+    "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, 32),
+    "ip_proto": _Field("ip_proto", _int0, str, 8),
+    "l4_src": _Field("l4_src", _int0, str, 16),
+    "l4_dst": _Field("l4_dst", _int0, str, 16),
+    "parse_status": _Field("parse_status", parse_status, str, None),
+}
+
 # Rule fields the FlowKey stores as they are, by position in the key.
 _KEY_POSITIONS = {
-    name: FlowKey._fields.index("ethertype" if name == "eth_type" else name)
-    for name in (
-        "in_port", "eth_src", "eth_dst", "eth_type", "ip_src", "ip_dst", "ip_proto", "l4_src", "l4_dst", "parse_status"
-    )
+    name: FlowKey._fields.index(field.source) for name, field in _FIELDS.items() if isinstance(field.source, str)
 }
 
 FIELD_GETTERS: dict[str, Callable[[FlowKey], object]] = {
-    **{name: itemgetter(position) for name, position in _KEY_POSITIONS.items()},
-    "mpls_label": _mpls_label,
-    "mpls_s": _mpls_s,
+    name: itemgetter(_KEY_POSITIONS[name]) if name in _KEY_POSITIONS else field.source
+    for name, field in _FIELDS.items()
 }
 
 
@@ -251,15 +282,7 @@ class Rule:
 
 def _format_value(name: str, value) -> str:
     """A field value as the rule file writes it; a field the key lacks prints as None."""
-    if value is None:
-        return "None"
-    if name == "eth_type":
-        return f"0x{value:04x}"
-    if name in ("eth_src", "eth_dst"):
-        return format_mac(value)
-    if name in ("ip_src", "ip_dst"):
-        return format_ipv4(value)
-    return str(value)
+    return "None" if value is None else _FIELDS[name].show(value)
 
 
 @dataclass(slots=True)
@@ -433,20 +456,14 @@ class SwitchState:
 
 # --- rule file format ---------------------------------------------------------
 
-_FIELD_PARSERS: dict[str, Callable[[str], object]] = {
-    "in_port": int,
-    "eth_src": parse_mac,
-    "eth_dst": parse_mac,
-    "eth_type": lambda v: int(v, 0),
-    "mpls_label": lambda v: int(v, 0),
-    "mpls_s": int,
-    "ip_src": parse_ipv4,
-    "ip_dst": parse_ipv4,
-    "ip_proto": lambda v: int(v, 0),
-    "l4_src": lambda v: int(v, 0),
-    "l4_dst": lambda v: int(v, 0),
-    "parse_status": parse_status,
-}
+
+def _parse_field(name: str, text: str):
+    """Parse a rule value of field ``name``; raises ValueError unless it fits the field."""
+    field = _FIELDS[name]
+    value = field.parse(text)
+    if isinstance(value, int) and not 0 <= value < 1 << field.bits:
+        raise ValueError(f"{value} does not fit in {field.bits} bits")
+    return value
 
 
 def _parse_action(token: str, lineno: int) -> Action:
@@ -464,7 +481,7 @@ def _parse_action(token: str, lineno: int) -> Action:
             raise RuleSyntaxError(lineno, f"bad output port in {token!r}") from None
     if token.startswith("push_mpls:"):
         try:
-            return PushMpls(MplsLse(int(token.split(":", 1)[1], 0), bottom_of_stack=True))
+            return PushMpls(MplsLse(_parse_field("mpls_label", token.split(":", 1)[1]), bottom_of_stack=True))
         except ValueError:
             raise RuleSyntaxError(lineno, f"bad label in {token!r}") from None
     raise RuleSyntaxError(lineno, f"unknown action {token!r}")
@@ -508,13 +525,13 @@ def load_rules(text: str) -> list[Rule]:
                 except ValueError:
                     raise RuleSyntaxError(lineno, f"bad priority {value!r}") from None
                 continue
-            if name not in _FIELD_PARSERS:
+            if name not in _FIELDS:
                 raise UnknownFieldError(lineno, name)
             if name in seen:
                 raise DuplicateFieldError(lineno, name)
             seen.add(name)
             try:
-                match.append((name, _FIELD_PARSERS[name](value)))
+                match.append((name, _parse_field(name, value)))
             except ValueError as exc:
                 raise RuleSyntaxError(lineno, f"bad value for {name}: {exc}") from None
         if priority is None:

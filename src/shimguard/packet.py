@@ -14,7 +14,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence, TypeVar
 
 ETHERTYPE_IPV4 = 0x0800
-ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_MPLS_UNICAST = 0x8847
 ETHERTYPE_MPLS_MULTICAST = 0x8848
 MPLS_ETHERTYPES = frozenset((ETHERTYPE_MPLS_UNICAST, ETHERTYPE_MPLS_MULTICAST))
@@ -33,6 +32,13 @@ class InconsistentLayering(ValueError):
     """Frame layers contradict the declared ethertype."""
 
 
+class TextEnum(Enum):
+    """An enum whose members print as their value, the name files and flags use."""
+
+    def __str__(self) -> str:
+        return self.value
+
+
 _E = TypeVar("_E", bound=Enum)
 
 
@@ -47,7 +53,7 @@ def enum_by_value(enum: type[_E], name: str, what: str) -> _E:
     raise ValueError(f"unknown {what} {name!r}")
 
 
-class ParseStatus(Enum):
+class ParseStatus(TextEnum):
     """How far flow extraction got before it stopped."""
 
     COMPLETE = "Complete"
@@ -59,9 +65,6 @@ class ParseStatus(Enum):
     # hash agrees with ==; Enum's own __hash__ runs in Python on every
     # FlowKey hash.
     __hash__ = object.__hash__
-
-    def __str__(self) -> str:
-        return self.value
 
 
 def parse_status(name: str) -> ParseStatus:

@@ -16,9 +16,11 @@ back-to-back repeats merge into one interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple
+
+from .packet import TextEnum
 
 CONTROLLER = "controller"
 
@@ -53,10 +55,12 @@ class StageTimings:
     dos_outage: float = 4.5
 
     def __post_init__(self) -> None:
-        for name in ("exploit_send", "download", "restart_sleep", "hop_overhead",
-                     "controller_restore", "dos_outage"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be >= 0")
 
     @property
     def compute_hop(self) -> float:
@@ -64,15 +68,12 @@ class StageTimings:
         return self.download + self.restart_sleep + self.hop_overhead / 2
 
 
-class WormEventKind(Enum):
+class WormEventKind(TextEnum):
     EXPLOIT_SENT = "ExploitSent"
     SHELL_OBTAINED = "ShellObtained"
     PATCHED_SWITCH_INSTALLED = "PatchedSwitchInstalled"
     RESTORED = "Restored"
     FANOUT_STARTED = "FanoutStarted"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class WormEvent(NamedTuple):
@@ -163,26 +164,21 @@ def simulate_dos(
     timings: StageTimings = StageTimings(),
     repeats: int = 1,
     interval_s: float | None = None,
-    nodes: list[int] | None = None,
 ) -> dict[str, OutageReport]:
-    """Outage intervals per attacked node.
+    """Outage intervals of the attacked node: the attacker VM's own host.
 
-    Each attack opens a dos_outage window; attack k starts at k*interval_s
-    (default: back-to-back at the outage length, so repeats chain into one
-    merged interval). Default target is the attacker VM's own host.
+    Each attack opens a dos_outage window; attack k starts at k*interval_s,
+    a finite spacing >= 0 (default: back-to-back at the outage length, so
+    repeats chain into one merged interval). The report maps the host's
+    node name to its merged intervals.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     if interval_s is None:
         interval_s = timings.dos_outage
-    if nodes is None:
-        nodes = [topology.attacker_vm_host]
-    report: dict[str, OutageReport] = {}
-    for index in nodes:
-        if not 0 <= index < topology.compute_nodes:
-            raise ValueError(f"node {index} outside topology")
-        raw = [(k * interval_s, k * interval_s + timings.dos_outage) for k in range(repeats)]
-        merged = merge_intervals(raw)
-        total = sum(end - start for start, end in merged)
-        report[node_name(index)] = OutageReport(intervals=merged, total=total)
-    return report
+    if not (math.isfinite(interval_s) and interval_s >= 0):
+        raise ValueError(f"interval must be a finite number of seconds >= 0, got {interval_s}")
+    raw = [(k * interval_s, k * interval_s + timings.dos_outage) for k in range(repeats)]
+    merged = merge_intervals(raw)
+    total = sum(end - start for start, end in merged)
+    return {node_name(topology.attacker_vm_host): OutageReport(intervals=merged, total=total)}

@@ -28,6 +28,7 @@ from shimguard.extract import (
 )
 from shimguard.flowtable import Dropped, Forwarded, SwitchState, load_rules
 from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, RawFrame, encode_frame
+from shimguard.pcap import SNAPLEN
 
 
 def _s_bits(frame):
@@ -316,3 +317,9 @@ def test_report_text_format():
     assert "class=ShortLse-2.4.0 count=1" in text
     assert "equivalence_violations=0" in text
     assert "hardened_events=0" in text
+
+
+def test_long_shim_frame_size_bounded_by_snaplen():
+    assert craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN)).capture_len <= SNAPLEN
+    with pytest.raises(ValueError, match="snaplen"):
+        AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN + 1)

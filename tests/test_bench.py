@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from shimguard.bench import (
@@ -152,3 +154,9 @@ def test_config_validation():
         BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=(20_000, 10_000))
     with pytest.raises(ValueError):
         BenchConfig(PathMode.ALL_FAST_PATH, packet_sizes=(40,))
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.nan, math.inf])
+def test_config_duration_must_be_positive_and_finite(duration):
+    with pytest.raises(ValueError, match="duration"):
+        BenchConfig(PathMode.ALL_FAST_PATH, duration_s=duration)

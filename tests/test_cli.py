@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
@@ -197,6 +199,48 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run(capsys, "extract", "--in", "/nonexistent.pcap")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wormsim", "--nodes", "3", "--timing", "download=nan"], "download must be finite"),
+        (["wormsim", "--nodes", "3", "--timing", "dos_outage=inf"], "dos_outage must be finite"),
+        (["wormsim", "--nodes", "3", "--dos", "--repeats", "3", "--interval", "-2"], "interval"),
+        (["wormsim", "--nodes", "3", "--dos", "--interval", "nan"], "interval"),
+        (["bench", "--mode", "fast", "--duration", "-1"], "duration"),
+        (["bench", "--mode", "fast", "--duration", "nan"], "duration"),
+        (["bench", "--mode", "slow", "--duration", "0"], "duration"),
+        (["craft", "--kind", "long-shim", "--size", "70000", "--out", "OUT"], "snaplen"),
+    ],
+)
+def test_out_of_range_values_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.pcap"
+    code, stdout, err = run(capsys, *[str(out) if arg == "OUT" else arg for arg in argv])
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_craft_long_shim_at_snaplen_writes_pcap(tmp_path, capsys):
+    out = tmp_path / "big.pcap"
+    code, stdout, _ = run(capsys, "craft", "--kind", "long-shim", "--size", "65535", "--out", str(out))
+    assert code == 0
+    (frame,) = read_pcap(out)
+    assert frame.capture_len == 65534
+    assert "65534 octets" in stdout
+
+
+def test_pipeline_rule_value_wider_than_field_exits_2(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("priority=1, actions=output:1\npriority=2, eth_type=-1, actions=drop\n")
+    frame_pcap = tmp_path / "acl.pcap"
+    run(capsys, "craft", "--kind", "acl-bypass", "--out", str(frame_pcap))
+    code, stdout, err = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: line 2: bad value for eth_type: -1 does not fit in 16 bits\n"
 
 
 def test_help_enumerates_interface_flags(capsys):

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.extract import (
     ALL_PROFILES,
     HARDENED,
@@ -335,6 +336,26 @@ def test_differential_equivalence_on_event_free_frames():
             continue
         first = results[0].key
         assert all(r.key == first for r in results[1:])
+
+
+def test_verdict_drops_exactly_malformed_frames_without_events():
+    rng = random.Random(4321)
+    frames = [_random_frame(rng) for _ in range(600)]
+    frames += [craft(AttackSpec(kind)) for kind in AttackKind]
+    frames += [craft(AttackSpec(AttackKind.SHORT_SHIM, fragment_len=n)) for n in (1, 3)]
+    seen = set()
+    for frame in frames:
+        for profile in ALL_PROFILES:
+            result = extract(frame, 1, profile)
+            dropped = result.key.parse_status is ParseStatus.MALFORMED and not result.events
+            assert (result.verdict is Verdict.DROP) == dropped
+            seen.add((result.verdict, result.key.parse_status, bool(result.events)))
+    # Every branch of the rule is exercised: clean drops, events on malformed
+    # keys, and accepted well-formed keys.
+    assert (Verdict.DROP, ParseStatus.MALFORMED, False) in seen
+    assert (Verdict.ACCEPT, ParseStatus.MALFORMED, True) in seen
+    assert {(Verdict.ACCEPT, status, False) for status in (ParseStatus.COMPLETE, ParseStatus.L2_ONLY,
+                                                            ParseStatus.MPLS_TERMINATED)} <= seen
 
 
 def test_hardened_accounting_identically_zero():

@@ -106,6 +106,83 @@ def test_load_rules_comments_and_values():
     assert rules[1].actions == (ToController(),)
 
 
+@pytest.mark.parametrize(
+    "token",
+    [
+        "in_port=-1",
+        "in_port=4294967296",
+        "eth_type=-1",
+        "eth_type=0x10000",
+        "mpls_label=0x100000",
+        "mpls_label=-1",
+        "mpls_s=2",
+        "mpls_s=7",
+        "ip_proto=300",
+        "l4_src=65536",
+        "l4_dst=99999",
+        "l4_dst=-80",
+        "actions=push_mpls:0x100000",
+        "actions=push_mpls:-1",
+    ],
+)
+def test_load_rules_rejects_values_wider_than_their_field(token):
+    line = f"priority=5, {token}" if token.startswith("actions=") else f"priority=5, {token}, actions=drop"
+    with pytest.raises(RuleSyntaxError) as exc:
+        load_rules("priority=1, actions=output:1\n" + line)
+    assert exc.value.line == 2
+
+
+def test_load_rules_accepts_field_extremes_and_decimal_leading_zeros():
+    (rule,) = load_rules(
+        "priority=1, in_port=4294967295, eth_type=0xffff, mpls_label=0xfffff, mpls_s=01, "
+        "ip_proto=255, l4_src=0, l4_dst=65535, actions=push_mpls:1048575"
+    )
+    assert dict(rule.match) == {
+        "in_port": 0xFFFFFFFF, "eth_type": 0xFFFF, "mpls_label": 0xFFFFF, "mpls_s": 1,
+        "ip_proto": 255, "l4_src": 0, "l4_dst": 0xFFFF,
+    }
+    assert rule.actions == (PushMpls(MplsLse(0xFFFFF, bottom_of_stack=True)),)
+
+
+_FIELD_VALUES = {
+    "in_port": lambda rng: rng.randrange(1 << 32),
+    "eth_src": lambda rng: rng.randbytes(6),
+    "eth_dst": lambda rng: rng.randbytes(6),
+    "eth_type": lambda rng: rng.randrange(1 << 16),
+    "mpls_label": lambda rng: rng.randrange(1 << 20),
+    "mpls_s": lambda rng: rng.randrange(2),
+    "ip_src": lambda rng: rng.randrange(1 << 32),
+    "ip_dst": lambda rng: rng.randrange(1 << 32),
+    "ip_proto": lambda rng: rng.randrange(1 << 8),
+    "l4_src": lambda rng: rng.randrange(1 << 16),
+    "l4_dst": lambda rng: rng.randrange(1 << 16),
+    "parse_status": lambda rng: rng.choice(list(ParseStatus)),
+}
+_ACTION_MAKERS = (
+    lambda rng: Output(rng.randrange(1 << 16)),
+    lambda rng: Drop(),
+    lambda rng: ToController(),
+    lambda rng: PushMpls(MplsLse(rng.randrange(1 << 20), bottom_of_stack=True)),
+    lambda rng: PopMpls(),
+)
+
+
+def test_rules_round_trip_through_rule_file_text():
+    assert sorted(_FIELD_VALUES) == sorted(FIELD_GETTERS)
+    rng = random.Random(77)
+    for _ in range(200):
+        rules = [
+            Rule(
+                priority=rng.randrange(-5, 1000),
+                match=tuple((name, _FIELD_VALUES[name](rng))
+                            for name in rng.sample(sorted(_FIELD_VALUES), k=rng.randrange(0, 13))),
+                actions=tuple(rng.choice(_ACTION_MAKERS)(rng) for _ in range(rng.randrange(1, 4))),
+            )
+            for _ in range(rng.randrange(1, 8))
+        ]
+        assert load_rules("\n".join(map(str, rules))) == rules
+
+
 # --- caches -------------------------------------------------------------------
 
 

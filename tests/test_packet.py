@@ -4,7 +4,7 @@ import pytest
 
 from shimguard.attacks import AttackKind, attack_kind
 from shimguard.bench import PathMode, path_mode
-from shimguard.extract import ParserMode, parser_mode
+from shimguard.extract import CorruptionKind, ParserMode, Verdict, VulnClass, parser_mode
 from shimguard.packet import (
     EthernetHeader,
     InconsistentLayering,
@@ -20,6 +20,7 @@ from shimguard.packet import (
     parse_mac,
     parse_status,
 )
+from shimguard.wormsim import WormEventKind
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -183,3 +184,12 @@ def test_enum_lookup_by_value(lookup, enum, what):
     with pytest.raises(ValueError) as exc:
         lookup("Bogus")
     assert str(exc.value) == f"unknown {what} 'Bogus'"
+
+
+@pytest.mark.parametrize(
+    "enum",
+    [ParseStatus, ParserMode, CorruptionKind, Verdict, VulnClass, AttackKind, PathMode, WormEventKind],
+)
+def test_enum_prints_as_its_value(enum):
+    for member in enum:
+        assert str(member) == f"{member}" == member.value

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -132,3 +133,16 @@ def test_csv_output():
     assert "0,node0,ExploitSent" in lines[1]
     assert any(line == "21,controller,ShellObtained" for line in lines)
     assert timeline.summary() == "total_compromise_time_s=99"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stage_timings_must_be_finite(value):
+    for field in dataclasses.fields(StageTimings):
+        with pytest.raises(ValueError, match=f"{field.name} must be finite"):
+            StageTimings(**{field.name: value})
+
+
+@pytest.mark.parametrize("interval", [-2.0, -1e-9, math.nan, math.inf])
+def test_dos_interval_must_be_finite_and_non_negative(interval):
+    with pytest.raises(ValueError, match="interval"):
+        simulate_dos(Topology(compute_nodes=1), repeats=3, interval_s=interval)
