@@ -63,6 +63,9 @@ class BenchConfig:
             raise ValueError("warmup_drop must be < latency_count")
         if list(self.rates_pps) != sorted(self.rates_pps):
             raise ValueError("rates must be ascending")
+        for rate in self.rates_pps:
+            if rate < 0 or (rate and int(rate * self.duration_s) < 1):
+                raise ValueError(f"rate {rate} pps must be 0 or offer a packet in {self.duration_s:g} s")
         for size in self.packet_sizes:
             if size < MIN_FRAME:
                 raise ValueError(f"packet size {size} below minimum {MIN_FRAME}")

@@ -34,7 +34,10 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _profile_list(text: str, label_limit: int) -> list[ParserProfile]:
@@ -153,6 +156,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    if not 0 <= args.in_port < 1 << 32:
+        raise ValueError(f"--in-port {args.in_port} does not fit in 32 bits")
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = flowtable.load_rules(fh.read())
     state = flowtable.SwitchState(rules, megaflow_enabled=not args.no_megaflow)
@@ -220,9 +225,8 @@ def _cmd_bench(args, seed: int) -> int:
     rates = tuple(int(r) for r in args.rates.split(",") if r)
     sizes = tuple(int(s) for s in args.sizes.split(",") if s)
     config = bench.BenchConfig(
-        path_mode=mode, rates_pps=rates or bench.DEFAULT_RATES, duration_s=args.duration,
-        packet_sizes=sizes or bench.DEFAULT_SIZES, latency_count=args.count,
-        warmup_drop=args.warmup, interval_ms=args.interval_ms, seed=seed,
+        path_mode=mode, rates_pps=rates, duration_s=args.duration, packet_sizes=sizes,
+        latency_count=args.count, warmup_drop=args.warmup, interval_ms=args.interval_ms, seed=seed,
     )
     outputs = []
     if rates:
@@ -247,8 +251,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    seed = _resolve_seed(args.seed)
     try:
+        seed = _resolve_seed(args.seed)
         if args.command == "craft":
             return _cmd_craft(args)
         if args.command == "extract":

@@ -3,10 +3,12 @@
 The hardened profile parses Ethernet, walks MPLS label stacks bounds-checked,
 and accepts IPv4 only when the header is well-formed and fits the frame. The
 vulnerable profiles reproduce the trigger conditions of three historical
-parser defects inside a simulated memory model: instead of corrupting memory
-they emit a CorruptionEvent describing exactly how many octets would have been
+parser defects against simulated memory: instead of corrupting memory they
+emit a CorruptionEvent describing exactly how many octets would have been
 written past the label buffer or read past the packet, while still returning
-the defective flow key the buggy daemon would have acted on.
+the defective flow key the buggy daemon would have acted on. The bytes past
+the packet are a caller-supplied ``adjacent`` region, and every extraction
+returns its own BufferAccounting.
 
 All profiles share one walk; they differ only at their trigger condition, so
 on frames that trigger nothing every profile produces an identical FlowKey.
@@ -16,7 +18,6 @@ meaningful.
 
 from __future__ import annotations
 
-import random
 import struct
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -51,7 +52,7 @@ _IPV4_FIELDS = struct.Struct(">BBH4xBB2xII")
 _PORTS = struct.Struct(">HH")
 _NO_IP = (None,) * 7
 _tuple_new = tuple.__new__
-# Shared by every zero-filled MemoryModel; bytes are immutable.
+# The default adjacent region, shared by every call; bytes are immutable.
 _ZERO_REGION = bytes(DEFAULT_ADJACENT_LEN)
 
 
@@ -89,56 +90,27 @@ VULN_250 = ParserProfile(ParserMode.VULN_250)
 ALL_PROFILES = (HARDENED, VULN_232, VULN_240, VULN_250)
 
 
-class MemoryModel:
-    """Simulated parse buffers plus read/write accounting.
+class BufferAccounting(NamedTuple):
+    """What one extraction did to the simulated buffers.
 
-    ``stack_written_slots`` counts label-buffer slots the walk stored;
-    exceeding ``stack_capacity_slots`` is representable and accounted in
-    ``overflow_bytes_written``. ``adjacent_region`` stands in for whatever
-    bytes lie past the logical end of the packet; reads from it are counted
-    in ``adjacent_bytes_read``. A hardened extraction leaves both counters
-    at exactly zero.
+    ``stack_written_slots`` counts label-buffer slots the walk stored; the
+    capacity is the profile's ``label_limit``, and every slot past it adds
+    four octets to ``overflow_bytes_written``. ``adjacent_bytes_read``
+    counts octets taken from the region past the packet. A hardened
+    extraction writes no overflow and reads nothing adjacent.
     """
 
-    __slots__ = (
-        "stack_capacity_slots",
-        "stack_written_slots",
-        "adjacent_region",
-        "adjacent_bytes_read",
-        "overflow_bytes_written",
-    )
+    stack_capacity_slots: int
+    stack_written_slots: int
+    adjacent_bytes_read: int
+    overflow_bytes_written: int
 
-    def __init__(self, stack_capacity_slots: int, adjacent_region: bytes | None = None) -> None:
-        if adjacent_region is None:
-            adjacent_region = _ZERO_REGION
-        if not adjacent_region:
-            raise ValueError("adjacent_region must be non-empty")
-        self.stack_capacity_slots = stack_capacity_slots
-        self.stack_written_slots = 0
-        self.adjacent_region = adjacent_region
-        self.adjacent_bytes_read = 0
-        self.overflow_bytes_written = 0
 
-    @classmethod
-    def zeros(cls, capacity: int) -> "MemoryModel":
-        return cls(capacity)
-
-    @classmethod
-    def seeded(cls, capacity: int, seed: int) -> "MemoryModel":
-        return cls(capacity, random.Random(seed).randbytes(DEFAULT_ADJACENT_LEN))
-
-    def record_stack_writes(self, slots: int) -> None:
-        self.stack_written_slots += slots
-        over = self.stack_written_slots - self.stack_capacity_slots
-        if over > 0:
-            self.overflow_bytes_written = 4 * over
-
-    def read_adjacent(self, count: int) -> bytes:
-        region = self.adjacent_region
-        if count > len(region):
-            region = region * (count // len(region) + 1)
-        self.adjacent_bytes_read += count
-        return region[:count]
+def _adjacent_prefix(adjacent: bytes, count: int) -> bytes:
+    """The first ``count`` octets past the packet; a short region repeats."""
+    if count > len(adjacent):
+        adjacent = adjacent * (count // len(adjacent) + 1)
+    return adjacent[:count]
 
 
 class CorruptionKind(TextEnum):
@@ -169,7 +141,7 @@ class Verdict(TextEnum):
 
 
 class ExtractionResult(NamedTuple):
-    """A flow key, its corruption events and the verdict derived from both.
+    """A flow key, its corruption events, the verdict and the buffer accounting.
 
     The verdict is DROP iff the key is MALFORMED and no event fired: a
     correct parser drops a malformed frame, while a defective one acts on
@@ -179,7 +151,7 @@ class ExtractionResult(NamedTuple):
     key: FlowKey
     events: tuple[CorruptionEvent, ...]
     verdict: Verdict
-    memory: MemoryModel
+    memory: BufferAccounting
 
 
 class VulnClass(TextEnum):
@@ -221,37 +193,44 @@ def extract(
     frame: RawFrame,
     in_port: int,
     profile: ParserProfile,
-    memory: MemoryModel | None = None,
+    adjacent: bytes | None = None,
 ) -> ExtractionResult:
     """Run the flow-extraction stage of the pipeline for one frame.
 
     Malformation is expressed through parse_status and the verdict, never as
-    an exception; only a zero-length frame raises. A fresh zero-filled
-    MemoryModel is created per call unless the caller supplies one (e.g. a
-    seeded adjacent region to make overread blending observable).
+    an exception; only a zero-length frame or an empty ``adjacent`` raises.
+    ``adjacent`` stands in for the bytes past the packet (zeros by default; a
+    seeded region makes overread blending observable); it is only read.
     """
     data = frame.data
     if not data:
         raise EmptyFrameError("cannot extract from an empty frame")
-    if memory is None:
-        memory = MemoryModel(profile.label_limit)
+    if adjacent is None:
+        adjacent = _ZERO_REGION
+    elif not adjacent:
+        raise ValueError("adjacent must be non-empty")
 
     events = ()
+    written = read = 0
     if len(data) < ETHERNET_HEADER_LEN:
         key = _key(in_port, None, None, None, _MALFORMED)
     else:
         eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
         if ethertype in MPLS_ETHERTYPES:
-            key, events = _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
+            key, events, written, read = _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
         elif ethertype == ETHERTYPE_IPV4:
-            key, events = _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory)
+            key, events, read = _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
         else:
             key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.L2_ONLY)
     verdict = _DROP if key.parse_status is _MALFORMED and not events else _ACCEPT
-    return ExtractionResult(key, events, verdict, memory)
+    limit = profile.label_limit
+    over = written - limit
+    memory = _tuple_new(BufferAccounting, (limit, written, read, 4 * over if over > 0 else 0))
+    return _tuple_new(ExtractionResult, (key, events, verdict, memory))
 
 
-def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
+def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent):
+    """Walk an MPLS stack; returns (key, events, slots written, adjacent octets read)."""
     limit = profile.label_limit
     stack = data[ETHERNET_HEADER_LEN:]
     n_complete = len(stack) // 4
@@ -267,37 +246,38 @@ def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        memory.record_stack_writes(depth)
-        return _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth), ()
+        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth)
+        return key, (), depth, 0
 
     if profile.mode is ParserMode.VULN_232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
-        memory.record_stack_writes(n_complete)
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (decode_lse(body[:4]),), n_complete), (event,)
+        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (decode_lse(body[:4]),), n_complete)
+        return key, (event,), n_complete, 0
 
     if profile.mode is ParserMode.VULN_240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
-        blended = decode_lse(stack[n_complete * 4 :] + memory.read_adjacent(4 - frag_len))
+        missing = 4 - frag_len
+        blended = decode_lse(stack[n_complete * 4 :] + _adjacent_prefix(adjacent, missing))
         first = decode_lse(body[:4]) if n_complete else blended
         depth = n_complete + 1
-        memory.record_stack_writes(min(depth, limit))
-        event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=4 - frag_len)
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (first,), depth), (event,)
+        event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
+        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (first,), depth)
+        return key, (event,), min(depth, limit), missing
 
     # Shared malformed path: the stack never terminated (and/or a trailing
     # fragment remained) and no profile-specific trigger applies.
     depth = n_complete if n_complete <= limit else limit
-    memory.record_stack_writes(depth)
-    return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), depth), ()
+    return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), depth), (), depth, 0
 
 
-def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
+def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent):
+    """Parse IPv4 and its ports; returns (key, events, adjacent octets read)."""
     rem = len(data) - ETHERNET_HEADER_LEN
     if rem < IPV4_MIN_HEADER_LEN:
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), ()
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), (), 0
 
     version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
     version = version_ihl >> 4
@@ -311,23 +291,23 @@ def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, memory):
         # end -- from the frame if the octets exist there, otherwise from the
         # adjacent region.
         l4_src = l4_dst = None
+        missing = 0
         if proto in (IPPROTO_TCP, IPPROTO_UDP):
             raw = data[l4_off : l4_off + 4]
-            if len(raw) < 4:
-                raw += memory.read_adjacent(4 - len(raw))
-            l4_src, l4_dst = _PORTS.unpack(raw)
+            missing = 4 - len(raw)
+            l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, missing))
         event = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, offset=header_len - total_length, byte_count=2)
         key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), 0,
                    (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-        return key, (event,)
+        return key, (event,), missing
 
     well_formed = version == 4 and ihl >= 5 and total_length >= header_len
     if not well_formed or total_length > rem:
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), ()
+        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), (), 0
 
     l4_src = l4_dst = None
     if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
     key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.COMPLETE, (), 0,
                (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-    return key, ()
+    return key, (), 0

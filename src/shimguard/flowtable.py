@@ -19,7 +19,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .extract import EmptyFrameError, MemoryModel, ParserMode, ParserProfile, Verdict, extract
+from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
     ETHERTYPE_MPLS_UNICAST,
     MPLS_ETHERTYPES,
@@ -425,16 +425,17 @@ class SwitchState:
         frame: RawFrame,
         in_port: int,
         profile: ParserProfile,
-        memory: MemoryModel | None = None,
+        adjacent: bytes | None = None,
     ) -> Disposition:
         """Extract, look up, act. Returns the packet's disposition.
 
+        ``adjacent`` is handed to ``extract`` as the bytes past the packet.
         A zero-length frame has nothing to extract; it is counted as a drop.
         """
         stats = self.stats
         stats["processed"] += 1
         try:
-            result = extract(frame, in_port, profile, memory)
+            result = extract(frame, in_port, profile, adjacent)
         except EmptyFrameError:
             stats["drops"] += 1
             return Dropped()
@@ -476,7 +477,7 @@ def _parse_action(token: str, lineno: int) -> Action:
         return PopMpls()
     if token.startswith("output:"):
         try:
-            return Output(int(token.split(":", 1)[1]))
+            return Output(_parse_field("in_port", token.split(":", 1)[1]))
         except ValueError:
             raise RuleSyntaxError(lineno, f"bad output port in {token!r}") from None
     if token.startswith("push_mpls:"):

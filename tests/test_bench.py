@@ -160,3 +160,9 @@ def test_config_validation():
 def test_config_duration_must_be_positive_and_finite(duration):
     with pytest.raises(ValueError, match="duration"):
         BenchConfig(PathMode.ALL_FAST_PATH, duration_s=duration)
+
+
+@pytest.mark.parametrize("rates, duration", [((-5,), 1.0), ((-1, 0), 1.0), ((10_000,), 1e-9), ((0, 1), 0.5)])
+def test_config_rate_must_offer_a_packet(rates, duration):
+    with pytest.raises(ValueError, match="rate"):
+        BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=rates, duration_s=duration)

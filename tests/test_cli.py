@@ -243,6 +243,67 @@ def test_pipeline_rule_value_wider_than_field_exits_2(tmp_path, capsys):
     assert err == "error: line 2: bad value for eth_type: -1 does not fit in 16 bits\n"
 
 
+@pytest.mark.parametrize(
+    "actions, in_port, message",
+    [
+        ("output:-7", "1", "bad output port in 'output:-7'"),
+        ("output:4294967296", "1", "bad output port"),
+        ("output:2", "-3", "--in-port -3 does not fit in 32 bits"),
+        ("output:2", "4294967296", "--in-port 4294967296 does not fit in 32 bits"),
+    ],
+)
+def test_pipeline_port_outside_32_bits_exits_2(tmp_path, capsys, actions, in_port, message):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(f"priority=1, actions={actions}\n")
+    frame_pcap = tmp_path / "acl.pcap"
+    run(capsys, "craft", "--kind", "acl-bypass", "--out", str(frame_pcap))
+    code, stdout, err = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules),
+                            "--in-port", in_port)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_pipeline_port_at_32_bit_limit(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("priority=1, in_port=4294967295, actions=output:4294967295\n")
+    frame_pcap = tmp_path / "acl.pcap"
+    run(capsys, "craft", "--kind", "acl-bypass", "--out", str(frame_pcap))
+    code, stdout, _ = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules),
+                          "--profile", "v250", "--in-port", "4294967295")
+    assert code == 0
+    assert stdout.startswith("frame=0 disposition=Forwarded(4294967295)\n")
+
+
+def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SHIMGUARD_SEED", "abc")
+    code, stdout, err = run(capsys, "wormsim", "--nodes", "2")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: SHIMGUARD_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--duration", "1e-9", "--rates", "10000", "--sizes", ""],
+        ["--rates=-5", "--sizes", ""],
+    ],
+)
+def test_bench_rate_without_packets_exits_2(capsys, argv):
+    code, stdout, err = run(capsys, "bench", "--mode", "fast", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: rate ")
+
+
+def test_bench_latency_only_ignores_duration(capsys):
+    code, stdout, _ = run(capsys, "bench", "--mode", "fast", "--rates", "", "--duration", "1e-9",
+                          "--sizes", "44", "--count", "300", "--warmup", "100")
+    assert code == 0
+    assert stdout.startswith("mode,size_b,")
+
+
 def test_help_enumerates_interface_flags(capsys):
     expected = {
         "craft": ["--kind", "--size", "--total-length", "--dport", "--payload", "--out"],

@@ -12,7 +12,6 @@ from shimguard.extract import (
     VULN_250,
     CorruptionKind,
     EmptyFrameError,
-    MemoryModel,
     ParserMode,
     ParserProfile,
     Verdict,
@@ -108,11 +107,11 @@ def test_short_shim_fragment_lengths(frag_len):
 
 
 def test_short_shim_blended_top_from_seeded_region():
-    memory = MemoryModel.seeded(3, seed=5)
+    adjacent = random.Random(5).randbytes(64)
     frag = b"\xab\xcd"
-    result = extract(short_shim_frame(frag), 0, VULN_240, memory)
+    result = extract(short_shim_frame(frag), 0, VULN_240, adjacent)
     # hand-computed blend: fragment octets then the first adjacent octets
-    word = int.from_bytes(frag + memory.adjacent_region[:2], "big")
+    word = int.from_bytes(frag + adjacent[:2], "big")
     top = result.key.mpls_top
     assert top.label == word >> 12
     assert top.exp == (word >> 9) & 0x7
@@ -151,12 +150,12 @@ def test_total_length_below_header_vuln250():
 def test_vuln250_ports_blend_from_adjacent_when_frame_ends():
     ip = Ipv4Header(total_length=0, protocol=17, src_ip=1, dst_ip=2)
     frame = encode_frame(ETH_IP, [ip], payload=b"\x1f")  # only one L4 octet present
-    memory = MemoryModel.seeded(3, seed=9)
-    result = extract(frame, 0, VULN_250, memory)
-    raw = b"\x1f" + memory.adjacent_region[:3]
+    adjacent = random.Random(9).randbytes(64)
+    result = extract(frame, 0, VULN_250, adjacent)
+    raw = b"\x1f" + adjacent[:3]
     assert result.key.l4_src == (raw[0] << 8) | raw[1]
     assert result.key.l4_dst == (raw[2] << 8) | raw[3]
-    assert memory.adjacent_bytes_read == 3
+    assert result.memory.adjacent_bytes_read == 3
 
 
 def test_malformed_ip_hardened_drops_cleanly():
@@ -376,6 +375,66 @@ def test_hardened_accounting_identically_zero():
             assert result.key.l4_src is None
 
 
+def test_accounting_agrees_with_events():
+    rng = random.Random(2468)
+    frames = [_random_frame(rng) for _ in range(600)]
+    frames += [craft(AttackSpec(kind)) for kind in AttackKind]
+    frames += [craft(AttackSpec(AttackKind.SHORT_SHIM, fragment_len=n)) for n in (1, 3)]
+    regions = (None, random.Random(5).randbytes(64))
+    seen = set()
+    for frame in frames:
+        for base in ALL_PROFILES:
+            for limit in (1, 3, 7):
+                profile = ParserProfile(base.mode, limit)
+                for adjacent in regions:
+                    result = extract(frame, 1, profile, adjacent)
+                    memory = result.memory
+                    assert memory.stack_capacity_slots == limit
+                    if not result.events:
+                        assert memory.stack_written_slots <= limit
+                        assert memory.overflow_bytes_written == 0
+                        assert memory.adjacent_bytes_read == 0
+                        seen.add(None)
+                        continue
+                    (event,) = result.events
+                    if profile.mode is ParserMode.VULN_232:
+                        assert memory.overflow_bytes_written == event.byte_count
+                    elif profile.mode is ParserMode.VULN_240:
+                        assert memory.adjacent_bytes_read == event.byte_count
+                    seen.add(profile.mode)
+    assert {None, ParserMode.VULN_232, ParserMode.VULN_240} <= seen
+
+
+def test_long_shim_custom_label_limit_accounting():
+    profile = ParserProfile(ParserMode.VULN_232, label_limit=10)
+    memory = extract(long_shim_frame(), 0, profile).memory
+    assert memory.stack_capacity_slots == 10
+    assert memory.stack_written_slots == 375
+    assert memory.overflow_bytes_written == 4 * (375 - 10)
+    # the capacity comes from the profile whatever region is passed
+    short = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=60))
+    result = extract(short, 0, profile, random.Random(1).randbytes(64))
+    assert result.memory.overflow_bytes_written == result.events[0].byte_count == 4
+
+
+def test_same_region_gives_equal_accounting():
+    adjacent = random.Random(5).randbytes(64)
+    ip = Ipv4Header(total_length=0, protocol=17, src_ip=1, dst_ip=2)
+    ports_cut = encode_frame(ETH_IP, [ip], payload=b"\x1f")
+    for frame, profile in ((long_shim_frame(), VULN_232), (short_shim_frame(), VULN_240), (ports_cut, VULN_250)):
+        first, second = (extract(frame, 0, profile, adjacent) for _ in range(2))
+        assert first == second
+        assert first.memory.adjacent_bytes_read + first.memory.overflow_bytes_written > 0
+
+
+def test_short_adjacent_region_repeats():
+    result = extract(short_shim_frame(b"\x12"), 0, VULN_240, b"\xab")
+    assert result.memory.adjacent_bytes_read == 3
+    top = result.key.mpls_top
+    word = int.from_bytes(b"\x12\xab\xab\xab", "big")
+    assert (top.label, top.ttl) == (word >> 12, word & 0xFF)
+
+
 def test_vuln232_trigger_iff_predicate():
     rng = random.Random(7)
     for _ in range(300):
@@ -417,12 +476,12 @@ def test_hardened_depth_bounded_by_complete_lses():
 
 
 def test_memory_model_flags_overflow():
-    mm = MemoryModel.zeros(3)
-    mm.record_stack_writes(5)
-    assert mm.stack_written_slots == 5
-    assert mm.overflow_bytes_written == 8
+    frame = long_shim_frame(5)
+    result = extract(frame, 0, VULN_232)
+    assert result.memory.stack_written_slots == 5
+    assert result.memory.overflow_bytes_written == 8
     with pytest.raises(ValueError):
-        MemoryModel(3, b"")
+        extract(frame, 0, VULN_232, b"")
 
 
 def test_parser_profile_validation():

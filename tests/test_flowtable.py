@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, MemoryModel, Verdict, extract
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, Verdict, extract
 from shimguard.flowtable import (
     FIELD_GETTERS,
     Drop,
@@ -130,6 +130,18 @@ def test_load_rules_rejects_values_wider_than_their_field(token):
     with pytest.raises(RuleSyntaxError) as exc:
         load_rules("priority=1, actions=output:1\n" + line)
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("port", ["-7", "-1", "4294967296", "99999999999"])
+def test_load_rules_rejects_output_port_outside_32_bits(port):
+    with pytest.raises(RuleSyntaxError, match="bad output port") as exc:
+        load_rules(f"priority=1, actions=output:1\npriority=5, actions=output:{port}")
+    assert exc.value.line == 2
+
+
+def test_load_rules_accepts_output_port_extremes():
+    (rule,) = load_rules("priority=1, actions=output:0,output:4294967295")
+    assert rule.actions == (Output(0), Output(4294967295))
 
 
 def test_load_rules_accepts_field_extremes_and_decimal_leading_zeros():
@@ -386,9 +398,9 @@ def test_cache_equivalence_random_rulesets():
             for i, frame in enumerate(_random_traffic(rng, 100)):
                 port = rng.choice([1, 2])
                 # the vulnerable parsers read adjacent memory into the key
-                memory_seed = rng.randrange(1 << 16)
-                d1 = cached.process(frame, port, profile, MemoryModel.seeded(profile.label_limit, memory_seed))
-                d2 = uncached.process(frame, port, profile, MemoryModel.seeded(profile.label_limit, memory_seed))
+                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
+                d1 = cached.process(frame, port, profile, adjacent)
+                d2 = uncached.process(frame, port, profile, adjacent)
                 assert d1 == d2, f"{where} frame {i}: {d1} != {d2}"
                 for counter in _DISPOSITION_COUNTERS:
                     assert cached.stats[counter] == uncached.stats[counter], f"{where} frame {i}: {counter}"
@@ -450,8 +462,8 @@ def test_scan_rules_matches_per_field_reference():
             state = SwitchState(rules)
             scan = [rules[i] for i in state._ordered]
             for frame in _random_traffic(rng, 60):
-                memory = MemoryModel.seeded(profile.label_limit, rng.randrange(1 << 16))
-                key = extract(frame, rng.choice([1, 2]), profile, memory).key
+                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
+                key = extract(frame, rng.choice([1, 2]), profile, adjacent).key
                 pos = state._scan_rules(key)
                 assert pos == _reference_scan(scan, key), f"{profile.mode}: {key.describe()}"
                 if pos is not None:
