@@ -33,6 +33,7 @@ from .packet import EthernetHeader, Ipv4Header, RawFrame, TextEnum, encode_frame
 DEFAULT_RATES = tuple(range(10_000, 100_001, 10_000))
 DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
 MIN_FRAME = 44  # eth 14 + ipv4 20 + udp 8 + 2 octets of payload
+MAX_FRAME = 14 + 0xFFFF  # eth 14 + the largest IPv4 total length
 QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
 
 
@@ -59,16 +60,18 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration must be a positive number of seconds, got {self.duration_s}")
-        if self.warmup_drop >= self.latency_count:
-            raise ValueError("warmup_drop must be < latency_count")
+        if not 0 <= self.warmup_drop < self.latency_count:
+            raise ValueError(f"latency count {self.latency_count}, warmup {self.warmup_drop}: need 0 <= warmup < count")
+        if not (math.isfinite(self.interval_ms) and self.interval_ms >= 0):
+            raise ValueError(f"interval {self.interval_ms} ms must be finite and >= 0")
         if list(self.rates_pps) != sorted(self.rates_pps):
             raise ValueError("rates must be ascending")
         for rate in self.rates_pps:
             if rate < 0 or (rate and int(rate * self.duration_s) < 1):
                 raise ValueError(f"rate {rate} pps must be 0 or offer a packet in {self.duration_s:g} s")
         for size in self.packet_sizes:
-            if size < MIN_FRAME:
-                raise ValueError(f"packet size {size} below minimum {MIN_FRAME}")
+            if not MIN_FRAME <= size <= MAX_FRAME:
+                raise ValueError(f"packet size {size} outside {MIN_FRAME}..{MAX_FRAME}")
 
 
 @dataclass(frozen=True)

@@ -181,14 +181,6 @@ def classify_events(events: Iterable[CorruptionEvent]) -> VulnClass:
     return VulnClass.BENIGN
 
 
-def _key(in_port, eth_src, eth_dst, ethertype, status, labels=(), depth=0, ip=_NO_IP) -> FlowKey:
-    """Build a FlowKey positionally; the keyword constructor costs about 4x as much.
-
-    ``ip`` is (ip_src, ip_dst, ip_proto, ip_tos, ip_ttl, l4_src, l4_dst).
-    """
-    return _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, None, *ip, status))
-
-
 def extract(
     frame: RawFrame,
     in_port: int,
@@ -210,27 +202,31 @@ def extract(
     elif not adjacent:
         raise ValueError("adjacent must be non-empty")
 
-    events = ()
-    written = read = 0
+    events = labels = ()
+    ip = _NO_IP
+    depth = written = read = 0
     if len(data) < ETHERNET_HEADER_LEN:
-        key = _key(in_port, None, None, None, _MALFORMED)
+        eth_dst = eth_src = ethertype = None
+        status = _MALFORMED
     else:
         eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
         if ethertype in MPLS_ETHERTYPES:
-            key, events, written, read = _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
+            status, labels, depth, events, written, read = _extract_mpls(data, profile, adjacent)
         elif ethertype == ETHERTYPE_IPV4:
-            key, events, read = _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
+            status, ip, events, read = _extract_ipv4(data, profile, adjacent)
         else:
-            key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.L2_ONLY)
-    verdict = _DROP if key.parse_status is _MALFORMED and not events else _ACCEPT
+            status = ParseStatus.L2_ONLY
+    # Positional: the keyword constructor costs about 4x as much.
+    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, None, *ip, status))
+    verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
     limit = profile.label_limit
     over = written - limit
     memory = _tuple_new(BufferAccounting, (limit, written, read, 4 * over if over > 0 else 0))
     return _tuple_new(ExtractionResult, (key, events, verdict, memory))
 
 
-def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent):
-    """Walk an MPLS stack; returns (key, events, slots written, adjacent octets read)."""
+def _extract_mpls(data, profile, adjacent):
+    """Walk an MPLS stack; returns (status, labels, depth, events, slots written, adjacent octets read)."""
     limit = profile.label_limit
     stack = data[ETHERNET_HEADER_LEN:]
     n_complete = len(stack) // 4
@@ -246,15 +242,13 @@ def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth)
-        return key, (), depth, 0
+        return ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth, (), depth, 0
 
     if profile.mode is ParserMode.VULN_232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (decode_lse(body[:4]),), n_complete)
-        return key, (event,), n_complete, 0
+        return _MALFORMED, (decode_lse(body[:4]),), n_complete, (event,), n_complete, 0
 
     if profile.mode is ParserMode.VULN_240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
@@ -264,20 +258,22 @@ def _extract_mpls(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
         first = decode_lse(body[:4]) if n_complete else blended
         depth = n_complete + 1
         event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
-        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (first,), depth)
-        return key, (event,), min(depth, limit), missing
+        return _MALFORMED, (first,), depth, (event,), min(depth, limit), missing
 
     # Shared malformed path: the stack never terminated (and/or a trailing
     # fragment remained) and no profile-specific trigger applies.
     depth = n_complete if n_complete <= limit else limit
-    return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), depth), (), depth, 0
+    return _MALFORMED, (), depth, (), depth, 0
 
 
-def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent):
-    """Parse IPv4 and its ports; returns (key, events, adjacent octets read)."""
+def _extract_ipv4(data, profile, adjacent):
+    """Parse IPv4 and its ports; returns (status, IP fields, events, adjacent octets read).
+
+    The IP fields are (ip_src, ip_dst, ip_proto, ip_tos, ip_ttl, l4_src, l4_dst).
+    """
     rem = len(data) - ETHERNET_HEADER_LEN
     if rem < IPV4_MIN_HEADER_LEN:
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), (), 0
+        return _MALFORMED, _NO_IP, (), 0
 
     version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
     version = version_ihl >> 4
@@ -297,17 +293,13 @@ def _extract_ipv4(data, in_port, eth_src, eth_dst, ethertype, profile, adjacent)
             missing = 4 - len(raw)
             l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, missing))
         event = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, offset=header_len - total_length, byte_count=2)
-        key = _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED, (), 0,
-                   (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-        return key, (event,), missing
+        return _MALFORMED, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (event,), missing
 
     well_formed = version == 4 and ihl >= 5 and total_length >= header_len
     if not well_formed or total_length > rem:
-        return _key(in_port, eth_src, eth_dst, ethertype, _MALFORMED), (), 0
+        return _MALFORMED, _NO_IP, (), 0
 
     l4_src = l4_dst = None
     if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
-    key = _key(in_port, eth_src, eth_dst, ethertype, ParseStatus.COMPLETE, (), 0,
-               (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst))
-    return key, (), 0
+    return ParseStatus.COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0

@@ -309,6 +309,10 @@ class MegaflowEntry:
         return f"mask[{','.join(self.mask)}] {{{fields}}} -> {acts} hits={self.hits}"
 
 
+# Read on every packet: a global lookup is cheaper than an enum attribute lookup.
+_DROP = Verdict.DROP
+_HARDENED = ParserMode.HARDENED
+
 STAT_KEYS = (
     "processed",
     "slow_path_upcalls",
@@ -383,24 +387,6 @@ class SwitchState:
                 return pos
         return None
 
-    def _lookup_fast(self, key: FlowKey) -> MegaflowEntry | None:
-        microflow = self.microflow
-        entry = microflow.get(key)
-        if entry is not None:
-            microflow.move_to_end(key)
-            return entry
-        for project, table in self.megaflows.values():
-            entry = table.get(project(key))
-            if entry is not None:
-                self._install_microflow(key, entry)
-                return entry
-        return None
-
-    def _install_microflow(self, key: FlowKey, entry: MegaflowEntry) -> None:
-        if len(self.microflow) >= self.microflow_capacity:
-            self.microflow.popitem(last=False)
-        self.microflow[key] = entry
-
     def _upcall(self, key: FlowKey) -> MegaflowEntry:
         self.stats["slow_path_upcalls"] += 1
         scan_pos = self._scan_rules(key)
@@ -417,7 +403,6 @@ class SwitchState:
         if self.megaflow_enabled:
             _, table = self.megaflows.setdefault(mask, (project, {}))
             table[values] = entry
-            self._install_microflow(key, entry)
         return entry
 
     def process(
@@ -429,26 +414,43 @@ class SwitchState:
     ) -> Disposition:
         """Extract, look up, act. Returns the packet's disposition.
 
-        ``adjacent`` is handed to ``extract`` as the bytes past the packet.
-        A zero-length frame has nothing to extract; it is counted as a drop.
+        Exactly one answers, tried in order: a parse drop, a microflow hit, a
+        megaflow hit, an upcall; with caches disabled neither cache is
+        probed. ``adjacent`` is handed to ``extract`` as the bytes past the
+        packet. A zero-length frame has nothing to extract; it is counted as
+        a drop.
         """
         stats = self.stats
         stats["processed"] += 1
         try:
             result = extract(frame, in_port, profile, adjacent)
         except EmptyFrameError:
-            stats["drops"] += 1
-            return Dropped()
-        if result.verdict is Verdict.DROP and profile.mode is ParserMode.HARDENED:
+            result = None
+        if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
             stats["drops"] += 1
             return Dropped()
         key = result.key
-        entry = self._lookup_fast(key) if self.megaflow_enabled else None
-        if entry is None:
-            entry = self._upcall(key)
-        else:
+        cached = self.megaflow_enabled
+        microflow = self.microflow
+        entry = microflow.get(key) if cached else None
+        if entry is not None:
+            microflow.move_to_end(key)
             entry.hits += 1
             stats["fast_path_hits"] += 1
+        else:
+            for project, table in self.megaflows.values() if cached else ():
+                entry = table.get(project(key))
+                if entry is not None:
+                    entry.hits += 1
+                    stats["fast_path_hits"] += 1
+                    break
+            else:
+                entry = self._upcall(key)
+            if cached:
+                # Megaflow hits and upcalls alike fill the LRU microflow.
+                if len(microflow) >= self.microflow_capacity:
+                    microflow.popitem(last=False)
+                microflow[key] = entry
         if entry.pops_mpls:
             apply_actions(key, entry.actions, stats)
         stats[entry.counter] += 1

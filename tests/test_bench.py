@@ -166,3 +166,29 @@ def test_config_duration_must_be_positive_and_finite(duration):
 def test_config_rate_must_offer_a_packet(rates, duration):
     with pytest.raises(ValueError, match="rate"):
         BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=rates, duration_s=duration)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(latency_count=0, warmup_drop=0), "latency count 0, warmup 0:"),
+        (dict(latency_count=-5, warmup_drop=-10), "latency count -5, warmup -10:"),
+        (dict(latency_count=300, warmup_drop=-250), "latency count 300, warmup -250:"),
+        (dict(interval_ms=-1.0), "interval -1.0 "),
+        (dict(interval_ms=math.inf), "interval inf "),
+        (dict(interval_ms=math.nan), "interval nan "),
+        (dict(packet_sizes=(44, 65550)), "packet size 65550 "),
+        (dict(packet_sizes=(70000,)), "packet size 70000 "),
+    ],
+    ids=["count-0", "count-negative", "warmup-negative", "interval-negative", "interval-inf", "interval-nan",
+         "size-65550", "size-70000"],
+)
+def test_config_rejects_latency_values_naming_them(overrides, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        _config(PathMode.ALL_FAST_PATH, **overrides)
+
+
+def test_config_accepts_latency_extremes():
+    config = _config(PathMode.ALL_FAST_PATH, latency_count=1, warmup_drop=0, packet_sizes=(44, 65549))
+    assert config.packet_sizes == (44, 65549)
+    assert make_udp_frame(65549, bytes(6), 1, 2, 1000, 2000).capture_len == 65549

@@ -304,6 +304,24 @@ def test_bench_latency_only_ignores_duration(capsys):
     assert stdout.startswith("mode,size_b,")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--interval-ms", "inf"], "error: interval inf ms "),
+        (["--interval-ms", "-1"], "error: interval -1.0 ms "),
+        (["--count", "300", "--warmup", "-250"], "error: latency count 300, warmup -250:"),
+        (["--count", "-5", "--warmup", "-10"], "error: latency count -5, warmup -10:"),
+        (["--sizes", "70000"], "error: packet size 70000 "),
+    ],
+    ids=["interval-inf", "interval-negative", "warmup-negative", "count-negative", "size-70000"],
+)
+def test_bench_latency_value_exits_2_before_measuring(capsys, argv, message):
+    code, stdout, err = run(capsys, "bench", "--mode", "fast", "--rates", "", "--sizes", "44", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(message)
+
+
 def test_help_enumerates_interface_flags(capsys):
     expected = {
         "craft": ["--kind", "--size", "--total-length", "--dport", "--payload", "--out"],

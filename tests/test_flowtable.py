@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from shimguard.extract import ALL_PROFILES, HARDENED, VULN_250, Verdict, extract
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract
 from shimguard.flowtable import (
     FIELD_GETTERS,
     Drop,
@@ -240,6 +240,34 @@ def test_microflow_lru_eviction_keeps_megaflow():
     assert state.stats["fast_path_hits"] >= 1
 
 
+def test_microflow_evicts_least_recently_used():
+    state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=2)
+    a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
+    for frame in (a, b, a, c):
+        state.process(frame, 1, HARDENED)
+    key_a, key_b, key_c = (extract(frame, 1, HARDENED).key for frame in (a, b, c))
+    # the hit on A refreshed it, so C's install evicts B, not A
+    assert list(state.microflow) == [key_a, key_c]
+    assert key_b not in state.microflow
+
+
+@pytest.mark.parametrize("profile", [HARDENED, VULN_232, VULN_240, VULN_250], ids=lambda p: p.mode.value)
+def test_parse_drop_only_under_hardened(profile):
+    frame = RawFrame.of(bytes(10))  # too short for an Ethernet header
+    result = extract(frame, 1, profile)
+    assert result.key.parse_status is ParseStatus.MALFORMED and result.events == ()
+    state = SwitchState(load_rules("priority=5, parse_status=Malformed, actions=controller"))
+    disposition = state.process(frame, 1, profile)
+    if profile is HARDENED:
+        # the hardened parser drops the frame before any cache or rule sees it
+        assert disposition == Dropped()
+        assert state.stats["slow_path_upcalls"] == 0 and state.stats["drops"] == 1
+    else:
+        # the other parsers act on the malformed key: one upcall, and the rule wins
+        assert disposition == SentToController()
+        assert state.stats["slow_path_upcalls"] == 1 and state.stats["to_controller"] == 1
+
+
 # --- ACL bypass scenario --------------------------------------------------------
 
 
@@ -407,6 +435,28 @@ def test_cache_equivalence_random_rulesets():
             assert cached.stats["slow_path_upcalls"] == cached.megaflow_entry_count()
 
 
+def test_masks_bounded_by_priority_levels():
+    rng = random.Random(31)
+    gaps = []
+    for round_no in range(80):
+        rules = _random_rules(rng, mpls_actions=round_no % 2 == 1)
+        bound = len({rule.priority for rule in rules}) + 1
+        for profile in ALL_PROFILES:
+            state = SwitchState(rules)
+            for frame in _random_traffic(rng, 60):
+                state.process(frame, rng.choice([1, 2]), profile)
+            assert len(state.megaflows) <= bound
+            gaps.append(len(state.megaflows) - bound)
+    # The miss mask is the lowest priority level's mask, so a non-empty rule
+    # set stays one below the bound; the draw gets there.
+    assert max(gaps) == -1
+    # With no rules the miss mask alone reaches it.
+    state = SwitchState([])
+    for frame in _random_traffic(rng, 20):
+        state.process(frame, 1, VULN_232)
+    assert len(state.megaflows) == 1
+
+
 def test_cache_equivalence_counts_pop_without_label():
     rules = load_rules("priority=5, eth_type=0x8847, actions=pop_mpls,output:2\npriority=1, actions=pop_mpls,drop")
     cached = SwitchState(rules)
@@ -494,13 +544,16 @@ def test_megaflow_entries_reselect_same_actions():
         state.process(frame, 1, HARDENED)
         if result.verdict is Verdict.ACCEPT:
             keys.append(result.key)
-    # re-evaluating the full table for any key must reproduce its entry's actions
+    # re-evaluating the full table for any key must reproduce the actions of
+    # its microflow entry (if still cached) and of the first megaflow entry
+    # that matches it, in install order
     for key in keys:
-        entry = state._lookup_fast(key)
-        assert entry is not None
         pos = state._scan_rules(key)
         expected = state.default_actions if pos is None else state.rules[state._ordered[pos]].actions
-        assert entry.actions == expected
+        micro = state.microflow.get(key)
+        assert micro is None or micro.actions == expected
+        mega = next((table[project(key)] for project, table in state.megaflows.values() if project(key) in table), None)
+        assert mega is not None and mega.actions == expected
 
 
 # --- actions --------------------------------------------------------------------
