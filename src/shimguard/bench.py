@@ -46,6 +46,15 @@ def path_mode(name: str) -> PathMode:
     return enum_by_value(PathMode, name, "bench mode")
 
 
+def _check_latency_plan(count: int, warmup: int, sizes: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first bad value: need 0 <= warmup < count, and each size a frame size."""
+    if not 0 <= warmup < count:
+        raise ValueError(f"latency count {count}, warmup {warmup}: need 0 <= warmup < count")
+    for size in sizes:
+        if not MIN_FRAME <= size <= MAX_FRAME:
+            raise ValueError(f"packet size {size} outside {MIN_FRAME}..{MAX_FRAME}")
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     path_mode: PathMode
@@ -60,8 +69,7 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration must be a positive number of seconds, got {self.duration_s}")
-        if not 0 <= self.warmup_drop < self.latency_count:
-            raise ValueError(f"latency count {self.latency_count}, warmup {self.warmup_drop}: need 0 <= warmup < count")
+        _check_latency_plan(self.latency_count, self.warmup_drop, self.packet_sizes)
         if not (math.isfinite(self.interval_ms) and self.interval_ms >= 0):
             raise ValueError(f"interval {self.interval_ms} ms must be finite and >= 0")
         if list(self.rates_pps) != sorted(self.rates_pps):
@@ -69,9 +77,6 @@ class BenchConfig:
         for rate in self.rates_pps:
             if rate < 0 or (rate and int(rate * self.duration_s) < 1):
                 raise ValueError(f"rate {rate} pps must be 0 or offer a packet in {self.duration_s:g} s")
-        for size in self.packet_sizes:
-            if not MIN_FRAME <= size <= MAX_FRAME:
-                raise ValueError(f"packet size {size} outside {MIN_FRAME}..{MAX_FRAME}")
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,7 @@ def compare_latency(
     The variance_us2 fields carry the block-median variance for the same
     reason; medians and p95 come from the full post-warmup sample sets.
     """
-    if warmup >= count:
-        raise ValueError("warmup must be < count")
+    _check_latency_plan(count, warmup, sizes)
     rng = random.Random(seed)
     states = {mode: build_bench_state(mode) for mode in (PathMode.ALL_SLOW_PATH, PathMode.ALL_FAST_PATH)}
     pairs = []

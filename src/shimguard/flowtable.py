@@ -3,8 +3,10 @@
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
 masked down to exactly the fields rule selection consulted, and a microflow
-entry pointing at it. Disabling the megaflow cache turns the switch into a
-pure slow-path device, which is how the benchmark isolates slow-path cost.
+entry pointing at it. Ahead of extraction, a signature memo hands a repeated
+well-formed IPv4 frame the flow key its first parse built. Disabling the
+megaflow cache turns the switch into a pure slow-path device, which is how
+the benchmark isolates slow-path cost.
 
 The cache-correctness contract: for any rule set and packet sequence, the
 dispositions with caches enabled equal the dispositions with caches disabled,
@@ -21,10 +23,13 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
+    ETHERNET_HEADER_LEN,
     ETHERTYPE_MPLS_UNICAST,
+    IPV4_MIN_HEADER_LEN,
     MPLS_ETHERTYPES,
     FlowKey,
     MplsLse,
+    ParseStatus,
     RawFrame,
     format_ipv4,
     format_mac,
@@ -312,6 +317,23 @@ class MegaflowEntry:
 # Read on every packet: a global lookup is cheaper than an enum attribute lookup.
 _DROP = Verdict.DROP
 _HARDENED = ParserMode.HARDENED
+_COMPLETE = ParseStatus.COMPLETE
+
+# The shortest frame extraction can parse as IPv4; a shorter one has no IHL octet.
+_IPV4_MIN_FRAME = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN
+
+
+def _signature(data: bytes, in_port: int) -> tuple:
+    """Every input an IPv4 flow key is read from: the port, the octets through the L4 ports, the length.
+
+    The prefix runs to ``14 + 4*IHL + 4`` and so covers Ethernet, the IPv4
+    header (total length included) and the two port fields; the frame length
+    decides both of extraction's length tests. No payload octet is included,
+    so frames of one flow that differ only in payload share a signature.
+    ``data`` is ``RawFrame.data``, immutable bytes: the slice is a dict key.
+    """
+    return in_port, data[: ETHERNET_HEADER_LEN + 4 * (data[ETHERNET_HEADER_LEN] & 0xF) + 4], len(data)
+
 
 STAT_KEYS = (
     "processed",
@@ -335,11 +357,15 @@ class SwitchState:
         default_actions: Sequence[Action] = (Drop(),),
         microflow_capacity: int = MICROFLOW_CAPACITY,
     ) -> None:
+        if microflow_capacity < 1:
+            raise ValueError(f"microflow_capacity must be >= 1, got {microflow_capacity}")
         self.rules: list[Rule] = list(rules)
         self.megaflow_enabled = megaflow_enabled
         self.default_actions = tuple(default_actions)
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
+        # Frame signature -> the flow key extract built for it; LRU, same bound as the microflow.
+        self.signatures: OrderedDict[tuple, FlowKey] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
@@ -375,6 +401,7 @@ class SwitchState:
         if not enabled:
             self.microflow.clear()
             self.megaflows.clear()
+            self.signatures.clear()
 
     def megaflow_entry_count(self) -> int:
         return sum(len(table) for _, table in self.megaflows.values())
@@ -405,6 +432,13 @@ class SwitchState:
             table[values] = entry
         return entry
 
+    def _remember(self, data: bytes, in_port: int, key: FlowKey) -> None:
+        """Map the frame's signature to its key, evicting the least recently used signature."""
+        signatures = self.signatures
+        if len(signatures) >= self.microflow_capacity:
+            signatures.popitem(last=False)
+        signatures[_signature(data, in_port)] = key
+
     def process(
         self,
         frame: RawFrame,
@@ -419,17 +453,41 @@ class SwitchState:
         probed. ``adjacent`` is handed to ``extract`` as the bytes past the
         packet. A zero-length frame has nothing to extract; it is counted as
         a drop.
+
+        A frame whose signature (see ``_signature``) is in the memo takes its
+        key from there instead of from ``extract``. Skipping the parse is
+        safe because ``process`` returns only the disposition, and the memo
+        holds only extractions that parsed COMPLETE, which fire no corruption
+        event, read no ``adjacent`` octet and give the same key under every
+        profile (v250's trigger needs ``total_length < header_len``, which
+        COMPLETE rules out; v232 and v240 fire only on MPLS). Every frame that
+        trips a modelled bug is still parsed on every arrival. A signature is
+        stored when its key scores a microflow hit, and the memo is probed
+        only when it holds one, so traffic that never repeats inside the
+        microflow window never builds a signature. A memo hit still looks the
+        key up in the microflow, so every cache and counter moves exactly as
+        it would after a parse.
         """
         stats = self.stats
         stats["processed"] += 1
-        try:
-            result = extract(frame, in_port, profile, adjacent)
-        except EmptyFrameError:
-            result = None
-        if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
-            stats["drops"] += 1
-            return Dropped()
-        key = result.key
+        key = None
+        # An empty memo costs one test; an empty adjacent must still reach extract's check.
+        if self.signatures and len(frame.data) >= _IPV4_MIN_FRAME and (adjacent is None or adjacent):
+            signatures = self.signatures
+            signature = _signature(frame.data, in_port)
+            key = signatures.get(signature)
+            if key is not None:
+                signatures.move_to_end(signature)
+                result = None  # nothing new to remember
+        if key is None:
+            try:
+                result = extract(frame, in_port, profile, adjacent)
+            except EmptyFrameError:
+                result = None
+            if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
+                stats["drops"] += 1
+                return Dropped()
+            key = result.key
         cached = self.megaflow_enabled
         microflow = self.microflow
         entry = microflow.get(key) if cached else None
@@ -437,6 +495,8 @@ class SwitchState:
             microflow.move_to_end(key)
             entry.hits += 1
             stats["fast_path_hits"] += 1
+            if result is not None and key.parse_status is _COMPLETE and not result.events:
+                self._remember(frame.data, in_port, key)
         else:
             for project, table in self.megaflows.values() if cached else ():
                 entry = table.get(project(key))

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import shimguard.bench as bench
 from shimguard.bench import (
     LATENCY_CSV_HEADER,
     THROUGHPUT_CSV_HEADER,
@@ -186,6 +187,26 @@ def test_config_rate_must_offer_a_packet(rates, duration):
 def test_config_rejects_latency_values_naming_them(overrides, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         _config(PathMode.ALL_FAST_PATH, **overrides)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(count=-5, warmup=-10), "latency count -5, warmup -10:"),
+        (dict(count=300, warmup=-250), "latency count 300, warmup -250:"),
+        (dict(count=100, warmup=100), "latency count 100, warmup 100:"),
+        (dict(sizes=(44, 70000)), "packet size 70000 "),
+        (dict(sizes=(43,)), "packet size 43 "),
+    ],
+    ids=["count-negative", "warmup-negative", "warmup-equals-count", "size-70000", "size-43"],
+)
+def test_compare_latency_rejects_values_before_sampling(monkeypatch, kwargs, message):
+    def no_sampling(*args):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(bench, "_sample", no_sampling)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        compare_latency(**kwargs)
 
 
 def test_config_accepts_latency_extremes():

@@ -3,6 +3,7 @@ import struct
 
 import pytest
 
+import shimguard.flowtable as flowtable
 from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract
 from shimguard.flowtable import (
     FIELD_GETTERS,
@@ -251,6 +252,12 @@ def test_microflow_evicts_least_recently_used():
     assert key_b not in state.microflow
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_microflow_capacity_below_one_rejected(capacity):
+    with pytest.raises(ValueError, match=f"microflow_capacity must be >= 1, got {capacity}"):
+        SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=capacity)
+
+
 @pytest.mark.parametrize("profile", [HARDENED, VULN_232, VULN_240, VULN_250], ids=lambda p: p.mode.value)
 def test_parse_drop_only_under_hardened(profile):
     frame = RawFrame.of(bytes(10))  # too short for an Ethernet header
@@ -468,6 +475,110 @@ def test_cache_equivalence_counts_pop_without_label():
         assert state.stats["pop_mpls_noop"] == 3
         assert state.stats["forwards"] == 3 and state.stats["drops"] == 3
     assert cached.stats["fast_path_hits"] == 4
+
+
+# --- signature memo -------------------------------------------------------------
+
+
+def ip_frame(size=60, sport=53, dport=1024, proto=17, ident=0, checksum=0, options=b"", pad=b"", total_length=None):
+    """An IPv4 frame of ``size`` octets plus ``pad``; total_length covers ``size`` unless given."""
+    ihl = 5 + len(options) // 4
+    l4 = struct.pack(">HH", sport, dport) + bytes(size - 18 - 4 * ihl)
+    if total_length is None:
+        total_length = size - 14
+    ip = Ipv4Header(total_length=total_length, protocol=proto, src_ip=0x0A000001, dst_ip=0x0A000002,
+                    ihl=ihl, identification=ident, checksum=checksum, options=options)
+    return encode_frame(ETH_IP, [ip], payload=l4 + pad)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The frames handed to extract from flowtable, in call order."""
+    frames = []
+    real_extract = flowtable.extract
+    monkeypatch.setattr(flowtable, "extract", lambda *args: frames.append(args[0]) or real_extract(*args))
+    return frames
+
+
+def _memo_pool(rng):
+    """Distinct frames that share, or nearly share, a signature or a flow key."""
+    pool = [ip_frame(size, sport=53, dport=80) for size in (60, 590, 1514)]
+    pool += [ip_frame(ident=ident, checksum=checksum) for ident in (0, 7) for checksum in (0, 0xBEEF)]
+    pool += [ip_frame(pad=bytes(pad)) for pad in (1, 6)] + [ip_frame(pad=rng.randbytes(6))]
+    pool += [ip_frame(64, options=bytes(4 * n), proto=proto) for n in (1, 2) for proto in (6, 17)]
+    pool += [ip_frame(total_length=length) for length in (20, 23, 24, 47, 80)]  # no ports, truncated
+    pool += [RawFrame.of(pool[3].data[:size]) for size in (38, 40, 59)]  # the prefix of a complete frame
+    pool += [ip_frame(64, options=bytes(8), total_length=30)]  # ports lie past total_length
+    pool += [RawFrame.of(ETH_IP.encode() + rng.randbytes(n)) for n in range(20)]  # 14..33 octets
+    pool += [acl_bypass_frame(total_length, dport) for total_length in (0, 4, 19) for dport in (53, 8080)]
+    for deep in (16, 100):
+        lses = [MplsLse(16)] * 4 + [MplsLse(deep, bottom_of_stack=True)]
+        pool.append(encode_frame(ETH_MPLS, lses))
+        pool.append(encode_frame(ETH_MPLS, [MplsLse(16)] * 4 + [MplsLse(deep)]))  # never terminates
+        pool.append(RawFrame.of(encode_frame(ETH_MPLS, [MplsLse(16)] * 4 + [MplsLse(deep)]).data[:-2]))
+    for frame in [ip_frame(sport=port) for port in (53, 1024)]:
+        for _ in range(4):  # bit flips anywhere in the header prefix
+            data = bytearray(frame.data)
+            data[rng.randrange(42)] ^= 1 << rng.randrange(8)
+            pool.append(RawFrame.of(data))
+    return pool + _random_traffic(rng, 20)
+
+
+@pytest.mark.parametrize("capacity", [2, 4096])
+def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, capacity):
+    rng = random.Random(capacity)
+    push_pop = "priority=7, eth_type=0x0800, ip_proto=17, actions=pop_mpls,push_mpls:16,output:3"
+    rulesets = [_random_rules(rng, mpls_actions=bool(i % 2)) for i in range(6)] + [load_rules(push_pop)]
+    skipped = 0
+    for round_no, rules in enumerate(rulesets):
+        pool = _memo_pool(rng)
+        memo = SwitchState(rules, microflow_capacity=capacity)
+        plain = SwitchState(rules, microflow_capacity=capacity)
+        monkeypatch.setattr(plain, "_remember", lambda *args: None)
+        for i in range(400):
+            frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
+            port = rng.choice([1, 2])
+            profile = rng.choice(ALL_PROFILES)
+            adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
+            where = f"round {round_no} frame {i} ({frame.data.hex()})"
+            before = len(parsed)
+            disposition = memo.process(frame, port, profile, adjacent)
+            skipped += len(parsed) == before
+            assert disposition == plain.process(frame, port, profile, adjacent), where
+            assert memo.stats == plain.stats, where
+        assert dump_state(memo) == dump_state(plain)
+        assert not plain.signatures and len(memo.signatures) <= capacity
+    assert skipped > 100
+
+
+def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
+    state = SwitchState(load_rules("priority=2, ip_proto=17, actions=output:2\npriority=1, actions=output:1"))
+    frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(64)]
+    rng = random.Random(9)
+    for _ in range(64 * 40):
+        state.process(frames[rng.randrange(64)], 1, HARDENED)
+    assert state.stats["processed"] == 64 * 40
+    assert len(parsed) <= 2 * 64
+    assert len(state.signatures) == 64
+    with pytest.raises(ValueError, match="adjacent must be non-empty"):  # a memoized frame is still checked
+        state.process(frames[0], 1, HARDENED, b"")
+
+
+def test_signature_memo_unused_without_caches(parsed):
+    rules = load_rules("priority=1, actions=output:2")
+    uncached = SwitchState(rules, megaflow_enabled=False)
+    for _ in range(5):
+        uncached.process(udp_frame(), 1, HARDENED)
+    assert not uncached.signatures and len(parsed) == 5
+    cached = SwitchState(rules)
+    for _ in range(3):
+        cached.process(udp_frame(), 1, HARDENED)
+    assert len(cached.signatures) == 1 and len(parsed) == 7
+    cached.set_megaflow_enabled(False)
+    assert not cached.signatures
+    for _ in range(3):
+        cached.process(udp_frame(), 1, HARDENED)
+    assert not cached.signatures and len(parsed) == 10
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_GETTERS))
