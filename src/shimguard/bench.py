@@ -21,6 +21,8 @@ import math
 import random
 import statistics
 import struct
+import sys
+import threading
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -35,6 +37,7 @@ DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
 MIN_FRAME = 44  # eth 14 + ipv4 20 + udp 8 + 2 octets of payload
 MAX_FRAME = 14 + 0xFFFF  # eth 14 + the largest IPv4 total length
 QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
+MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # the longest pause time.sleep accepts
 
 
 class PathMode(TextEnum):
@@ -70,13 +73,18 @@ class BenchConfig:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration must be a positive number of seconds, got {self.duration_s}")
         _check_latency_plan(self.latency_count, self.warmup_drop, self.packet_sizes)
-        if not (math.isfinite(self.interval_ms) and self.interval_ms >= 0):
-            raise ValueError(f"interval {self.interval_ms} ms must be finite and >= 0")
+        if not 0 <= self.interval_ms <= MAX_INTERVAL_MS:
+            raise ValueError(f"interval {self.interval_ms} ms outside 0..{MAX_INTERVAL_MS:g} ms")
         if list(self.rates_pps) != sorted(self.rates_pps):
             raise ValueError("rates must be ascending")
         for rate in self.rates_pps:
-            if rate < 0 or (rate and int(rate * self.duration_s) < 1):
-                raise ValueError(f"rate {rate} pps must be 0 or offer a packet in {self.duration_s:g} s")
+            # An int rate past the float range cannot be multiplied by a float; it offers no finite count.
+            offered = rate * self.duration_s if rate <= sys.float_info.max else math.inf
+            if rate < 0 or (rate and not 1 <= offered < math.inf):
+                raise ValueError(
+                    f"rate {rate} pps must be 0 or offer a finite count of at least one packet"
+                    f" in {self.duration_s:g} s"
+                )
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,10 @@
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
 masked down to exactly the fields rule selection consulted, and a microflow
-entry pointing at it. Ahead of extraction, a signature memo hands a repeated
-well-formed IPv4 frame the flow key its first parse built. Disabling the
-megaflow cache turns the switch into a pure slow-path device, which is how
-the benchmark isolates slow-path cost.
+entry pointing at it. Ahead of extraction, a memo keyed on a frame's own
+bytes hands a repeated well-formed IPv4 frame the flow key its first parse
+built. Disabling the megaflow cache turns the switch into a pure slow-path
+device, which is how the benchmark isolates slow-path cost.
 
 The cache-correctness contract: for any rule set and packet sequence, the
 dispositions with caches enabled equal the dispositions with caches disabled,
@@ -23,9 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
-    ETHERNET_HEADER_LEN,
     ETHERTYPE_MPLS_UNICAST,
-    IPV4_MIN_HEADER_LEN,
     MPLS_ETHERTYPES,
     FlowKey,
     MplsLse,
@@ -319,22 +317,6 @@ _DROP = Verdict.DROP
 _HARDENED = ParserMode.HARDENED
 _COMPLETE = ParseStatus.COMPLETE
 
-# The shortest frame extraction can parse as IPv4; a shorter one has no IHL octet.
-_IPV4_MIN_FRAME = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN
-
-
-def _signature(data: bytes, in_port: int) -> tuple:
-    """Every input an IPv4 flow key is read from: the port, the octets through the L4 ports, the length.
-
-    The prefix runs to ``14 + 4*IHL + 4`` and so covers Ethernet, the IPv4
-    header (total length included) and the two port fields; the frame length
-    decides both of extraction's length tests. No payload octet is included,
-    so frames of one flow that differ only in payload share a signature.
-    ``data`` is ``RawFrame.data``, immutable bytes: the slice is a dict key.
-    """
-    return in_port, data[: ETHERNET_HEADER_LEN + 4 * (data[ETHERNET_HEADER_LEN] & 0xF) + 4], len(data)
-
-
 STAT_KEYS = (
     "processed",
     "slow_path_upcalls",
@@ -364,8 +346,8 @@ class SwitchState:
         self.default_actions = tuple(default_actions)
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
-        # Frame signature -> the flow key extract built for it; LRU, same bound as the microflow.
-        self.signatures: OrderedDict[tuple, FlowKey] = OrderedDict()
+        # (frame data, in_port) -> the flow key extract built for it; LRU, same bound as the microflow.
+        self.signatures: OrderedDict[tuple[bytes, int], FlowKey] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
@@ -433,11 +415,11 @@ class SwitchState:
         return entry
 
     def _remember(self, data: bytes, in_port: int, key: FlowKey) -> None:
-        """Map the frame's signature to its key, evicting the least recently used signature."""
+        """Map the frame's bytes and port to its key, evicting the least recently used entry."""
         signatures = self.signatures
         if len(signatures) >= self.microflow_capacity:
             signatures.popitem(last=False)
-        signatures[_signature(data, in_port)] = key
+        signatures[data, in_port] = key
 
     def process(
         self,
@@ -454,27 +436,19 @@ class SwitchState:
         packet. A zero-length frame has nothing to extract; it is counted as
         a drop.
 
-        A frame whose signature (see ``_signature``) is in the memo takes its
-        key from there instead of from ``extract``. Skipping the parse is
-        safe because ``process`` returns only the disposition, and the memo
-        holds only extractions that parsed COMPLETE, which fire no corruption
-        event, read no ``adjacent`` octet and give the same key under every
-        profile (v250's trigger needs ``total_length < header_len``, which
-        COMPLETE rules out; v232 and v240 fire only on MPLS). Every frame that
-        trips a modelled bug is still parsed on every arrival. A signature is
-        stored when its key scores a microflow hit, and the memo is probed
-        only when it holds one, so traffic that never repeats inside the
-        microflow window never builds a signature. A memo hit still looks the
-        key up in the microflow, so every cache and counter moves exactly as
-        it would after a parse.
+        A frame whose bytes and port are in the memo (``signatures``) takes
+        its key from there instead of from ``extract``. That is exact because
+        ``extract`` reads only ``frame.data``, ``in_port``, ``profile`` and
+        ``adjacent``, and the memo holds only COMPLETE keys, which depend on
+        neither of the last two.
         """
         stats = self.stats
         stats["processed"] += 1
         key = None
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
-        if self.signatures and len(frame.data) >= _IPV4_MIN_FRAME and (adjacent is None or adjacent):
+        if self.signatures and (adjacent is None or adjacent):
             signatures = self.signatures
-            signature = _signature(frame.data, in_port)
+            signature = frame.data, in_port
             key = signatures.get(signature)
             if key is not None:
                 signatures.move_to_end(signature)
@@ -495,7 +469,7 @@ class SwitchState:
             microflow.move_to_end(key)
             entry.hits += 1
             stats["fast_path_hits"] += 1
-            if result is not None and key.parse_status is _COMPLETE and not result.events:
+            if result is not None and key.parse_status is _COMPLETE:
                 self._remember(frame.data, in_port, key)
         else:
             for project, table in self.megaflows.values() if cached else ():

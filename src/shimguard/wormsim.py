@@ -141,6 +141,8 @@ def simulate(topology: Topology, timings: StageTimings = StageTimings()) -> Worm
         total = fanout_shell
 
     events.sort(key=lambda e: e.time)  # stable: ties keep stage order
+    if not math.isfinite(events[-1].time):
+        raise ValueError(f"stage timings sum past the float range: an event at {events[-1].time} s")
     return WormTimeline(events=tuple(events), total_compromise_time=total)
 
 
@@ -181,4 +183,6 @@ def simulate_dos(
     raw = [(k * interval_s, k * interval_s + timings.dos_outage) for k in range(repeats)]
     merged = merge_intervals(raw)
     total = sum(end - start for start, end in merged)
+    if not math.isfinite(total):
+        raise ValueError(f"{repeats} attacks {interval_s:g} s apart end past the float range")
     return {node_name(topology.attacker_vm_host): OutageReport(intervals=merged, total=total)}

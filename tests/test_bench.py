@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -213,3 +214,17 @@ def test_config_accepts_latency_extremes():
     config = _config(PathMode.ALL_FAST_PATH, latency_count=1, warmup_drop=0, packet_sizes=(44, 65549))
     assert config.packet_sizes == (44, 65549)
     assert make_udp_frame(65549, bytes(6), 1, 2, 1000, 2000).capture_len == 65549
+
+
+@pytest.mark.parametrize("rates, duration", [((10_000,), 1e308), ((10**308,), 10.0), ((1, 10**400), 1.0)],
+                         ids=["duration-1e308", "rate-1e308", "rate-past-float-range"])
+def test_config_rejects_rate_without_finite_packet_count(rates, duration):
+    with pytest.raises(ValueError, match=f"^rate {rates[-1]} pps "):
+        BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=rates, duration_s=duration)
+
+
+def test_config_interval_bounded_by_longest_sleep():
+    assert _config(PathMode.ALL_FAST_PATH, interval_ms=bench.MAX_INTERVAL_MS).interval_ms == bench.MAX_INTERVAL_MS
+    for interval in (math.nextafter(bench.MAX_INTERVAL_MS, math.inf), 1e308):
+        with pytest.raises(ValueError, match="^" + re.escape(f"interval {interval} ms ")):
+            _config(PathMode.ALL_FAST_PATH, interval_ms=interval)

@@ -360,3 +360,22 @@ def test_seed_isolated_from_global_random(tmp_path, capsys):
     run(capsys, "--seed", "3", "fuzz", "--corpus", str(corpus), "--iters", "200",
         "--profiles", "hardened,v232", "--out-report", str(report_b))
     assert report_a.read_bytes() == report_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bench", "--mode", "fast", "--rates", "10000", "--sizes", "", "--duration", "1e308"],
+         "error: rate 10000 pps "),
+        (["bench", "--mode", "fast", "--rates", "", "--sizes", "44", "--count", "600", "--warmup", "100",
+          "--interval-ms", "1e308"], "error: interval 1e+308 ms "),
+        (["wormsim", "--nodes", "3", "--timing", "download=1e308"], "error: stage timings sum past the float range"),
+        (["wormsim", "--nodes", "3", "--dos", "--repeats", "3", "--interval", "1e308"], "error: 3 attacks 1e+308 s "),
+    ],
+    ids=["bench-duration", "bench-interval", "wormsim-timing", "wormsim-dos-interval"],
+)
+def test_values_overflowing_a_computed_time_exit_2(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(message) and err.count("\n") == 1

@@ -337,6 +337,29 @@ def test_differential_equivalence_on_event_free_frames():
         assert all(r.key == first for r in results[1:])
 
 
+def test_complete_key_depends_only_on_frame_bytes_and_port():
+    """What makes the flow table's parse memo exact: a COMPLETE key ignores the profile and ``adjacent``."""
+    rng = random.Random(2718)
+    frames = [_random_frame(rng) for _ in range(400)]
+    for _ in range(400):
+        data = bytearray(udp_frame(rng.randrange(1, 65536), rng.randrange(1, 65536)).data)
+        for _ in range(rng.randrange(1, 4)):
+            data[rng.randrange(42)] ^= 1 << rng.randrange(8)
+        frames.append(RawFrame.of(data))
+    profiles = ALL_PROFILES + tuple(ParserProfile(p.mode, label_limit=1) for p in ALL_PROFILES)
+    regions = [random.Random(seed).randbytes(64) for seed in (1, 2)]
+    complete = 0
+    for frame in frames:
+        results = [extract(frame, 1, profile, adjacent) for profile in profiles for adjacent in (None, *regions)]
+        if all(r.key.parse_status is not ParseStatus.COMPLETE for r in results):
+            continue
+        complete += 1
+        for r in results:
+            assert r.key == results[0].key and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
+            assert r.events == () and r.memory.adjacent_bytes_read == 0, frame.data.hex()
+    assert 200 < complete < len(frames)
+
+
 def test_verdict_drops_exactly_malformed_frames_without_events():
     rng = random.Random(4321)
     frames = [_random_frame(rng) for _ in range(600)]

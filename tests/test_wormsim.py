@@ -146,3 +146,20 @@ def test_stage_timings_must_be_finite(value):
 def test_dos_interval_must_be_finite_and_non_negative(interval):
     with pytest.raises(ValueError, match="interval"):
         simulate_dos(Topology(compute_nodes=1), repeats=3, interval_s=interval)
+
+
+def test_simulate_rejects_event_past_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        simulate(Topology(compute_nodes=3), StageTimings(download=1e308))
+    # One node: the total stays finite, but the controller's restore does not.
+    with pytest.raises(ValueError, match="float range"):
+        simulate(Topology(compute_nodes=1), StageTimings(download=1e308, controller_restore=1e308))
+
+
+def test_dos_rejects_outage_past_float_range():
+    with pytest.raises(ValueError, match=r"^3 attacks 1e\+308 s apart "):
+        simulate_dos(Topology(compute_nodes=3), repeats=3, interval_s=1e308)
+    with pytest.raises(ValueError, match="float range"):
+        simulate_dos(Topology(compute_nodes=3), StageTimings(dos_outage=1e308), repeats=2, interval_s=1e308)
+    (report,) = simulate_dos(Topology(compute_nodes=3), repeats=2, interval_s=1e308).values()
+    assert math.isfinite(report.total)
