@@ -37,7 +37,7 @@ DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
 MIN_FRAME = 44  # eth 14 + ipv4 20 + udp 8 + 2 octets of payload
 MAX_FRAME = 14 + 0xFFFF  # eth 14 + the largest IPv4 total length
 QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
-MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # the longest pause time.sleep accepts
+MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # a pause time.sleep is known to accept
 
 
 class PathMode(TextEnum):

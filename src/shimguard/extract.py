@@ -303,3 +303,16 @@ def _extract_ipv4(data, profile, adjacent):
     if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
     return ParseStatus.COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0
+
+
+def key_signature(data: bytes, in_port: int) -> tuple | None:
+    """Every input a COMPLETE flow key is read from; None for a frame too short to parse COMPLETE.
+
+    Only ``_extract_ipv4`` returns COMPLETE, and under any profile or
+    ``adjacent`` it reads just the port, the frame length and the octets up
+    to ``14 + 4*IHL + 4`` (Ethernet, the IPv4 header, the L4 ports), never
+    the payload. Widen the signature whenever ``_extract_ipv4`` reads more.
+    """
+    if len(data) < ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN:
+        return None
+    return in_port, data[: ETHERNET_HEADER_LEN + 4 * (data[ETHERNET_HEADER_LEN] & 0xF) + 4], len(data)

@@ -3,10 +3,10 @@
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
 masked down to exactly the fields rule selection consulted, and a microflow
-entry pointing at it. Ahead of extraction, a memo keyed on a frame's own
-bytes hands a repeated well-formed IPv4 frame the flow key its first parse
-built. Disabling the megaflow cache turns the switch into a pure slow-path
-device, which is how the benchmark isolates slow-path cost.
+entry pointing at it. Ahead of extraction, a signature memo hands a repeated
+well-formed IPv4 frame the flow key its first parse built. Disabling the
+megaflow cache turns the switch into a pure slow-path device, which is how
+the benchmark isolates slow-path cost.
 
 The cache-correctness contract: for any rule set and packet sequence, the
 dispositions with caches enabled equal the dispositions with caches disabled,
@@ -21,7 +21,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
+from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
 from .packet import (
     ETHERTYPE_MPLS_UNICAST,
     MPLS_ETHERTYPES,
@@ -346,8 +346,8 @@ class SwitchState:
         self.default_actions = tuple(default_actions)
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
-        # (frame data, in_port) -> the flow key extract built for it; LRU, same bound as the microflow.
-        self.signatures: OrderedDict[tuple[bytes, int], FlowKey] = OrderedDict()
+        # key_signature of a frame -> the flow key extract built for it; LRU, same bound as the microflow.
+        self.signatures: OrderedDict[tuple, FlowKey] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
@@ -415,11 +415,11 @@ class SwitchState:
         return entry
 
     def _remember(self, data: bytes, in_port: int, key: FlowKey) -> None:
-        """Map the frame's bytes and port to its key, evicting the least recently used entry."""
+        """Map the frame's signature to its key, evicting the least recently used signature."""
         signatures = self.signatures
         if len(signatures) >= self.microflow_capacity:
             signatures.popitem(last=False)
-        signatures[data, in_port] = key
+        signatures[key_signature(data, in_port)] = key
 
     def process(
         self,
@@ -436,11 +436,10 @@ class SwitchState:
         packet. A zero-length frame has nothing to extract; it is counted as
         a drop.
 
-        A frame whose bytes and port are in the memo (``signatures``) takes
+        A frame whose ``key_signature`` is in the memo (``signatures``) takes
         its key from there instead of from ``extract``. That is exact because
-        ``extract`` reads only ``frame.data``, ``in_port``, ``profile`` and
-        ``adjacent``, and the memo holds only COMPLETE keys, which depend on
-        neither of the last two.
+        the memo holds only COMPLETE keys, and a COMPLETE key is read from
+        its frame's signature alone, whatever the profile or ``adjacent``.
         """
         stats = self.stats
         stats["processed"] += 1
@@ -448,8 +447,8 @@ class SwitchState:
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
         if self.signatures and (adjacent is None or adjacent):
             signatures = self.signatures
-            signature = frame.data, in_port
-            key = signatures.get(signature)
+            signature = key_signature(frame.data, in_port)
+            key = signatures.get(signature)  # a None signature is never stored
             if key is not None:
                 signatures.move_to_end(signature)
                 result = None  # nothing new to remember

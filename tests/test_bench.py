@@ -223,7 +223,7 @@ def test_config_rejects_rate_without_finite_packet_count(rates, duration):
         BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=rates, duration_s=duration)
 
 
-def test_config_interval_bounded_by_longest_sleep():
+def test_config_interval_bounded_by_timeout_max():
     assert _config(PathMode.ALL_FAST_PATH, interval_ms=bench.MAX_INTERVAL_MS).interval_ms == bench.MAX_INTERVAL_MS
     for interval in (math.nextafter(bench.MAX_INTERVAL_MS, math.inf), 1e308):
         with pytest.raises(ValueError, match="^" + re.escape(f"interval {interval} ms ")):

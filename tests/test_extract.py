@@ -18,6 +18,7 @@ from shimguard.extract import (
     VulnClass,
     classify_events,
     extract,
+    key_signature,
 )
 from shimguard.packet import (
     EthernetHeader,
@@ -337,8 +338,8 @@ def test_differential_equivalence_on_event_free_frames():
         assert all(r.key == first for r in results[1:])
 
 
-def test_complete_key_depends_only_on_frame_bytes_and_port():
-    """What makes the flow table's parse memo exact: a COMPLETE key ignores the profile and ``adjacent``."""
+def test_complete_key_depends_only_on_its_signature():
+    """What makes the flow table's parse memo exact: a COMPLETE key is read from key_signature's inputs alone."""
     rng = random.Random(2718)
     frames = [_random_frame(rng) for _ in range(400)]
     for _ in range(400):
@@ -348,7 +349,7 @@ def test_complete_key_depends_only_on_frame_bytes_and_port():
         frames.append(RawFrame.of(data))
     profiles = ALL_PROFILES + tuple(ParserProfile(p.mode, label_limit=1) for p in ALL_PROFILES)
     regions = [random.Random(seed).randbytes(64) for seed in (1, 2)]
-    complete = 0
+    complete = tails = 0
     for frame in frames:
         results = [extract(frame, 1, profile, adjacent) for profile in profiles for adjacent in (None, *regions)]
         if all(r.key.parse_status is not ParseStatus.COMPLETE for r in results):
@@ -357,7 +358,16 @@ def test_complete_key_depends_only_on_frame_bytes_and_port():
         for r in results:
             assert r.key == results[0].key and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
             assert r.events == () and r.memory.adjacent_bytes_read == 0, frame.data.hex()
-    assert 200 < complete < len(frames)
+        # Every octet past the signature prefix replaced: same signature, same key under every profile.
+        signature = key_signature(frame.data, 1)
+        prefix = signature[1]
+        other = RawFrame.of(prefix + rng.randbytes(len(frame.data) - len(prefix)))
+        tails += other.data != frame.data
+        assert key_signature(other.data, 1) == signature
+        for profile in profiles:
+            assert extract(other, 1, profile, regions[0]).key == results[0].key, frame.data.hex()
+    assert 200 < complete < len(frames) and tails > 100
+    assert key_signature(bytes(33), 1) is None and key_signature(bytes(34), 1) is not None
 
 
 def test_verdict_drops_exactly_malformed_frames_without_events():
