@@ -38,6 +38,7 @@ MIN_FRAME = 44  # eth 14 + ipv4 20 + udp 8 + 2 octets of payload
 MAX_FRAME = 14 + 0xFFFF  # eth 14 + the largest IPv4 total length
 QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
 MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # a pause time.sleep is known to accept
+MAX_OFFERED = 10**9  # packets one rate may offer; the full-scale run offers at most 100 000 pps x 120 s
 
 
 class PathMode(TextEnum):
@@ -78,12 +79,12 @@ class BenchConfig:
         if list(self.rates_pps) != sorted(self.rates_pps):
             raise ValueError("rates must be ascending")
         for rate in self.rates_pps:
-            # An int rate past the float range cannot be multiplied by a float; it offers no finite count.
+            # An int rate past the float range cannot be multiplied by a float; it offers too many packets.
             offered = rate * self.duration_s if rate <= sys.float_info.max else math.inf
-            if rate < 0 or (rate and not 1 <= offered < math.inf):
+            # int(offered), the count run_throughput sends, is at most MAX_OFFERED.
+            if rate < 0 or (rate and not 1 <= offered < MAX_OFFERED + 1):
                 raise ValueError(
-                    f"rate {rate} pps must be 0 or offer a finite count of at least one packet"
-                    f" in {self.duration_s:g} s"
+                    f"rate {rate} pps must be 0 or offer 1..{MAX_OFFERED} packets in {self.duration_s:g} s"
                 )
 
 
@@ -168,9 +169,9 @@ def _gc_paused():
             gc.enable()
 
 
-def run_throughput(config: BenchConfig, state: SwitchState) -> BenchResult:
-    """Sweep the offered rates; report forwarded counts and loss per rate."""
-    state.set_megaflow_enabled(config.path_mode is PathMode.ALL_FAST_PATH)
+def run_throughput(config: BenchConfig) -> BenchResult:
+    """Sweep the offered rates on a new switch of the config's mode; report forwarded counts and loss per rate."""
+    state = build_bench_state(config.path_mode)
     rng = random.Random(config.seed)
     result = BenchResult(mode=config.path_mode)
     perf = time.perf_counter
@@ -312,9 +313,9 @@ def compare_latency(
     return pairs
 
 
-def run_latency(config: BenchConfig, state: SwitchState) -> BenchResult:
-    """Per packet size: time each process() call, drop the warmup, summarize."""
-    state.set_megaflow_enabled(config.path_mode is PathMode.ALL_FAST_PATH)
+def run_latency(config: BenchConfig) -> BenchResult:
+    """Per packet size on a new switch of the config's mode: time each process() call, drop the warmup, summarize."""
+    state = build_bench_state(config.path_mode)
     rng = random.Random(config.seed)
     result = BenchResult(mode=config.path_mode)
     for size in config.packet_sizes:

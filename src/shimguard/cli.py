@@ -18,6 +18,8 @@ import sys
 
 from . import attacks, bench, flowtable, pcap, wormsim
 from .extract import (
+    ALL_PROFILES,
+    DEFAULT_LABEL_LIMIT,
     EmptyFrameError,
     ParserMode,
     ParserProfile,
@@ -56,13 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_craft = sub.add_parser("craft", help="write an attack frame to a pcap file")
     p_craft.add_argument("--kind", required=True, choices=list(map(str, attacks.AttackKind)))
     p_craft.add_argument("--size", type=int, default=attacks.DEFAULT_LONG_SHIM_SIZE,
-                         help="long-shim frame size in octets (default 1514)")
-    p_craft.add_argument("--fragment", type=int, default=2,
-                         help="short-shim trailing fragment length, 1..3 (default 2)")
-    p_craft.add_argument("--total-length", type=int, default=0,
-                         help="acl-bypass IPv4 total length (default 0)")
-    p_craft.add_argument("--sport", type=int, default=1234, help="acl-bypass source port")
-    p_craft.add_argument("--dport", type=int, default=8080, help="acl-bypass destination port")
+                         help=f"long-shim frame size in octets (default {attacks.DEFAULT_LONG_SHIM_SIZE})")
+    fragment_len = attacks.AttackSpec.fragment_len
+    p_craft.add_argument("--fragment", type=int, default=fragment_len,
+                         help=f"short-shim trailing fragment length, 1..3 (default {fragment_len})")
+    p_craft.add_argument("--total-length", type=int, default=attacks.AttackSpec.total_length,
+                         help=f"acl-bypass IPv4 total length (default {attacks.AttackSpec.total_length})")
+    p_craft.add_argument("--sport", type=int, default=attacks.AttackSpec.sport, help="acl-bypass source port")
+    p_craft.add_argument("--dport", type=int, default=attacks.AttackSpec.dport, help="acl-bypass destination port")
     p_craft.add_argument("--payload", metavar="FILE",
                          help="file whose bytes are packed into long-shim labels")
     p_craft.add_argument("--out", required=True, metavar="PCAP", help="output pcap path")
@@ -70,30 +73,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="run flow extraction over a pcap")
     p_extract.add_argument("--in", dest="infile", required=True, metavar="PCAP")
     p_extract.add_argument("--profile", default="hardened", choices=list(map(str, ParserMode)))
-    p_extract.add_argument("--label-limit", type=int, default=3)
+    p_extract.add_argument("--label-limit", type=int, default=DEFAULT_LABEL_LIMIT)
 
     p_pipe = sub.add_parser("pipeline", help="run frames through extract/match/action")
     p_pipe.add_argument("--in", dest="infile", required=True, metavar="PCAP")
     p_pipe.add_argument("--rules", required=True, metavar="FILE")
     p_pipe.add_argument("--profile", default="hardened", choices=list(map(str, ParserMode)))
-    p_pipe.add_argument("--label-limit", type=int, default=3)
+    p_pipe.add_argument("--label-limit", type=int, default=DEFAULT_LABEL_LIMIT)
     p_pipe.add_argument("--no-megaflow", action="store_true", help="disable both caches")
     p_pipe.add_argument("--in-port", type=int, default=1)
 
     p_fuzz = sub.add_parser("fuzz", help="differential fuzz the parser profiles")
     p_fuzz.add_argument("--corpus", required=True, metavar="PCAP", help="seed frames")
     p_fuzz.add_argument("--iters", type=int, default=10_000)
-    p_fuzz.add_argument("--profiles", default="hardened,v232,v240,v250",
+    p_fuzz.add_argument("--profiles", default=",".join(str(p.mode) for p in ALL_PROFILES),
                         help="comma-separated profile list (must include hardened)")
-    p_fuzz.add_argument("--label-limit", type=int, default=3)
-    p_fuzz.add_argument("--max-len", type=int, default=9216)
+    p_fuzz.add_argument("--label-limit", type=int, default=DEFAULT_LABEL_LIMIT)
+    p_fuzz.add_argument("--max-len", type=int, default=attacks.MutationBudget.max_len)
     p_fuzz.add_argument("--strategies", default=",".join(attacks.STRATEGIES))
     p_fuzz.add_argument("--out-report", metavar="FILE")
     p_fuzz.add_argument("--out-exemplars", metavar="PCAP")
 
     p_worm = sub.add_parser("wormsim", help="simulate staged worm propagation timing")
     p_worm.add_argument("--nodes", type=int, required=True, help="compute node count")
-    p_worm.add_argument("--attacker-host", type=int, default=0)
+    p_worm.add_argument("--attacker-host", type=int, default=Topology.attacker_vm_host)
     p_worm.add_argument("--timing", action="append", default=[], metavar="K=V",
                         help="override a stage timing, e.g. --timing download=5")
     p_worm.add_argument("--dos", action="store_true", help="model the outage instead")
@@ -110,8 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="seconds per rate (desk-scaled; 120 reproduces the full run)")
     p_bench.add_argument("--sizes", default=",".join(str(s) for s in bench.DEFAULT_SIZES),
                          help="comma-separated frame sizes for the latency run")
-    p_bench.add_argument("--count", type=int, default=10_500, help="latency frames per size")
-    p_bench.add_argument("--warmup", type=int, default=500, help="latency samples to discard")
+    p_bench.add_argument("--count", type=int, default=bench.BenchConfig.latency_count,
+                         help="latency frames per size")
+    p_bench.add_argument("--warmup", type=int, default=bench.BenchConfig.warmup_drop,
+                         help="latency samples to discard")
     p_bench.add_argument("--interval-ms", type=float, default=0.0,
                          help="latency inter-frame spacing (desk-scaled; 100 reproduces the full run)")
     p_bench.add_argument("--csv", metavar="FILE", help="write both CSV tables here")
@@ -230,12 +235,12 @@ def _cmd_bench(args, seed: int) -> int:
     )
     outputs = []
     if rates:
-        result = bench.run_throughput(config, bench.build_bench_state(mode))
+        result = bench.run_throughput(config)
         outputs.append(bench.throughput_csv(result))
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
     if sizes:
-        result = bench.run_latency(config, bench.build_bench_state(mode))
+        result = bench.run_latency(config)
         outputs.append(bench.latency_csv(result))
     text = "".join(outputs)
     if args.csv:

@@ -217,7 +217,7 @@ def extract(
         else:
             status = ParseStatus.L2_ONLY
     # Positional: the keyword constructor costs about 4x as much.
-    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, None, *ip, status))
+    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, *ip, status))
     verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
     limit = profile.label_limit
     over = written - limit

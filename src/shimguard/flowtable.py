@@ -4,9 +4,9 @@ One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
 masked down to exactly the fields rule selection consulted, and a microflow
 entry pointing at it. Ahead of extraction, a signature memo hands a repeated
-well-formed IPv4 frame the flow key its first parse built. Disabling the
-megaflow cache turns the switch into a pure slow-path device, which is how
-the benchmark isolates slow-path cost.
+well-formed IPv4 frame the flow key its first parse built. A switch built
+with its caches disabled is a pure slow-path device, which is how the
+benchmark isolates slow-path cost.
 
 The cache-correctness contract: for any rule set and packet sequence, the
 dispositions with caches enabled equal the dispositions with caches disabled,
@@ -23,8 +23,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
 from .packet import (
-    ETHERTYPE_MPLS_UNICAST,
-    MPLS_ETHERTYPES,
     FlowKey,
     MplsLse,
     ParseStatus,
@@ -128,38 +126,8 @@ class SentToController:
 
 Disposition = Forwarded | Dropped | SentToController
 
-
-def push_mpls(key: FlowKey, lse: MplsLse) -> FlowKey:
-    """Prepend a label; remembers the covered ethertype so pop can restore it."""
-    if key.ethertype in MPLS_ETHERTYPES:
-        ethertype = key.ethertype
-        under = key.mpls_under_ethertype
-    else:
-        ethertype = ETHERTYPE_MPLS_UNICAST
-        under = key.ethertype
-    return key._replace(
-        mpls_labels=(lse,) + key.mpls_labels,
-        mpls_depth_seen=key.mpls_depth_seen + 1,
-        ethertype=ethertype,
-        mpls_under_ethertype=under,
-    )
-
-
-def pop_mpls(key: FlowKey) -> FlowKey:
-    """Remove the top label; no-op (signalled by identity) without one."""
-    if not key.mpls_labels:
-        return key
-    rest = key.mpls_labels[1:]
-    depth = max(0, key.mpls_depth_seen - 1)
-    if rest:
-        return key._replace(mpls_labels=rest, mpls_depth_seen=depth)
-    ethertype = key.mpls_under_ethertype if key.mpls_under_ethertype is not None else key.ethertype
-    return key._replace(
-        mpls_labels=(),
-        mpls_depth_seen=depth,
-        ethertype=ethertype,
-        mpls_under_ethertype=None,
-    )
+# The actions a packet that matches no rule gets.
+DEFAULT_ACTIONS: tuple[Action, ...] = (Drop(),)
 
 
 def disposition_of(actions: Sequence[Action]) -> Disposition:
@@ -172,15 +140,17 @@ def disposition_of(actions: Sequence[Action]) -> Disposition:
     return Dropped()
 
 
-def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict | None = None) -> tuple[Disposition, FlowKey]:
+def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict) -> None:
+    """Walk the key's label depth through the actions, counting each pop that finds no label."""
+    depth = len(key.mpls_labels)
     for action in actions:
         if isinstance(action, PushMpls):
-            key = push_mpls(key, action.lse)
+            depth += 1
         elif isinstance(action, PopMpls):
-            if not key.mpls_labels and stats is not None:
+            if depth:
+                depth -= 1
+            else:
                 stats["pop_mpls_noop"] += 1
-            key = pop_mpls(key)
-    return disposition_of(actions), key
 
 
 _COUNTERS = {Forwarded: "forwards", SentToController: "to_controller", Dropped: "drops"}
@@ -336,14 +306,12 @@ class SwitchState:
         self,
         rules: Iterable[Rule] = (),
         megaflow_enabled: bool = True,
-        default_actions: Sequence[Action] = (Drop(),),
         microflow_capacity: int = MICROFLOW_CAPACITY,
     ) -> None:
         if microflow_capacity < 1:
             raise ValueError(f"microflow_capacity must be >= 1, got {microflow_capacity}")
         self.rules: list[Rule] = list(rules)
         self.megaflow_enabled = megaflow_enabled
-        self.default_actions = tuple(default_actions)
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         # key_signature of a frame -> the flow key extract built for it; LRU, same bound as the microflow.
@@ -376,14 +344,7 @@ class SwitchState:
         # What an upcall installs when the rule at each scan position wins,
         # and when none does: mask, compiled projector, outcome.
         self._winners = [target(consulted[rule.priority], rule.actions) for rule in scan]
-        self._miss = target(acc, self.default_actions)
-
-    def set_megaflow_enabled(self, enabled: bool) -> None:
-        self.megaflow_enabled = enabled
-        if not enabled:
-            self.microflow.clear()
-            self.megaflows.clear()
-            self.signatures.clear()
+        self._miss = target(acc, DEFAULT_ACTIONS)
 
     def megaflow_entry_count(self) -> int:
         return sum(len(table) for _, table in self.megaflows.values())
@@ -431,10 +392,10 @@ class SwitchState:
         """Extract, look up, act. Returns the packet's disposition.
 
         Exactly one answers, tried in order: a parse drop, a microflow hit, a
-        megaflow hit, an upcall; with caches disabled neither cache is
-        probed. ``adjacent`` is handed to ``extract`` as the bytes past the
-        packet. A zero-length frame has nothing to extract; it is counted as
-        a drop.
+        megaflow hit, an upcall; a switch built with caches disabled stores
+        nothing, so every packet it extracts is an upcall. ``adjacent`` is
+        handed to ``extract`` as the bytes past the packet. A zero-length
+        frame has nothing to extract; it is counted as a drop.
 
         A frame whose ``key_signature`` is in the memo (``signatures``) takes
         its key from there instead of from ``extract``. That is exact because
@@ -461,9 +422,8 @@ class SwitchState:
                 stats["drops"] += 1
                 return Dropped()
             key = result.key
-        cached = self.megaflow_enabled
         microflow = self.microflow
-        entry = microflow.get(key) if cached else None
+        entry = microflow.get(key)
         if entry is not None:
             microflow.move_to_end(key)
             entry.hits += 1
@@ -471,7 +431,7 @@ class SwitchState:
             if result is not None and key.parse_status is _COMPLETE:
                 self._remember(frame.data, in_port, key)
         else:
-            for project, table in self.megaflows.values() if cached else ():
+            for project, table in self.megaflows.values():
                 entry = table.get(project(key))
                 if entry is not None:
                     entry.hits += 1
@@ -479,7 +439,7 @@ class SwitchState:
                     break
             else:
                 entry = self._upcall(key)
-            if cached:
+            if self.megaflow_enabled:
                 # Megaflow hits and upcalls alike fill the LRU microflow.
                 if len(microflow) >= self.microflow_capacity:
                     microflow.popitem(last=False)

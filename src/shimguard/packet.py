@@ -9,7 +9,7 @@ and never validated; VLAN and every other unknown ethertype stay unparsed.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence, TypeVar
 
@@ -188,14 +188,6 @@ class Ipv4Header:
         if self.ihl >= 5 and len(self.options) != (self.ihl - 5) * 4:
             raise ValueError(f"ihl={self.ihl} requires {(self.ihl - 5) * 4} option octets")
 
-    @property
-    def header_len(self) -> int:
-        return self.ihl * 4
-
-    @property
-    def well_formed(self) -> bool:
-        return self.version == 4 and self.ihl >= 5 and self.total_length >= self.header_len
-
     def encode(self) -> bytes:
         return _IPV4_BASE.pack(
             (self.version << 4) | self.ihl,
@@ -215,8 +207,7 @@ class FlowKey(NamedTuple):
     """Canonical extracted header fields driving table lookup.
 
     Optional fields stay None beyond whatever layer parsing reached. The
-    recorded label tuple keeps top-of-stack first; ``mpls_under_ethertype``
-    remembers the ethertype a push action covered so a pop can restore it.
+    recorded label tuple keeps top-of-stack first.
     """
 
     in_port: int
@@ -225,7 +216,6 @@ class FlowKey(NamedTuple):
     ethertype: int | None = None
     mpls_labels: tuple[MplsLse, ...] = ()
     mpls_depth_seen: int = 0
-    mpls_under_ethertype: int | None = None
     ip_src: int | None = None
     ip_dst: int | None = None
     ip_proto: int | None = None

@@ -15,7 +15,6 @@ from shimguard.bench import (
     THROUGHPUT_CSV_HEADER,
     BenchConfig,
     PathMode,
-    build_bench_state,
     compare_latency,
     latency_csv,
     run_latency,
@@ -246,14 +245,8 @@ def test_c8_bench_orderings():
         assert fast.median_us <= slow.median_us, f"size {slow.size_b}"
     # loss ordering at every offered rate in the default sweep, desk-scaled duration
     rates_kwargs = dict(duration_s=0.03, interval_ms=0.0, latency_count=600, warmup_drop=100, seed=8)
-    slow_result = run_throughput(
-        BenchConfig(path_mode=PathMode.ALL_SLOW_PATH, **rates_kwargs),
-        build_bench_state(PathMode.ALL_SLOW_PATH),
-    )
-    fast_result = run_throughput(
-        BenchConfig(path_mode=PathMode.ALL_FAST_PATH, **rates_kwargs),
-        build_bench_state(PathMode.ALL_FAST_PATH),
-    )
+    slow_result = run_throughput(BenchConfig(path_mode=PathMode.ALL_SLOW_PATH, **rates_kwargs))
+    fast_result = run_throughput(BenchConfig(path_mode=PathMode.ALL_FAST_PATH, **rates_kwargs))
     assert len(slow_result.rates) == len(fast_result.rates) == 10
     for s, f in zip(slow_result.rates, fast_result.rates):
         assert f.loss_fraction <= s.loss_fraction, f"rate {s.rate_pps}"
@@ -264,7 +257,7 @@ def test_c8_bench_orderings():
         path_mode=PathMode.ALL_FAST_PATH, packet_sizes=(44,), latency_count=300,
         warmup_drop=100, interval_ms=0.0, seed=8,
     )
-    lat_csv = latency_csv(run_latency(lat_config, build_bench_state(PathMode.ALL_FAST_PATH)))
+    lat_csv = latency_csv(run_latency(lat_config))
     assert lat_csv.splitlines()[0] == LATENCY_CSV_HEADER == "mode,size_b,median_us,p95_us,variance_us2"
     assert len(lat_csv.splitlines()[1].split(",")) == 5
 

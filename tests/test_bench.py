@@ -36,6 +36,19 @@ def _config(mode, **overrides):
     return BenchConfig(**defaults)
 
 
+@pytest.fixture
+def built_states(monkeypatch):
+    """Every SwitchState the runs under test build, in build order."""
+    states = []
+
+    def build(mode):
+        states.append(build_bench_state(mode))
+        return states[-1]
+
+    monkeypatch.setattr(bench, "build_bench_state", build)
+    return states
+
+
 def test_udp_frame_sizes_and_extraction():
     for size in (44, 60, 512, 1500, 2048, 9000):
         frame = make_udp_frame(size, bytes(6), 1, 2, 1000, 2000)
@@ -45,10 +58,10 @@ def test_udp_frame_sizes_and_extraction():
         assert key.l4_src == 1000 and key.l4_dst == 2000
 
 
-def test_slow_path_counts_every_packet_as_upcall():
+def test_slow_path_counts_every_packet_as_upcall(built_states):
     config = _config(PathMode.ALL_SLOW_PATH, rates_pps=(10_000,), duration_s=0.1)
-    state = build_bench_state(PathMode.ALL_SLOW_PATH)
-    result = run_throughput(config, state)
+    result = run_throughput(config)
+    (state,) = built_states
     (sample,) = result.rates
     assert sample.offered == 1000
     assert state.stats["slow_path_upcalls"] == sample.offered - sample.queue_lost
@@ -56,10 +69,10 @@ def test_slow_path_counts_every_packet_as_upcall():
     assert sample.queue_lost == 0  # 100 us budget per packet is ample
 
 
-def test_fast_path_mostly_cache_hits():
+def test_fast_path_mostly_cache_hits(built_states):
     config = _config(PathMode.ALL_FAST_PATH, rates_pps=(10_000,), duration_s=0.1)
-    state = build_bench_state(PathMode.ALL_FAST_PATH)
-    result = run_throughput(config, state)
+    result = run_throughput(config)
+    (state,) = built_states
     (sample,) = result.rates
     assert state.stats["slow_path_upcalls"] == 1
     assert state.stats["fast_path_hits"] == sample.offered - sample.queue_lost - 1
@@ -68,14 +81,14 @@ def test_fast_path_mostly_cache_hits():
 
 def test_zero_rate_produces_no_record():
     config = _config(PathMode.ALL_FAST_PATH, rates_pps=(0,), duration_s=0.05)
-    result = run_throughput(config, build_bench_state(PathMode.ALL_FAST_PATH))
+    result = run_throughput(config)
     assert result.rates == []
 
 
 def test_loss_accounting_conserves():
     for mode in PathMode:
         config = _config(mode, rates_pps=(10_000, 100_000), duration_s=0.05)
-        result = run_throughput(config, build_bench_state(mode))
+        result = run_throughput(config)
         for sample in result.rates:
             assert sample.forwarded + sample.table_dropped + sample.queue_lost == sample.offered
             assert 0.0 <= sample.loss_fraction <= 1.0
@@ -84,7 +97,7 @@ def test_loss_accounting_conserves():
 def test_fast_path_default_sweep_zero_loss():
     config = _config(PathMode.ALL_FAST_PATH, rates_pps=tuple(range(10_000, 100_001, 10_000)),
                      duration_s=0.05)
-    result = run_throughput(config, build_bench_state(PathMode.ALL_FAST_PATH))
+    result = run_throughput(config)
     assert len(result.rates) == 10
     for sample in result.rates:
         assert sample.loss_fraction == 0.0, f"rate {sample.rate_pps}"
@@ -92,19 +105,15 @@ def test_fast_path_default_sweep_zero_loss():
 
 def test_fast_loss_never_exceeds_slow_loss():
     config_kwargs = dict(rates_pps=(20_000, 60_000, 100_000), duration_s=0.05)
-    slow = run_throughput(
-        _config(PathMode.ALL_SLOW_PATH, **config_kwargs), build_bench_state(PathMode.ALL_SLOW_PATH)
-    )
-    fast = run_throughput(
-        _config(PathMode.ALL_FAST_PATH, **config_kwargs), build_bench_state(PathMode.ALL_FAST_PATH)
-    )
+    slow = run_throughput(_config(PathMode.ALL_SLOW_PATH, **config_kwargs))
+    fast = run_throughput(_config(PathMode.ALL_FAST_PATH, **config_kwargs))
     for s, f in zip(slow.rates, fast.rates):
         assert f.loss_fraction <= s.loss_fraction
 
 
 def test_latency_sample_counting():
     config = _config(PathMode.ALL_FAST_PATH, packet_sizes=(44,), latency_count=501, warmup_drop=500)
-    result = run_latency(config, build_bench_state(PathMode.ALL_FAST_PATH))
+    result = run_latency(config)
     (sample,) = result.sizes
     assert sample.samples == 1
     assert sample.variance_us2 == 0.0
@@ -129,16 +138,15 @@ def test_medians_reproducible_in_distribution():
     # Catastrophe detector with a flaky-tolerant bound; on an idle machine the
     # expectation is <20% drift, but this host's clock speed visibly steps.
     config = _config(PathMode.ALL_FAST_PATH, packet_sizes=(44,), latency_count=2000, warmup_drop=500)
-    first = run_latency(config, build_bench_state(PathMode.ALL_FAST_PATH)).sizes[0].median_us
-    second = run_latency(config, build_bench_state(PathMode.ALL_FAST_PATH)).sizes[0].median_us
+    first = run_latency(config).sizes[0].median_us
+    second = run_latency(config).sizes[0].median_us
     assert max(first, second) / min(first, second) < 3.0
 
 
 def test_csv_schemas_exact():
     config = _config(PathMode.ALL_FAST_PATH, rates_pps=(10_000,), duration_s=0.02, packet_sizes=(44,))
-    state = build_bench_state(PathMode.ALL_FAST_PATH)
-    tp = throughput_csv(run_throughput(config, state))
-    lat = latency_csv(run_latency(config, state))
+    tp = throughput_csv(run_throughput(config))
+    lat = latency_csv(run_latency(config))
     assert tp.splitlines()[0] == THROUGHPUT_CSV_HEADER == "mode,rate_pps,offered,forwarded,loss_fraction"
     assert lat.splitlines()[0] == LATENCY_CSV_HEADER == "mode,size_b,median_us,p95_us,variance_us2"
     tp_row = tp.splitlines()[1].split(",")
@@ -216,8 +224,11 @@ def test_config_accepts_latency_extremes():
     assert make_udp_frame(65549, bytes(6), 1, 2, 1000, 2000).capture_len == 65549
 
 
-@pytest.mark.parametrize("rates, duration", [((10_000,), 1e308), ((10**308,), 10.0), ((1, 10**400), 1.0)],
-                         ids=["duration-1e308", "rate-1e308", "rate-past-float-range"])
+@pytest.mark.parametrize(
+    "rates, duration",
+    [((10_000,), 1e308), ((10**308,), 10.0), ((1, 10**400), 1.0), ((10_000,), 1e300)],
+    ids=["duration-1e308", "rate-1e308", "rate-past-float-range", "count-past-max-offered"],
+)
 def test_config_rejects_rate_without_finite_packet_count(rates, duration):
     with pytest.raises(ValueError, match=f"^rate {rates[-1]} pps "):
         BenchConfig(PathMode.ALL_FAST_PATH, rates_pps=rates, duration_s=duration)

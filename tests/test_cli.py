@@ -212,6 +212,7 @@ def test_usage_errors_exit_2(capsys):
         (["bench", "--mode", "fast", "--duration", "nan"], "duration"),
         (["bench", "--mode", "slow", "--duration", "0"], "duration"),
         (["craft", "--kind", "long-shim", "--size", "70000", "--out", "OUT"], "snaplen"),
+        (["bench", "--mode", "fast", "--duration", "1e300"], "rate 10000 pps"),
     ],
 )
 def test_out_of_range_values_exit_2(tmp_path, capsys, argv, message):

@@ -160,7 +160,11 @@ def test_vuln250_ports_blend_from_adjacent_when_frame_ends():
 
 
 def test_malformed_ip_hardened_drops_cleanly():
-    for frame in (acl_bypass_frame(0), acl_bypass_frame(19)):
+    # Each frame breaks one clause of the IPv4 rule: total length, version, IHL.
+    bad = [Ipv4Header(total_length=24, protocol=17, src_ip=1, dst_ip=2, **kw) for kw in ({"version": 6}, {"ihl": 4})]
+    frames = [acl_bypass_frame(0), acl_bypass_frame(19)]
+    frames += [encode_frame(ETH_IP, [ip], payload=struct.pack(">HH", 1234, 8080)) for ip in bad]
+    for frame in frames:
         result = extract(frame, 0, HARDENED)
         assert result.events == ()
         assert result.verdict is Verdict.DROP

@@ -21,11 +21,10 @@ from shimguard.flowtable import (
     ToController,
     UnknownFieldError,
     apply_actions,
+    disposition_of,
     dump_state,
     load_rules,
     mask_projector,
-    pop_mpls,
-    push_mpls,
 )
 from shimguard.packet import (
     EthernetHeader,
@@ -221,14 +220,6 @@ def test_megaflow_disabled_every_packet_is_slow_path():
     assert len(state.microflow) == 0 and state.megaflow_entry_count() == 0
 
 
-def test_disabling_megaflow_empties_caches():
-    state = SwitchState(load_rules("priority=1, actions=output:2"))
-    state.process(udp_frame(), 1, HARDENED)
-    assert state.megaflow_entry_count() == 1
-    state.set_megaflow_enabled(False)
-    assert len(state.microflow) == 0 and state.megaflow_entry_count() == 0
-
-
 def test_microflow_lru_eviction_keeps_megaflow():
     state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=4)
     frames = [udp_frame(sport=1000 + i) for i in range(6)]
@@ -321,15 +312,6 @@ def test_default_miss_action_drop_and_counted():
     state = SwitchState(load_rules("priority=5, ip_proto=6, actions=output:1"))
     assert state.process(udp_frame(), 1, HARDENED) == Dropped()
     assert state.stats["no_rule_match"] == 1
-
-
-def test_default_miss_action_configurable():
-    state = SwitchState(
-        load_rules("priority=5, ip_proto=6, actions=output:1"),
-        default_actions=(ToController(),),
-    )
-    assert state.process(udp_frame(), 1, HARDENED) == SentToController()
-    assert state.stats["to_controller"] == 1
 
 
 def test_counters_conserve():
@@ -574,11 +556,6 @@ def test_signature_memo_unused_without_caches(parsed):
     for _ in range(3):
         cached.process(udp_frame(), 1, HARDENED)
     assert len(cached.signatures) == 1 and len(parsed) == 7
-    cached.set_megaflow_enabled(False)
-    assert not cached.signatures
-    for _ in range(3):
-        cached.process(udp_frame(), 1, HARDENED)
-    assert not cached.signatures and len(parsed) == 10
 
 
 def test_signature_memo_keyed_on_header_octets_and_port(parsed):
@@ -677,7 +654,7 @@ def test_megaflow_entries_reselect_same_actions():
     # that matches it, in install order
     for key in keys:
         pos = state._scan_rules(key)
-        expected = state.default_actions if pos is None else state.rules[state._ordered[pos]].actions
+        expected = flowtable.DEFAULT_ACTIONS if pos is None else state.rules[state._ordered[pos]].actions
         micro = state.microflow.get(key)
         assert micro is None or micro.actions == expected
         mega = next((table[project(key)] for project, table in state.megaflows.values() if project(key) in table), None)
@@ -703,29 +680,20 @@ def _random_key(rng):
                    parse_status=ParseStatus.L2_ONLY)
 
 
-def test_push_pop_inverse_property():
-    rng = random.Random(5)
-    for _ in range(200):
-        key = _random_key(rng)
-        lse = MplsLse(rng.randrange(1 << 20), bottom_of_stack=bool(rng.randrange(2)))
-        assert pop_mpls(push_mpls(key, lse)) == key
-
-
-def test_pop_without_label_is_flagged_noop():
+@pytest.mark.parametrize(
+    "names, depth, noops",
+    [("pop", 0, 1), ("push,pop,pop", 0, 1), ("pop,pop", 1, 1), ("push,pop", 0, 0), ("pop,push,pop", 0, 1)],
+)
+def test_pop_without_label_is_flagged_noop(names, depth, noops):
+    actions = {"push": PushMpls(MplsLse(77, bottom_of_stack=True)), "pop": PopMpls()}
     stats = {"pop_mpls_noop": 0}
-    key = FlowKey(in_port=1, ethertype=0x0800, parse_status=ParseStatus.COMPLETE)
-    disposition, new_key = apply_actions(key, (PopMpls(), Output(1)), stats)
-    assert disposition == Forwarded((1,))
-    assert new_key == key
-    assert stats["pop_mpls_noop"] == 1
-
-
-def test_push_then_output_disposition():
-    key = FlowKey(in_port=1, ethertype=0x0800, parse_status=ParseStatus.COMPLETE)
-    disposition, new_key = apply_actions(key, (PushMpls(MplsLse(77, bottom_of_stack=True)), Output(4)), {})
-    assert disposition == Forwarded((4,))
-    assert new_key.mpls_top.label == 77
-    assert new_key.ethertype == 0x8847
+    key = FlowKey(in_port=1, ethertype=0x8847 if depth else 0x0800,
+                  mpls_labels=(MplsLse(16, bottom_of_stack=True),) * depth, mpls_depth_seen=depth,
+                  parse_status=ParseStatus.MPLS_TERMINATED if depth else ParseStatus.COMPLETE)
+    walk = tuple(actions[name] for name in names.split(",")) + (Output(1),)
+    apply_actions(key, walk, stats)
+    assert stats["pop_mpls_noop"] == noops
+    assert disposition_of(walk) == Forwarded((1,))
 
 
 # --- dump_state -----------------------------------------------------------------

@@ -120,15 +120,6 @@ def test_encode_frame_inconsistent_layering():
         encode_frame(EthernetHeader(MAC_B, MAC_A, 0x0800), [ip, MplsLse(1)])
 
 
-def test_ipv4_well_formed_predicate():
-    good = Ipv4Header(total_length=20, protocol=17, src_ip=1, dst_ip=2)
-    assert good.well_formed
-    assert not Ipv4Header(total_length=0, protocol=17, src_ip=1, dst_ip=2).well_formed
-    assert not Ipv4Header(total_length=19, protocol=17, src_ip=1, dst_ip=2).well_formed
-    assert not Ipv4Header(total_length=20, protocol=17, src_ip=1, dst_ip=2, version=6).well_formed
-    assert not Ipv4Header(total_length=20, protocol=17, src_ip=1, dst_ip=2, ihl=4).well_formed
-
-
 def test_ipv4_encode_layout():
     ip = Ipv4Header(
         total_length=28,
@@ -138,7 +129,7 @@ def test_ipv4_encode_layout():
     )
     raw = ip.encode()
     assert raw == bytes.fromhex("45000 01c 0000 0000 40 11 0000 0a000001 0a000002".replace(" ", ""))
-    assert len(raw) == ip.header_len
+    assert len(raw) == 4 * ip.ihl
 
 
 def test_ipv4_options_length_checked():
