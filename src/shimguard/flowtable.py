@@ -423,7 +423,8 @@ class SwitchState:
                 return Dropped()
             key = result.key
         microflow = self.microflow
-        entry = microflow.get(key)
+        # An empty microflow (always so with caches off) is not worth hashing the key for.
+        entry = microflow.get(key) if microflow else None
         if entry is not None:
             microflow.move_to_end(key)
             entry.hits += 1

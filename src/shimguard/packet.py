@@ -35,6 +35,11 @@ class InconsistentLayering(ValueError):
 class TextEnum(Enum):
     """An enum whose members print as their value, the name files and flags use."""
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash agrees with ==; Enum's own __hash__ runs in Python on every hash
+    # of a member, a FlowKey or a dict key.
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -60,11 +65,6 @@ class ParseStatus(TextEnum):
     L2_ONLY = "L2Only"
     MPLS_TERMINATED = "MplsTerminated"
     MALFORMED = "Malformed"
-
-    # Members are singletons compared by identity, so the C-level identity
-    # hash agrees with ==; Enum's own __hash__ runs in Python on every
-    # FlowKey hash.
-    __hash__ = object.__hash__
 
 
 def parse_status(name: str) -> ParseStatus:

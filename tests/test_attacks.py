@@ -1,7 +1,11 @@
+import hashlib
+import itertools
 import random
+import struct
 
 import pytest
 
+import shimguard.attacks as attacks
 from shimguard.attacks import (
     AttackKind,
     AttackSpec,
@@ -21,13 +25,14 @@ from shimguard.extract import (
     VULN_240,
     VULN_250,
     CorruptionKind,
+    ParserMode,
     Verdict,
     VulnClass,
     classify_events,
     extract,
 )
 from shimguard.flowtable import Dropped, Forwarded, SwitchState, load_rules
-from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, RawFrame, encode_frame
+from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, ParseStatus, RawFrame, encode_frame
 from shimguard.pcap import SNAPLEN
 
 
@@ -304,6 +309,70 @@ def test_minimize_preserves_class_label():
         small = minimize(frame, cls, (HARDENED, profile))
         assert small.capture_len <= frame.capture_len
         assert classify_events(extract(small, 0, profile).events) is cls
+
+
+def _udp(sport, dport):
+    eth = EthernetHeader(bytes.fromhex("020000000002"), bytes.fromhex("020000000001"), 0x0800)
+    ip = Ipv4Header(total_length=28, protocol=17, src_ip=0x0A000001, dst_ip=0x0A000002)
+    return encode_frame(eth, [ip], payload=struct.pack(">HHHH", sport, dport, 8, 0))
+
+
+@pytest.mark.parametrize("skew_hardened", [False, True], ids=["vulnerable", "hardened"])
+def test_equivalence_violation_still_detected(monkeypatch, skew_hardened):
+    """The key comparison is live: profiles that skew COMPLETE keys, and fire nothing, are caught."""
+    real = attacks.extract
+
+    def skewed(frame, in_port, profile, adjacent=None):
+        result = real(frame, in_port, profile, adjacent)
+        if result.key.parse_status is ParseStatus.COMPLETE and (profile.mode is ParserMode.HARDENED) == skew_hardened:
+            return result._replace(key=result.key._replace(ip_ttl=result.key.ip_ttl ^ 1))
+        return result
+
+    corpus = [_udp(53, 1024), _udp(1234, 80)]
+    budget = MutationBudget(iterations=500, seed=11)
+    complete = sum(
+        real(frame, 0, HARDENED).key.parse_status is ParseStatus.COMPLETE for frame in [*corpus, *mutate(corpus, budget)]
+    )
+    monkeypatch.setattr(attacks, "extract", skewed)
+    report = diff_fuzz(corpus, budget, ALL_PROFILES)
+    assert report.equivalence_violations == complete > 0
+    assert report.violation_exemplar is not None
+    assert real(report.violation_exemplar, 0, HARDENED).key.parse_status is ParseStatus.COMPLETE
+    assert report.has_failures
+
+
+def _c6_corpus():
+    mpls_ok = encode_frame(
+        EthernetHeader(bytes.fromhex("020000000002"), bytes.fromhex("020000000001"), 0x8847),
+        [MplsLse(16), MplsLse(17, bottom_of_stack=True)],
+    )
+    return [craft(AttackSpec(kind)) for kind in AttackKind] + [_udp(53, 1024), mpls_ok]
+
+
+# sha256 of to_text() and the exemplar octets, per mutation seed.
+_PINNED_FUZZ = {
+    1: "285977136f20e969d7b39fad57912b305d51838408b6564b07a89c8c4f6b4002",
+    2: "ee49dea9db232dbab2499f1429a8912c93cf605b54620ef6d6812830970b0c90",
+    3: "d732eec6666bc2940f10d2ef100638f94ad8b890e6a53b652f3763199e5f42ba",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_FUZZ))
+def test_fuzz_report_and_exemplars_pinned(seed):
+    report = diff_fuzz(_c6_corpus(), MutationBudget(iterations=2000, seed=seed), ALL_PROFILES)
+    h = hashlib.sha256(report.to_text().encode())
+    for frame in report.exemplar_frames():
+        h.update(frame.data)
+    assert h.hexdigest() == _PINNED_FUZZ[seed]
+
+
+def test_minimize_independent_of_profile_order():
+    frames = [craft(AttackSpec(kind)) for kind in AttackKind]
+    frames.append(RawFrame.of(frames[0].data[:203]))  # truncated long shim: trips v232 and v240
+    for frame in frames:
+        for cls in (VulnClass.LONG_STACK_232, VulnClass.SHORT_LSE_240, VulnClass.IP_UNDERFLOW_250):
+            results = {minimize(frame, cls, order).data for order in itertools.permutations(ALL_PROFILES)}
+            assert len(results) == 1, (frame.capture_len, cls)
 
 
 def test_report_text_format():

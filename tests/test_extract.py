@@ -3,7 +3,7 @@ import struct
 
 import pytest
 
-from shimguard.attacks import AttackKind, AttackSpec, craft
+from shimguard.attacks import AttackKind, AttackSpec, MutationBudget, craft, mutate
 from shimguard.extract import (
     ALL_PROFILES,
     HARDENED,
@@ -372,6 +372,29 @@ def test_complete_key_depends_only_on_its_signature():
             assert extract(other, 1, profile, regions[0]).key == results[0].key, frame.data.hex()
     assert 200 < complete < len(frames) and tails > 100
     assert key_signature(bytes(33), 1) is None and key_signature(bytes(34), 1) is not None
+
+
+def test_profiles_of_one_label_limit_agree_where_hardened_accepts():
+    """What lets diff_fuzz parse a hardened-accepted frame once for all vulnerable profiles of a label limit."""
+    rng = random.Random(1618)
+    frames = [_random_frame(rng) for _ in range(2000)]
+    seeds = [craft(AttackSpec(kind)) for kind in AttackKind] + [udp_frame()]
+    frames += mutate(seeds, MutationBudget(iterations=2000, seed=5))
+    region = random.Random(3).randbytes(64)
+    accepted = 0
+    for frame in frames:
+        for adjacent in (None, region):
+            # ParserMode lists HARDENED first.
+            by_limit = [
+                [extract(frame, 1, ParserProfile(mode, limit), adjacent) for mode in ParserMode] for limit in (1, 3, 7)
+            ]
+            if any(results[0].key.parse_status is ParseStatus.MALFORMED for results in by_limit):
+                continue
+            accepted += 1
+            for results in by_limit:
+                assert results[0].events == (), frame.data.hex()
+                assert all(result == results[0] for result in results[1:]), frame.data.hex()
+    assert 1000 < accepted < 2 * len(frames)
 
 
 def test_verdict_drops_exactly_malformed_frames_without_events():

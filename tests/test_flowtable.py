@@ -1,5 +1,6 @@
 import random
 import struct
+from collections import OrderedDict
 
 import pytest
 
@@ -218,6 +219,19 @@ def test_megaflow_disabled_every_packet_is_slow_path():
     assert state.stats["slow_path_upcalls"] == 1000
     assert state.stats["fast_path_hits"] == 0
     assert len(state.microflow) == 0 and state.megaflow_entry_count() == 0
+
+
+def test_caches_off_never_probes_the_empty_microflow():
+    class Unprobed(OrderedDict):
+        def get(self, key, default=None):
+            raise AssertionError("microflow probed")
+
+    state = SwitchState(load_rules("priority=1, actions=output:2"), megaflow_enabled=False)
+    state.microflow = Unprobed()
+    rng = random.Random(5)
+    for _ in range(100):
+        assert state.process(udp_frame(rng.randrange(1, 65535), rng.randrange(1, 65535)), 1, HARDENED) == Forwarded((2,))
+    assert state.stats["slow_path_upcalls"] == 100
 
 
 def test_microflow_lru_eviction_keeps_megaflow():
