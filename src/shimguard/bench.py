@@ -9,7 +9,9 @@ only the samples after a warmup prefix.
 Offered load is modeled with a virtual arrival clock against measured
 per-packet service times through a bounded single-server queue: packet i
 arrives at i/rate; it is lost if the queue is full at that instant, otherwise
-it is processed and its real service time extends the server's busy period.
+its real service time extends the server's busy period. A sweep times one
+pass of the largest offered count and feeds it, in arrival order, to every
+rate's queue in lockstep, so a packet some rates lose is still processed once.
 All timestamps come from one clock on the pipeline side. Absolute numbers are
 machine-specific; only orderings (fast <= slow) are contractual.
 """
@@ -26,10 +28,10 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .extract import HARDENED
-from .flowtable import Forwarded, SwitchState, load_rules
+from .flowtable import Disposition, Forwarded, SwitchState, load_rules
 from .packet import EthernetHeader, Ipv4Header, RawFrame, TextEnum, encode_frame, enum_by_value
 
 DEFAULT_RATES = tuple(range(10_000, 100_001, 10_000))
@@ -37,6 +39,7 @@ DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
 MIN_FRAME = 44  # eth 14 + ipv4 20 + udp 8 + 2 octets of payload
 MAX_FRAME = 14 + 0xFFFF  # eth 14 + the largest IPv4 total length
 QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
+CHUNK = 8192  # packets a sweep times before replaying them through the queues; also the pool size cap
 MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # a pause time.sleep is known to accept
 MAX_OFFERED = 10**9  # packets one rate may offer; the full-scale run offers at most 100 000 pps x 120 s
 
@@ -63,11 +66,11 @@ def _check_latency_plan(count: int, warmup: int, sizes: tuple[int, ...]) -> None
 class BenchConfig:
     path_mode: PathMode
     rates_pps: tuple[int, ...] = DEFAULT_RATES
-    duration_s: float = 120.0
+    duration_s: float = 5.0  # desk-scaled; 120 reproduces the full run
     packet_sizes: tuple[int, ...] = DEFAULT_SIZES
     latency_count: int = 10_500
     warmup_drop: int = 500
-    interval_ms: float = 100.0
+    interval_ms: float = 0.0  # desk-scaled; 100 reproduces the full run
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -81,7 +84,7 @@ class BenchConfig:
         for rate in self.rates_pps:
             # An int rate past the float range cannot be multiplied by a float; it offers too many packets.
             offered = rate * self.duration_s if rate <= sys.float_info.max else math.inf
-            # int(offered), the count run_throughput sends, is at most MAX_OFFERED.
+            # int(offered), the count run_throughput offers, is at most MAX_OFFERED.
             if rate < 0 or (rate and not 1 <= offered < MAX_OFFERED + 1):
                 raise ValueError(
                     f"rate {rate} pps must be 0 or offer 1..{MAX_OFFERED} packets in {self.duration_s:g} s"
@@ -112,7 +115,6 @@ class BenchResult:
     mode: PathMode
     rates: list[RateSample] = field(default_factory=list)
     sizes: list[SizeSample] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
 
 # Rule set the benchmark state runs: a few specific rules ahead of a
@@ -158,73 +160,71 @@ def _frame_pool(mode: PathMode, size: int, count: int, rng: random.Random) -> li
 
 @contextmanager
 def _gc_paused():
-    """Collect once, then keep the cyclic collector off for the timed block."""
-    gc_was_enabled = gc.isenabled()
+    """Collect once, then keep the cyclic collector off for the timed block; inside an outer pause, do nothing."""
+    if not gc.isenabled():
+        yield
+        return
     gc.collect()
     gc.disable()
     try:
         yield
     finally:
-        if gc_was_enabled:
-            gc.enable()
+        gc.enable()
+
+
+class RateQueue:
+    """One offered rate's bounded single-server FIFO, fed measured packets in arrival order.
+
+    Packet i arrives at i/rate. It is lost if QUEUE_CAPACITY packets are in the
+    queue at that instant; otherwise it starts when the server is free (the
+    last queued completion, or its arrival) and its service time extends the
+    busy period. Packets past the offered count are not fed.
+    """
+
+    def __init__(self, rate_pps: int, offered: int) -> None:
+        self.rate_pps = rate_pps
+        self.offered = offered
+        self.fed = 0
+        self.forwarded = 0
+        self.queue_lost = 0
+        self._completions: deque[float] = deque()
+
+    def feed(self, services: list[float], dispositions: list[Disposition]) -> None:
+        """Offer the next packets: their service times in seconds and what the switch did with each."""
+        period = 1.0 / self.rate_pps
+        completions = self._completions
+        first = self.fed
+        count = min(len(services), self.offered - first)
+        for i in range(count):
+            arrival = (first + i) * period
+            while completions and completions[0] <= arrival:
+                completions.popleft()
+            if len(completions) >= QUEUE_CAPACITY:
+                self.queue_lost += 1
+                continue
+            completions.append((completions[-1] if completions else arrival) + services[i])
+            if isinstance(dispositions[i], Forwarded):
+                self.forwarded += 1
+        self.fed = first + count
+
+    def sample(self) -> RateSample:
+        table_dropped = self.fed - self.queue_lost - self.forwarded
+        return RateSample(self.rate_pps, self.offered, self.forwarded, self.queue_lost, table_dropped,
+                          self.queue_lost / self.offered)
 
 
 def run_throughput(config: BenchConfig) -> BenchResult:
     """Sweep the offered rates on a new switch of the config's mode; report forwarded counts and loss per rate."""
     state = build_bench_state(config.path_mode)
-    rng = random.Random(config.seed)
-    result = BenchResult(mode=config.path_mode)
-    perf = time.perf_counter
-    profile = HARDENED
-    for rate in config.rates_pps:
-        total = int(rate * config.duration_s)
-        if total <= 0:
-            continue
-        pool = _frame_pool(config.path_mode, 60, min(total, 8192), rng)
-        n_pool = len(pool)
-        period = 1.0 / rate
-        capacity = QUEUE_CAPACITY
-        completions: deque[float] = deque()
-        busy_until = 0.0
-        forwarded = 0
-        queue_lost = 0
-        table_dropped = 0
-        with _gc_paused():
-            wall_start = perf()
-            for i in range(total):
-                arrival = i * period
-                while completions and completions[0] <= arrival:
-                    completions.popleft()
-                if len(completions) >= capacity:
-                    queue_lost += 1
-                    continue
-                t0 = perf()
-                disposition = state.process(pool[i % n_pool], 1, profile)
-                service = perf() - t0
-                start = arrival if arrival > busy_until else busy_until
-                busy_until = start + service
-                completions.append(busy_until)
-                if isinstance(disposition, Forwarded):
-                    forwarded += 1
-                else:
-                    table_dropped += 1
-            wall = perf() - wall_start
-        if wall > config.duration_s:
-            result.warnings.append(
-                f"rate {rate} pps unachievable: {total} packets took {wall:.2f}s wall "
-                f"of a {config.duration_s:.2f}s window"
-            )
-        result.rates.append(
-            RateSample(
-                rate_pps=rate,
-                offered=total,
-                forwarded=forwarded,
-                queue_lost=queue_lost,
-                table_dropped=table_dropped,
-                loss_fraction=queue_lost / total,
-            )
-        )
-    return result
+    queues = [RateQueue(rate, int(rate * config.duration_s)) for rate in config.rates_pps if rate]
+    total = max((queue.offered for queue in queues), default=0)
+    pool = _frame_pool(config.path_mode, 60, min(total, CHUNK), random.Random(config.seed))
+    with _gc_paused():
+        for start in range(0, total, CHUNK):
+            ((services, dispositions),) = _sample([(state, pool)], range(start, min(start + CHUNK, total)), 0.0)
+            for queue in queues:
+                queue.feed(services, dispositions)
+    return BenchResult(mode=config.path_mode, rates=[queue.sample() for queue in queues])
 
 
 def _nearest_rank(sorted_values: list[float], quantile: float) -> float:
@@ -233,16 +233,13 @@ def _nearest_rank(sorted_values: list[float], quantile: float) -> float:
 
 
 def _summarize(size: int, samples_s: list[float]) -> SizeSample:
-    kept = sorted(s * 1e6 for s in samples_s)
-    # Variance over the samples at or below p99: a single scheduler
-    # preemption (milliseconds among microsecond samples) would otherwise
-    # dominate the statistic for an in-process pipeline.
-    trimmed = kept[: max(1, math.ceil(0.99 * len(kept)))]
+    samples_us = [s * 1e6 for s in samples_s]
+    kept = sorted(samples_us)
     return SizeSample(
         size_b=size,
         median_us=statistics.median(kept),
         p95_us=_nearest_rank(kept, 0.95),
-        variance_us2=statistics.pvariance(trimmed) if len(trimmed) > 1 else 0.0,
+        variance_us2=_block_median_variance(samples_us),
         samples=len(kept),
     )
 
@@ -263,22 +260,25 @@ def _block_median_variance(samples_us: list[float], blocks: int = 10) -> float:
     return statistics.median(variances) if variances else 0.0
 
 
-def _sample(runs: list[tuple[SwitchState, list[RawFrame]]], count: int, pause: float) -> list[list[float]]:
+def _sample(
+    runs: list[tuple[SwitchState, list[RawFrame]]], rounds: range, pause: float
+) -> list[tuple[list[float], list[Disposition]]]:
     """Per round, time one process() call of each (state, frame pool) run, in order.
 
-    Returns each run's service times in seconds, in round order; round i
-    sends frame i of the pool, cycling.
+    Returns each run's service times in seconds and dispositions, in round
+    order; round i sends frame i of the pool, cycling.
     """
     perf = time.perf_counter
     profile = HARDENED
-    samples: list[list[float]] = [[] for _ in runs]
+    samples: list[tuple[list[float], list[Disposition]]] = [([], []) for _ in runs]
     with _gc_paused():
-        for i in range(count):
-            for (state, pool), times in zip(runs, samples):
+        for i in rounds:
+            for (state, pool), (times, dispositions) in zip(runs, samples):
                 frame = pool[i % len(pool)]
                 t0 = perf()
-                state.process(frame, 1, profile)
+                disposition = state.process(frame, 1, profile)
                 times.append(perf() - t0)
+                dispositions.append(disposition)
             if pause > 0:
                 time.sleep(pause)
     return samples
@@ -295,21 +295,14 @@ def compare_latency(
     The two modes are sampled in strict alternation inside one loop so both
     distributions see the same machine noise; that keeps the slow-vs-fast
     comparison meaningful even when the host's speed drifts between runs.
-    The variance_us2 fields carry the block-median variance for the same
-    reason; medians and p95 come from the full post-warmup sample sets.
     """
     _check_latency_plan(count, warmup, sizes)
     rng = random.Random(seed)
     states = {mode: build_bench_state(mode) for mode in (PathMode.ALL_SLOW_PATH, PathMode.ALL_FAST_PATH)}
     pairs = []
     for size in sizes:
-        runs = [(state, _frame_pool(mode, size, min(count, 8192), rng)) for mode, state in states.items()]
-        summaries = []
-        for samples in _sample(runs, count, 0.0):
-            kept = samples[warmup:]
-            block_variance = _block_median_variance([s * 1e6 for s in kept])
-            summaries.append(replace(_summarize(size, kept), variance_us2=block_variance))
-        pairs.append(tuple(summaries))
+        runs = [(state, _frame_pool(mode, size, min(count, CHUNK), rng)) for mode, state in states.items()]
+        pairs.append(tuple(_summarize(size, times[warmup:]) for times, _ in _sample(runs, range(count), 0.0)))
     return pairs
 
 
@@ -319,9 +312,9 @@ def run_latency(config: BenchConfig) -> BenchResult:
     rng = random.Random(config.seed)
     result = BenchResult(mode=config.path_mode)
     for size in config.packet_sizes:
-        pool = _frame_pool(config.path_mode, size, min(config.latency_count, 8192), rng)
-        (samples,) = _sample([(state, pool)], config.latency_count, config.interval_ms / 1000.0)
-        result.sizes.append(_summarize(size, samples[config.warmup_drop :]))
+        pool = _frame_pool(config.path_mode, size, min(config.latency_count, CHUNK), rng)
+        ((times, _),) = _sample([(state, pool)], range(config.latency_count), config.interval_ms / 1000.0)
+        result.sizes.append(_summarize(size, times[config.warmup_drop :]))
     return result
 
 

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", required=True, choices=list(map(str, bench.PathMode)))
     p_bench.add_argument("--rates", default=",".join(str(r) for r in bench.DEFAULT_RATES),
                          help="comma-separated offered rates in pps")
-    p_bench.add_argument("--duration", type=float, default=5.0,
+    p_bench.add_argument("--duration", type=float, default=bench.BenchConfig.duration_s,
                          help="seconds per rate (desk-scaled; 120 reproduces the full run)")
     p_bench.add_argument("--sizes", default=",".join(str(s) for s in bench.DEFAULT_SIZES),
                          help="comma-separated frame sizes for the latency run")
@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="latency frames per size")
     p_bench.add_argument("--warmup", type=int, default=bench.BenchConfig.warmup_drop,
                          help="latency samples to discard")
-    p_bench.add_argument("--interval-ms", type=float, default=0.0,
+    p_bench.add_argument("--interval-ms", type=float, default=bench.BenchConfig.interval_ms,
                          help="latency inter-frame spacing (desk-scaled; 100 reproduces the full run)")
     p_bench.add_argument("--csv", metavar="FILE", help="write both CSV tables here")
     return parser
@@ -235,10 +235,7 @@ def _cmd_bench(args, seed: int) -> int:
     )
     outputs = []
     if rates:
-        result = bench.run_throughput(config)
-        outputs.append(bench.throughput_csv(result))
-        for warning in result.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+        outputs.append(bench.throughput_csv(bench.run_throughput(config)))
     if sizes:
         result = bench.run_latency(config)
         outputs.append(bench.latency_csv(result))

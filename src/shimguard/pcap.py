@@ -29,6 +29,10 @@ class TruncatedRecord(PcapError):
     """File ends mid-header or mid-record, or a record contradicts itself."""
 
 
+class UnsupportedFormat(PcapError):
+    """Global header names a major version other than 2 or a link type other than Ethernet."""
+
+
 def global_header() -> bytes:
     return _GLOBAL.pack(PCAP_MAGIC, VERSION_MAJOR, VERSION_MINOR, 0, 0, SNAPLEN, LINKTYPE_ETHERNET)
 
@@ -46,9 +50,12 @@ def read_pcap(path: str | Path) -> list[RawFrame]:
         blob = fh.read()
     if len(blob) < _GLOBAL.size:
         raise TruncatedRecord(f"{path}: {len(blob)} octets is shorter than a pcap global header")
-    magic = int.from_bytes(blob[:4], "little")
+    magic, major, minor, _, _, _, linktype = _GLOBAL.unpack_from(blob)
     if magic != PCAP_MAGIC:
         raise BadMagic(f"{path}: magic 0x{magic:08x}, expected 0x{PCAP_MAGIC:08x} little-endian")
+    if major != VERSION_MAJOR or linktype != LINKTYPE_ETHERNET:
+        raise UnsupportedFormat(f"{path}: version {major}.{minor}, linktype {linktype}; "
+                                f"expected version {VERSION_MAJOR}.x, linktype {LINKTYPE_ETHERNET} (Ethernet)")
     frames: list[RawFrame] = []
     offset = _GLOBAL.size
     while offset < len(blob):

@@ -1,5 +1,7 @@
 import math
+import random
 import re
+from collections import deque
 
 import pytest
 
@@ -9,6 +11,7 @@ from shimguard.bench import (
     THROUGHPUT_CSV_HEADER,
     BenchConfig,
     PathMode,
+    RateQueue,
     build_bench_state,
     compare_latency,
     latency_csv,
@@ -18,6 +21,7 @@ from shimguard.bench import (
     throughput_csv,
 )
 from shimguard.extract import HARDENED, extract
+from shimguard.flowtable import Dropped, Forwarded
 from shimguard.packet import ParseStatus
 
 
@@ -77,6 +81,58 @@ def test_fast_path_mostly_cache_hits(built_states):
     assert state.stats["slow_path_upcalls"] == 1
     assert state.stats["fast_path_hits"] == sample.offered - sample.queue_lost - 1
     assert sample.loss_fraction == 0.0
+
+
+@pytest.mark.parametrize("mode", list(PathMode))
+def test_sweep_processes_the_largest_offered_count_once(built_states, mode):
+    result = run_throughput(_config(mode))
+    (state,) = built_states
+    assert [sample.offered for sample in result.rates] == [500, 2500]
+    assert state.stats["processed"] == 2500
+
+
+def _reference_queue(rate, offered, services, dispositions):
+    """Per-packet bounded FIFO: packet i arrives at i/rate, is lost on a full queue, else extends the busy period."""
+    period = 1.0 / rate
+    completions = deque()
+    busy_until = 0.0
+    forwarded = queue_lost = table_dropped = 0
+    for i in range(offered):
+        arrival = i * period
+        while completions and completions[0] <= arrival:
+            completions.popleft()
+        if len(completions) >= bench.QUEUE_CAPACITY:
+            queue_lost += 1
+            continue
+        start = arrival if arrival > busy_until else busy_until
+        busy_until = start + services[i]
+        completions.append(busy_until)
+        if isinstance(dispositions[i], Forwarded):
+            forwarded += 1
+        else:
+            table_dropped += 1
+    return offered, forwarded, queue_lost, table_dropped
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8192])
+def test_rate_queue_matches_per_packet_recurrence(chunk):
+    rng = random.Random(11)
+    # Multiples of 2**-20 s (4.8..38 us, mean 21 us) against power-of-two rates make arrivals and
+    # completions meet exactly, so a packet arriving as another completes is exercised.
+    services = [rng.randint(5, 40) * 2.0**-20 for _ in range(20_000)]
+    dispositions = [Forwarded((2,)) if rng.random() < 0.9 else Dropped() for _ in services]
+    # 131 072 pps overloads the server (7.6 us between arrivals) until the queue fills;
+    # the shorter runs stop partway through the fed sequence.
+    for rate, offered in ((131_072, 20_000), (65_536, 12_345), (10_000, 3001)):
+        queue = RateQueue(rate, offered)
+        for start in range(0, len(services), chunk):
+            queue.feed(services[start : start + chunk], dispositions[start : start + chunk])
+        sample = queue.sample()
+        expected = _reference_queue(rate, offered, services, dispositions)
+        assert (sample.offered, sample.forwarded, sample.queue_lost, sample.table_dropped) == expected
+        assert sample.loss_fraction == sample.queue_lost / offered
+        if rate == 131_072:
+            assert sample.queue_lost > 1000
 
 
 def test_zero_rate_produces_no_record():

@@ -1,4 +1,5 @@
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
-from shimguard.packet import EthernetHeader, RawFrame, encode_frame
+from shimguard.packet import EthernetHeader, Ipv4Header, RawFrame, encode_frame
 from shimguard.pcap import read_pcap, write_pcap
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "shimguard"
@@ -187,6 +188,22 @@ def test_bench_csv_output(tmp_path, capsys):
     assert "mode,rate_pps,offered,forwarded,loss_fraction" in text
     assert "mode,size_b,median_us,p95_us,variance_us2" in text
     assert "\nfast,10000," in text
+
+
+def test_extract_raw_ipv4_capture_exits_2(tmp_path, capsys):
+    # An IPv4/UDP packet under linktype 101 (raw IPv4) must not be parsed as an Ethernet frame.
+    eth = EthernetHeader(bytes.fromhex("020000000002"), bytes.fromhex("020000000001"), 0x0800)
+    frame = encode_frame(eth, [Ipv4Header(total_length=28, protocol=17, src_ip=1, dst_ip=2)],
+                         payload=struct.pack(">HHHH", 53, 1024, 8, 0))
+    path = tmp_path / "raw.pcap"
+    write_pcap(path, [RawFrame.of(frame.data[14:])])
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 20, 101)
+    path.write_bytes(bytes(blob))
+    code, stdout, err = run(capsys, "extract", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "linktype 101" in err and err.count("\n") == 1
 
 
 def test_usage_errors_exit_2(capsys):

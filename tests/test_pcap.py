@@ -1,9 +1,10 @@
+import re
 import struct
 
 import pytest
 
 from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, RawFrame, encode_frame
-from shimguard.pcap import BadMagic, TruncatedRecord, global_header, read_pcap, write_pcap
+from shimguard.pcap import BadMagic, TruncatedRecord, UnsupportedFormat, global_header, read_pcap, write_pcap
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -57,6 +58,22 @@ def test_bad_magic(tmp_path):
     path = tmp_path / "bad.pcap"
     path.write_bytes(b"\x0a\x0d\x0d\x0a" + b"\x00" * 20)
     with pytest.raises(BadMagic):
+        read_pcap(path)
+
+
+@pytest.mark.parametrize(
+    "major, minor, linktype, message",
+    [(2, 4, 101, "version 2.4, linktype 101;"), (9, 9, 1, "version 9.9, linktype 1;")],
+    ids=["raw-ipv4-linktype", "version-9.9"],
+)
+def test_unsupported_global_header(tmp_path, major, minor, linktype, message):
+    path = tmp_path / "other.pcap"
+    write_pcap(path, [RawFrame.of(b"\x45" + bytes(27))])
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<HH", blob, 4, major, minor)
+    struct.pack_into("<I", blob, 20, linktype)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(UnsupportedFormat, match=re.escape(message)):
         read_pcap(path)
 
 
