@@ -22,6 +22,17 @@ accepts (COMPLETE, MPLS_TERMINATED or L2_ONLY), every profile of one label
 limit runs the same code and returns an equal ExtractionResult; diff_fuzz
 relies on this to parse such a frame once for all its vulnerable profiles of
 that limit.
+
+An option-less IPv4 frame takes a shortcut ahead of the walk: one unpack of
+its first 38 octets (Ethernet, the IPv4 fields, the L4 ports) yields the whole
+key when the ethertype is IPv4, version/IHL is 0x45 and 20 <= total length
+<= the octets past Ethernet. No trigger can fire on such a frame: v232 and
+v240 need an MPLS ethertype, and v250 a total length below the 20-octet
+header. So the walk would return the same COMPLETE key, no events, Accept and
+zero accounting under every profile, label limit and ``adjacent``, which is
+what the shortcut returns. The 38 octets it reads are ``key_signature``'s
+IHL-5 prefix, and the frame length its bound, so the memo stays exact. Every
+other frame (IHL > 5, short, non-IPv4, every trigger) takes the walk.
 """
 
 from __future__ import annotations
@@ -58,7 +69,12 @@ _ETHERNET = struct.Struct(">6s6sH")  # eth_dst, eth_src, ethertype
 # identification, fragment and checksum fields are skipped.
 _IPV4_FIELDS = struct.Struct(">BBH4xBB2xII")
 _PORTS = struct.Struct(">HH")
+# An option-less IPv4 frame through its L4 ports: the Ethernet fields, then
+# _IPV4_FIELDS at offset 14, then _PORTS at offset 34.
+_IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
+_IPV4_FRAME_LEN = _IPV4_FRAME.size
 _NO_IP = (None,) * 7
+_L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
 # The default adjacent region, shared by every call; bytes are immutable.
 _ZERO_REGION = bytes(DEFAULT_ADJACENT_LEN)
@@ -216,6 +232,25 @@ def extract(
     elif not adjacent:
         raise ValueError("adjacent must be non-empty")
 
+    size = len(data)
+    if size >= _IPV4_FRAME_LEN:
+        (eth_dst, eth_src, ethertype, version_ihl, tos, total_length,
+         ttl, proto, ip_src, ip_dst, l4_src, l4_dst) = _IPV4_FRAME.unpack_from(data)
+        if (ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45
+                and IPV4_MIN_HEADER_LEN <= total_length <= size - ETHERNET_HEADER_LEN):
+            if total_length < IPV4_MIN_HEADER_LEN + 4 or proto not in _L4_PROTOS:
+                l4_src = l4_dst = None
+            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, (), 0, ip_src, ip_dst,
+                                       proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
+            # A fresh accounting tuple per call: caching one per label limit
+            # read faster but raised fwd-churn's peak RSS.
+            memory = _tuple_new(BufferAccounting, (profile.label_limit, 0, 0, 0))
+            return _tuple_new(ExtractionResult, (key, (), _ACCEPT, memory))
+    return _walk(data, in_port, profile, adjacent)
+
+
+def _walk(data, in_port, profile, adjacent):
+    """The general walk: every frame the option-less IPv4 shortcut does not take."""
     events = labels = ()
     ip = _NO_IP
     depth = written = read = 0
@@ -302,7 +337,7 @@ def _extract_ipv4(data, profile, adjacent):
         # adjacent region.
         l4_src = l4_dst = None
         missing = 0
-        if proto in (IPPROTO_TCP, IPPROTO_UDP):
+        if proto in _L4_PROTOS:
             raw = data[l4_off : l4_off + 4]
             missing = 4 - len(raw)
             l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, missing))
@@ -314,7 +349,7 @@ def _extract_ipv4(data, profile, adjacent):
         return _MALFORMED, _NO_IP, (), 0
 
     l4_src = l4_dst = None
-    if proto in (IPPROTO_TCP, IPPROTO_UDP) and header_len + 4 <= total_length:
+    if proto in _L4_PROTOS and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
     return _COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0
 
@@ -322,10 +357,11 @@ def _extract_ipv4(data, profile, adjacent):
 def key_signature(data: bytes, in_port: int) -> tuple | None:
     """Every input a COMPLETE flow key is read from; None for a frame too short to parse COMPLETE.
 
-    Only ``_extract_ipv4`` returns COMPLETE, and under any profile or
-    ``adjacent`` it reads just the port, the frame length and the octets up
-    to ``14 + 4*IHL + 4`` (Ethernet, the IPv4 header, the L4 ports), never
-    the payload. Widen the signature whenever ``_extract_ipv4`` reads more.
+    Only ``_extract_ipv4`` and extract's option-less IPv4 step return
+    COMPLETE, and under any profile or ``adjacent`` they read just the port,
+    the frame length and the octets up to ``14 + 4*IHL + 4`` (Ethernet, the
+    IPv4 header, the L4 ports), never the payload. Widen the signature
+    whenever either reads more.
     """
     if len(data) < ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN:
         return None

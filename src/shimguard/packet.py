@@ -254,7 +254,7 @@ class FlowKey(NamedTuple):
 def format_mac(mac: bytes | None) -> str:
     if mac is None:
         return "-"
-    return ":".join(f"{b:02x}" for b in mac)
+    return mac.hex(":")
 
 
 def parse_mac(text: str) -> bytes:
@@ -267,7 +267,7 @@ def parse_mac(text: str) -> bytes:
 def format_ipv4(addr: int | None) -> str:
     if addr is None:
         return "-"
-    return ".".join(str((addr >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return f"{addr >> 24 & 0xFF}.{addr >> 16 & 0xFF}.{addr >> 8 & 0xFF}.{addr & 0xFF}"
 
 
 def parse_ipv4(text: str) -> int:

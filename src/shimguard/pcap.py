@@ -26,7 +26,7 @@ class BadMagic(PcapError):
 
 
 class TruncatedRecord(PcapError):
-    """File ends mid-header or mid-record, or a record contradicts itself."""
+    """File ends mid-header or mid-record, or a record contradicts itself or exceeds SNAPLEN."""
 
 
 class UnsupportedFormat(PcapError):
@@ -63,6 +63,8 @@ def read_pcap(path: str | Path) -> list[RawFrame]:
             raise TruncatedRecord(f"{path}: record header cut short at offset {offset}")
         ts_sec, ts_usec, incl_len, orig_len = _RECORD.unpack_from(blob, offset)
         offset += _RECORD.size
+        if incl_len > SNAPLEN:
+            raise TruncatedRecord(f"{path}: record at offset {offset} claims incl_len {incl_len} > snaplen {SNAPLEN}")
         if offset + incl_len > len(blob):
             raise TruncatedRecord(f"{path}: record body cut short at offset {offset}")
         if orig_len < incl_len:

@@ -206,6 +206,15 @@ def test_extract_raw_ipv4_capture_exits_2(tmp_path, capsys):
     assert err.startswith("error: ") and "linktype 101" in err and err.count("\n") == 1
 
 
+def test_extract_oversized_record_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.pcap"
+    write_pcap(path, [RawFrame.of(bytes(65536))])
+    code, stdout, err = run(capsys, "extract", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and "incl_len 65536 > snaplen 65535" in err and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["craft", "--kind", "bogus", "--out", "x.pcap"]) == 2
     capsys.readouterr()

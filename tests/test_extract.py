@@ -6,6 +6,7 @@ import pytest
 from shimguard.attacks import AttackKind, AttackSpec, MutationBudget, craft, mutate
 from shimguard.extract import (
     ALL_PROFILES,
+    DEFAULT_ADJACENT_LEN,
     HARDENED,
     VULN_232,
     VULN_240,
@@ -16,6 +17,7 @@ from shimguard.extract import (
     ParserProfile,
     Verdict,
     VulnClass,
+    _walk,
     classify_events,
     extract,
     key_signature,
@@ -395,6 +397,49 @@ def test_profiles_of_one_label_limit_agree_where_hardened_accepts():
                 assert results[0].events == (), frame.data.hex()
                 assert all(result == results[0] for result in results[1:]), frame.data.hex()
     assert 1000 < accepted < 2 * len(frames)
+
+
+def _boundary_frames():
+    """Frames on every edge of the option-less IPv4 shortcut's entry test."""
+    rng = random.Random(38)
+    frames = []
+    for size in (37, 38, 39, 60, 90):
+        for ethertype in (0x0800, 0x8847, 0x86DD):
+            for version in (4, 6):
+                for ihl in (4, 5, 6, 15):
+                    for total_length in (0, 19, 20, 23, 24, size - 14, size - 13):
+                        for proto in (1, 6, 17):
+                            data = bytearray(rng.randbytes(size))
+                            struct.pack_into(">H", data, 12, ethertype)
+                            data[14] = version << 4 | ihl
+                            struct.pack_into(">H", data, 16, total_length)
+                            data[23] = proto
+                            frames.append(RawFrame.of(bytes(data)))
+    return frames
+
+
+def _takes_shortcut(data):
+    total_length = int.from_bytes(data[16:18], "big")
+    return len(data) >= 38 and data[12:15] == b"\x08\x00\x45" and 20 <= total_length <= len(data) - 14
+
+
+def test_ipv4_shortcut_equals_the_walk():
+    """extract's one-unpack step for option-less IPv4 returns what the general walk returns."""
+    rng = random.Random(4545)
+    frames = _boundary_frames()
+    frames += [_random_frame(rng) for _ in range(2000)]
+    seeds = [craft(AttackSpec(kind)) for kind in AttackKind] + [udp_frame()]
+    frames += mutate(seeds, MutationBudget(iterations=2000, seed=12))
+    region = random.Random(3).randbytes(3)
+    profiles = [ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3, 7)]
+    shortcut = 0
+    for frame in frames:
+        shortcut += _takes_shortcut(frame.data)
+        for profile in profiles:
+            for adjacent in (None, region):
+                walked = _walk(frame.data, 2, profile, adjacent or bytes(DEFAULT_ADJACENT_LEN))
+                assert extract(frame, 2, profile, adjacent) == walked, (frame.data.hex(), profile, adjacent)
+    assert shortcut > 600 and len(frames) - shortcut > 5000
 
 
 def test_verdict_drops_exactly_malformed_frames_without_events():

@@ -7,6 +7,7 @@ from shimguard.bench import PathMode, path_mode
 from shimguard.extract import CorruptionKind, ParserMode, Verdict, VulnClass, parser_mode
 from shimguard.packet import (
     EthernetHeader,
+    FlowKey,
     InconsistentLayering,
     Ipv4Header,
     MplsLse,
@@ -137,6 +138,62 @@ def test_ipv4_options_length_checked():
         Ipv4Header(total_length=24, protocol=6, src_ip=0, dst_ip=0, ihl=6)
     with_opts = Ipv4Header(total_length=24, protocol=6, src_ip=0, dst_ip=0, ihl=6, options=b"\x01\x02\x03\x04")
     assert len(with_opts.encode()) == 24
+
+
+def _old_describe(key):
+    """FlowKey.describe as it rendered MACs and IPv4 addresses with per-octet joins."""
+
+    def mac(m):
+        return "-" if m is None else ":".join(f"{b:02x}" for b in m)
+
+    def ip(a):
+        return "-" if a is None else ".".join(str((a >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+
+    parts = [f"in_port={key.in_port}"]
+    if key.eth_src is not None:
+        parts.append(f"eth={mac(key.eth_src)}>{mac(key.eth_dst)}")
+    if key.ethertype is not None:
+        parts.append(f"eth_type=0x{key.ethertype:04x}")
+    top = key.mpls_top
+    if top is not None:
+        parts.append(f"mpls=[label={top.label} exp={top.exp} s={int(top.bottom_of_stack)} ttl={top.ttl}]")
+    if key.mpls_depth_seen:
+        parts.append(f"mpls_depth={key.mpls_depth_seen}")
+    if key.ip_src is not None:
+        parts.append(f"ip={ip(key.ip_src)}>{ip(key.ip_dst)}")
+    if key.ip_proto is not None:
+        parts.append(f"proto={key.ip_proto}")
+    if key.l4_src is not None:
+        parts.append(f"l4={key.l4_src}>{key.l4_dst}")
+    parts.append(f"status={key.parse_status}")
+    return " ".join(parts), [mac(key.eth_src), mac(key.eth_dst), ip(key.ip_src), ip(key.ip_dst)]
+
+
+def test_describe_renders_as_per_octet_joins():
+    rng = random.Random(606)
+
+    def maybe(value):
+        return None if rng.random() < 0.25 else value
+
+    edges = (0, 0xFFFFFFFF, 0x0A000001, 0x7F000001)
+    for _ in range(1000):
+        key = FlowKey(
+            in_port=rng.randrange(1 << 32),
+            eth_src=maybe(rng.randbytes(6)),
+            eth_dst=maybe(rng.choice((bytes(6), b"\xff" * 6, rng.randbytes(6)))),
+            ethertype=maybe(rng.randrange(1 << 16)),
+            mpls_labels=rng.choice(((), (MplsLse(rng.randrange(1 << 20), rng.randrange(8), rng.random() < 0.5),))),
+            mpls_depth_seen=rng.randrange(4),
+            ip_src=maybe(rng.choice((rng.getrandbits(32), *edges))),
+            ip_dst=maybe(rng.getrandbits(32)),
+            ip_proto=maybe(rng.randrange(256)),
+            l4_src=maybe(rng.randrange(1 << 16)),
+            l4_dst=maybe(rng.randrange(1 << 16)),
+            parse_status=rng.choice(list(ParseStatus)),
+        )
+        line, fields = _old_describe(key)
+        assert key.describe() == line
+        assert [format_mac(key.eth_src), format_mac(key.eth_dst), format_ipv4(key.ip_src), format_ipv4(key.ip_dst)] == fields
 
 
 def test_rawframe_invariants():

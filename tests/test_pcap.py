@@ -110,6 +110,15 @@ def test_record_orig_len_contradiction(tmp_path):
         read_pcap(path)
 
 
+def test_record_over_snaplen_rejected(tmp_path):
+    """A forged incl_len past SNAPLEN is refused even when the file holds that many octets."""
+    path = tmp_path / "huge.pcap"
+    record = struct.pack("<IIII", 0, 0, 65536, 65536) + bytes(65536)
+    path.write_bytes(global_header() + record)
+    with pytest.raises(TruncatedRecord, match="incl_len 65536 > snaplen 65535"):
+        read_pcap(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pcap(tmp_path / "nope.pcap")
