@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .extract import (
@@ -174,7 +175,8 @@ class MutationBudget:
 
     The stream is a pure function of (corpus, seed, strategies): identical
     inputs give identical mutants. iterations=0 means no mutants (the fuzzer
-    still evaluates the seed corpus itself).
+    still evaluates the seed corpus itself). max_len caps each mutant and
+    may not exceed SNAPLEN, so every mutant fits a pcap record.
     """
 
     iterations: int
@@ -185,8 +187,8 @@ class MutationBudget:
     def __post_init__(self) -> None:
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        if not 1 <= self.max_len <= SNAPLEN:
+            raise ValueError(f"max_len must be 1..{SNAPLEN} (the pcap snaplen), got {self.max_len}")
         unknown = set(self.strategies) - set(STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
@@ -363,59 +365,41 @@ def diff_fuzz(
     leaders: dict[int, ParserProfile] = {}
     for profile in vulnerable:
         leaders.setdefault(profile.label_limit, profile)
-    n_hardened = len(hardened)
 
-    class_counts: dict[VulnClass, int] = {}
-    candidates: dict[VulnClass, tuple[int, bytes]] = {}
+    # One ledger for both findings: a vulnerability class, or None for an
+    # equivalence violation (no profile fired, yet the flow keys disagree).
+    # Each keeps its count and its smallest, then lexicographically first, frame.
+    counts: dict[VulnClass | None, int] = {}
+    best: dict[VulnClass | None, tuple[int, bytes]] = {}
     hardened_events = 0
-    violations = 0
-    violation_best: tuple[int, bytes] | None = None
-
-    def consider(frame: RawFrame) -> None:
-        nonlocal hardened_events, violations, violation_best
+    for frame in chain(seeds, mutate(seeds, budget)):
         results = [extract(frame, 0, profile) for profile in hardened]
         if any(result.key.parse_status is _MALFORMED for result in results):
             results += [extract(frame, 0, profile) for profile in vulnerable]
         else:
             parsed = {limit: extract(frame, 0, leader) for limit, leader in leaders.items()}
             results += [parsed[profile.label_limit] for profile in vulnerable]
-        saw_event = False
-        for index, result in enumerate(results):
-            if not result.events:
-                continue
-            saw_event = True
-            if index < n_hardened:
-                hardened_events += 1
-            cls = classify_events(result.events)
-            class_counts[cls] = class_counts.get(cls, 0) + 1
+        found = [classify_events(result.events) for result in results if result.events]
+        if found:
+            hardened_events += sum(1 for result in results[: len(hardened)] if result.events)
+        elif any(result.key != results[0].key for result in results[1:]):
+            found = [None]
+        for cls in found:
             rank = (frame.capture_len, frame.data)
-            if cls not in candidates or rank < candidates[cls]:
-                candidates[cls] = rank
-        if not saw_event:
-            first = results[0].key
-            if any(r.key != first for r in results[1:]):
-                violations += 1
-                rank = (frame.capture_len, frame.data)
-                if violation_best is None or rank < violation_best:
-                    violation_best = rank
+            counts[cls] = counts.get(cls, 0) + 1
+            if cls not in best or rank < best[cls]:
+                best[cls] = rank
 
-    for frame in seeds:
-        consider(frame)
-    for frame in mutate(seeds, budget):
-        consider(frame)
-
-    exemplars = {
-        cls: minimize(RawFrame(data, len(data)), cls, profiles)
-        for cls, (_, data) in candidates.items()
-    }
+    violations = counts.pop(None, 0)
+    violation = best.pop(None, None)
     return FuzzReport(
         profiles=profiles,
         seed_count=len(seeds),
         mutant_count=budget.iterations,
-        class_counts=class_counts,
-        exemplars=exemplars,
+        class_counts=counts,
+        exemplars={cls: minimize(RawFrame(data, size), cls, profiles) for cls, (size, data) in best.items()},
         equivalence_violations=violations,
-        violation_exemplar=RawFrame(violation_best[1], violation_best[0]) if violation_best else None,
+        violation_exemplar=RawFrame(violation[1], violation[0]) if violation else None,
         hardened_event_count=hardened_events,
         empty_seeds=len(corpus) - len(seeds),
     )

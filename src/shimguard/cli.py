@@ -200,11 +200,9 @@ def _cmd_wormsim(args) -> int:
     for item in args.timing:
         key, eq, value = item.partition("=")
         if not eq:
-            print(f"bad --timing {item!r}, expected k=v", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad --timing {item!r}, expected k=v")
         if key not in {f.name for f in dataclasses.fields(StageTimings)}:
-            print(f"unknown timing field {key!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown timing field {key!r}")
         overrides[key] = float(value)
     timings = dataclasses.replace(StageTimings(), **overrides)
     if args.dos:

@@ -38,9 +38,14 @@ def global_header() -> bytes:
 
 
 def write_pcap(path: str | Path, frames: Iterable[RawFrame]) -> None:
+    """Write frames as records; raise ValueError at the first one read_pcap would reject."""
     with open(path, "wb") as fh:
         fh.write(global_header())
-        for frame in frames:
+        for index, frame in enumerate(frames):
+            if frame.capture_len > SNAPLEN:
+                raise ValueError(f"frame {index}: capture_len {frame.capture_len} > snaplen {SNAPLEN}")
+            if frame.orig_len < frame.capture_len:
+                raise ValueError(f"frame {index}: orig_len {frame.orig_len} < capture_len {frame.capture_len}")
             fh.write(_RECORD.pack(frame.ts_sec, frame.ts_usec, frame.capture_len, frame.orig_len))
             fh.write(frame.data)
 

@@ -128,17 +128,13 @@ def simulate(topology: Topology, timings: StageTimings = StageTimings()) -> Worm
     remaining = [i for i in range(topology.compute_nodes) if i != topology.attacker_vm_host]
     if remaining:
         events.append(WormEvent(restored, CONTROLLER, WormEventKind.FANOUT_STARTED))
-        for i in remaining:
-            events.append(WormEvent(restored, node_name(i), WormEventKind.EXPLOIT_SENT))
-        for i in remaining:
-            events.append(
-                WormEvent(restored + t.download + t.restart_sleep, node_name(i),
-                          WormEventKind.PATCHED_SWITCH_INSTALLED)
-            )
-        fanout_shell = restored + t.compute_hop
-        for i in remaining:
-            events.append(WormEvent(fanout_shell, node_name(i), WormEventKind.SHELL_OBTAINED))
-        total = fanout_shell
+        total = restored + t.compute_hop
+        for at, kind in (
+            (restored, WormEventKind.EXPLOIT_SENT),
+            (restored + t.download + t.restart_sleep, WormEventKind.PATCHED_SWITCH_INSTALLED),
+            (total, WormEventKind.SHELL_OBTAINED),
+        ):
+            events.extend(WormEvent(at, node_name(i), kind) for i in remaining)
 
     events.sort(key=lambda e: e.time)  # stable: ties keep stage order
     if not math.isfinite(events[-1].time):

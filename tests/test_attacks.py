@@ -250,6 +250,11 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         MutationBudget(iterations=-1)
     with pytest.raises(ValueError):
+        MutationBudget(iterations=1, max_len=0)
+    with pytest.raises(ValueError, match="snaplen"):
+        MutationBudget(iterations=1, max_len=SNAPLEN + 1)
+    assert MutationBudget(iterations=1, max_len=SNAPLEN).max_len == SNAPLEN
+    with pytest.raises(ValueError):
         MutationBudget(iterations=1, strategies=frozenset({"teleport"}))
     with pytest.raises(ValueError):
         mutate([], MutationBudget(iterations=1))
@@ -339,6 +344,15 @@ def test_equivalence_violation_still_detected(monkeypatch, skew_hardened):
     assert report.violation_exemplar is not None
     assert real(report.violation_exemplar, 0, HARDENED).key.parse_status is ParseStatus.COMPLETE
     assert report.has_failures
+    # Brute force: the exemplar is the shortest, then lexicographically first,
+    # frame on which no profile fires and the skewed keys disagree.
+    violating = []
+    for frame in [*corpus, *mutate(corpus, budget)]:
+        results = [skewed(frame, 0, profile) for profile in ALL_PROFILES]
+        if not any(r.events for r in results) and len({r.key for r in results}) > 1:
+            violating.append(frame.data)
+    assert len(violating) == complete
+    assert report.violation_exemplar == RawFrame.of(min(violating, key=lambda data: (len(data), data)))
 
 
 def _c6_corpus():

@@ -8,7 +8,7 @@ from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
 from shimguard.packet import EthernetHeader, Ipv4Header, RawFrame, encode_frame
-from shimguard.pcap import read_pcap, write_pcap
+from shimguard.pcap import global_header, read_pcap, write_pcap
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "shimguard"
 
@@ -208,7 +208,7 @@ def test_extract_raw_ipv4_capture_exits_2(tmp_path, capsys):
 
 def test_extract_oversized_record_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.pcap"
-    write_pcap(path, [RawFrame.of(bytes(65536))])
+    path.write_bytes(global_header() + struct.pack("<IIII", 0, 0, 65536, 65536) + bytes(65536))
     code, stdout, err = run(capsys, "extract", "--in", str(path))
     assert code == 2
     assert stdout == ""
@@ -239,6 +239,8 @@ def test_usage_errors_exit_2(capsys):
         (["bench", "--mode", "slow", "--duration", "0"], "duration"),
         (["craft", "--kind", "long-shim", "--size", "70000", "--out", "OUT"], "snaplen"),
         (["bench", "--mode", "fast", "--duration", "1e300"], "rate 10000 pps"),
+        (["wormsim", "--nodes", "1", "--timing", "download"], "bad --timing 'download', expected k=v"),
+        (["wormsim", "--nodes", "1", "--timing", "warp=1"], "unknown timing field 'warp'"),
     ],
 )
 def test_out_of_range_values_exit_2(tmp_path, capsys, argv, message):
@@ -248,6 +250,16 @@ def test_out_of_range_values_exit_2(tmp_path, capsys, argv, message):
     assert stdout == ""
     assert err.startswith("error: ") and message in err
     assert not out.exists()
+
+
+def test_fuzz_max_len_past_snaplen_exits_2_before_fuzzing(tmp_path, capsys):
+    corpus, report = tmp_path / "ls.pcap", tmp_path / "report.txt"
+    write_pcap(corpus, [craft(AttackSpec(AttackKind.LONG_SHIM))])
+    code, stdout, err = run(capsys, "fuzz", "--corpus", str(corpus), "--max-len", "70000", "--out-report", str(report))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: max_len must be 1..65535 (the pcap snaplen), got 70000\n"
+    assert not report.exists()
 
 
 def test_craft_long_shim_at_snaplen_writes_pcap(tmp_path, capsys):

@@ -119,6 +119,23 @@ def test_record_over_snaplen_rejected(tmp_path):
         read_pcap(path)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (RawFrame(bytes(65536), 65536), "frame 1: capture_len 65536 > snaplen 65535"),
+        (RawFrame(bytes(8), 4), "frame 1: orig_len 4 < capture_len 8"),
+    ],
+    ids=["over-snaplen", "orig-len-short"],
+)
+def test_write_rejects_record_read_would_refuse(tmp_path, bad, message):
+    """write_pcap stops at the first record read_pcap would reject; a snaplen-long one before it reads back."""
+    path = tmp_path / "bad.pcap"
+    good = RawFrame.of(bytes(65535))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_pcap(path, [good, bad, good])
+    assert read_pcap(path) == [good]
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pcap(tmp_path / "nope.pcap")

@@ -56,6 +56,91 @@ def test_events_nondecreasing_and_zero_timings_consistent():
     assert order.index(WormEventKind.EXPLOIT_SENT) < order.index(WormEventKind.SHELL_OBTAINED)
 
 
+_PINNED_ORDER = {
+    (3, "zero"): """time_s,node,event
+0,node1,ExploitSent
+0,node1,PatchedSwitchInstalled
+0,node1,ShellObtained
+0,controller,ExploitSent
+0,controller,ShellObtained
+0,controller,Restored
+0,controller,FanoutStarted
+0,node0,ExploitSent
+0,node2,ExploitSent
+0,node0,PatchedSwitchInstalled
+0,node2,PatchedSwitchInstalled
+0,node0,ShellObtained
+0,node2,ShellObtained
+""",
+    (3, "no-overhead"): """time_s,node,event
+0,node1,ExploitSent
+15,node1,PatchedSwitchInstalled
+15,node1,ShellObtained
+15,controller,ExploitSent
+15,controller,ShellObtained
+75,controller,Restored
+75,controller,FanoutStarted
+75,node0,ExploitSent
+75,node2,ExploitSent
+90,node0,PatchedSwitchInstalled
+90,node2,PatchedSwitchInstalled
+90,node0,ShellObtained
+90,node2,ShellObtained
+""",
+    (5, "zero"): """time_s,node,event
+0,node1,ExploitSent
+0,node1,PatchedSwitchInstalled
+0,node1,ShellObtained
+0,controller,ExploitSent
+0,controller,ShellObtained
+0,controller,Restored
+0,controller,FanoutStarted
+0,node0,ExploitSent
+0,node2,ExploitSent
+0,node3,ExploitSent
+0,node4,ExploitSent
+0,node0,PatchedSwitchInstalled
+0,node2,PatchedSwitchInstalled
+0,node3,PatchedSwitchInstalled
+0,node4,PatchedSwitchInstalled
+0,node0,ShellObtained
+0,node2,ShellObtained
+0,node3,ShellObtained
+0,node4,ShellObtained
+""",
+    (5, "no-overhead"): """time_s,node,event
+0,node1,ExploitSent
+15,node1,PatchedSwitchInstalled
+15,node1,ShellObtained
+15,controller,ExploitSent
+15,controller,ShellObtained
+75,controller,Restored
+75,controller,FanoutStarted
+75,node0,ExploitSent
+75,node2,ExploitSent
+75,node3,ExploitSent
+75,node4,ExploitSent
+90,node0,PatchedSwitchInstalled
+90,node2,PatchedSwitchInstalled
+90,node3,PatchedSwitchInstalled
+90,node4,PatchedSwitchInstalled
+90,node0,ShellObtained
+90,node2,ShellObtained
+90,node3,ShellObtained
+90,node4,ShellObtained
+""",
+}
+
+
+@pytest.mark.parametrize("nodes, timing", sorted(_PINNED_ORDER))
+def test_event_order_pinned_with_tied_times(nodes, timing):
+    """Events at one time keep stage order: a whole stage's nodes before the next stage."""
+    timings = StageTimings(0, 0, 0, 0, 0, 0) if timing == "zero" else StageTimings(hop_overhead=0)
+    timeline = simulate(Topology(compute_nodes=nodes, attacker_vm_host=1), timings)
+    assert timeline.to_csv() == _PINNED_ORDER[nodes, timing]
+    assert timeline.total_compromise_time == (0.0 if timing == "zero" else 90.0)
+
+
 def test_fanout_parallelism_total_independent_of_n():
     totals = {simulate(Topology(compute_nodes=n)).total_compromise_time for n in (2, 10, 100)}
     assert len(totals) == 1
