@@ -3,9 +3,11 @@
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
 masked down to exactly the fields rule selection consulted, and a microflow
-entry pointing at it. Ahead of extraction, a signature memo hands a repeated
-well-formed IPv4 frame the flow key its first parse built. A switch built
-with its caches disabled is a pure slow-path device, which is how the
+entry pointing at it. A packet is answered by exactly one of five paths,
+tried in order: a parse drop, a memo hit (a repeated well-formed IPv4 frame
+takes the key and megaflow entry of its earlier parse, skipping extraction
+and the microflow), a microflow hit, a megaflow hit, an upcall. A switch
+built with its caches disabled is a pure slow-path device, which is how the
 benchmark isolates slow-path cost.
 
 The cache-correctness contract: for any rule set and packet sequence, the
@@ -314,8 +316,10 @@ class SwitchState:
         self.megaflow_enabled = megaflow_enabled
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
-        # key_signature of a frame -> the flow key extract built for it; LRU, same bound as the microflow.
-        self.signatures: OrderedDict[tuple, FlowKey] = OrderedDict()
+        # key_signature of a frame -> the flow key extract built for it and that key's megaflow
+        # entry; LRU, same bound as the microflow. Exact only while the entry stays in
+        # `megaflows`: a megaflow eviction must also drop every signature pointing at it.
+        self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
@@ -375,12 +379,12 @@ class SwitchState:
             table[values] = entry
         return entry
 
-    def _remember(self, data: bytes, in_port: int, key: FlowKey) -> None:
-        """Map the frame's signature to its key, evicting the least recently used signature."""
+    def _remember(self, signature: tuple, key: FlowKey, entry: MegaflowEntry) -> None:
+        """Map a frame's signature to its key and entry, evicting the least recently used signature."""
         signatures = self.signatures
         if len(signatures) >= self.microflow_capacity:
             signatures.popitem(last=False)
-        signatures[key_signature(data, in_port)] = key
+        signatures[signature] = key, entry
 
     def process(
         self,
@@ -391,29 +395,35 @@ class SwitchState:
     ) -> Disposition:
         """Extract, look up, act. Returns the packet's disposition.
 
-        Exactly one answers, tried in order: a parse drop, a microflow hit, a
-        megaflow hit, an upcall; a switch built with caches disabled stores
-        nothing, so every packet it extracts is an upcall. ``adjacent`` is
-        handed to ``extract`` as the bytes past the packet. A zero-length
-        frame has nothing to extract; it is counted as a drop.
+        Exactly one answers, tried in order: a parse drop, a memo hit, a
+        microflow hit, a megaflow hit, an upcall; a switch built with caches
+        disabled stores nothing, so every packet it extracts is an upcall.
+        ``adjacent`` is handed to ``extract`` as the bytes past the packet. A
+        zero-length frame has nothing to extract; it is counted as a drop.
 
-        A frame whose ``key_signature`` is in the memo (``signatures``) takes
-        its key from there instead of from ``extract``. That is exact because
-        the memo holds only COMPLETE keys, and a COMPLETE key is read from
-        its frame's signature alone, whatever the profile or ``adjacent``.
+        A frame whose ``key_signature`` is in the memo (``signatures``) is
+        answered by the entry stored with it, without ``extract`` or the
+        microflow. The key is exact because the memo holds only COMPLETE
+        keys, and a COMPLETE key is read from its frame's signature alone,
+        whatever the profile or ``adjacent``. The entry is exact because it is
+        the one megaflow entry that key matches, and megaflow entries are
+        never removed. Skipping the microflow changes no output: a memo key
+        only leaves the microflow by eviction, so the microflow is full then
+        and stays full.
         """
         stats = self.stats
         stats["processed"] += 1
-        key = None
+        hit = None
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
         if self.signatures and (adjacent is None or adjacent):
-            signatures = self.signatures
             signature = key_signature(frame.data, in_port)
-            key = signatures.get(signature)  # a None signature is never stored
-            if key is not None:
-                signatures.move_to_end(signature)
-                result = None  # nothing new to remember
-        if key is None:
+            hit = self.signatures.get(signature)  # a None signature is never stored
+        if hit is not None:
+            self.signatures.move_to_end(signature)
+            key, entry = hit
+            entry.hits += 1
+            stats["fast_path_hits"] += 1
+        else:
             try:
                 result = extract(frame, in_port, profile, adjacent)
             except EmptyFrameError:
@@ -422,29 +432,30 @@ class SwitchState:
                 stats["drops"] += 1
                 return Dropped()
             key = result.key
-        microflow = self.microflow
-        # An empty microflow (always so with caches off) is not worth hashing the key for.
-        entry = microflow.get(key) if microflow else None
-        if entry is not None:
-            microflow.move_to_end(key)
-            entry.hits += 1
-            stats["fast_path_hits"] += 1
-            if result is not None and key.parse_status is _COMPLETE:
-                self._remember(frame.data, in_port, key)
-        else:
-            for project, table in self.megaflows.values():
-                entry = table.get(project(key))
-                if entry is not None:
-                    entry.hits += 1
-                    stats["fast_path_hits"] += 1
-                    break
+            microflow = self.microflow
+            # An empty microflow (always so with caches off) is not worth hashing the key for.
+            entry = microflow.get(key) if microflow else None
+            if entry is not None:
+                microflow.move_to_end(key)
+                entry.hits += 1
+                stats["fast_path_hits"] += 1
+                if key.parse_status is _COMPLETE:
+                    # The memo is as it was at the probe: a non-empty one was probed with this frame's signature.
+                    self._remember(signature if self.signatures else key_signature(frame.data, in_port), key, entry)
             else:
-                entry = self._upcall(key)
-            if self.megaflow_enabled:
-                # Megaflow hits and upcalls alike fill the LRU microflow.
-                if len(microflow) >= self.microflow_capacity:
-                    microflow.popitem(last=False)
-                microflow[key] = entry
+                for project, table in self.megaflows.values():
+                    entry = table.get(project(key))
+                    if entry is not None:
+                        entry.hits += 1
+                        stats["fast_path_hits"] += 1
+                        break
+                else:
+                    entry = self._upcall(key)
+                if self.megaflow_enabled:
+                    # Megaflow hits and upcalls alike fill the LRU microflow.
+                    if len(microflow) >= self.microflow_capacity:
+                        microflow.popitem(last=False)
+                    microflow[key] = entry
         if entry.pops_mpls:
             apply_actions(key, entry.actions, stats)
         stats[entry.counter] += 1

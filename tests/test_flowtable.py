@@ -5,7 +5,7 @@ from collections import OrderedDict
 import pytest
 
 import shimguard.flowtable as flowtable
-from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract, key_signature
 from shimguard.flowtable import (
     FIELD_GETTERS,
     Drop,
@@ -520,7 +520,7 @@ def _memo_pool(rng):
     return pool + _random_traffic(rng, 20)
 
 
-@pytest.mark.parametrize("capacity", [2, 4096])
+@pytest.mark.parametrize("capacity", [1, 2, 4096])
 def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, capacity):
     rng = random.Random(capacity)
     push_pop = "priority=7, eth_type=0x0800, ip_proto=17, actions=pop_mpls,push_mpls:16,output:3"
@@ -542,9 +542,11 @@ def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, c
             skipped += len(parsed) == before
             assert disposition == plain.process(frame, port, profile, adjacent), where
             assert memo.stats == plain.stats, where
+            assert len(memo.microflow) == len(plain.microflow), where  # dump_state's one microflow figure
         assert dump_state(memo) == dump_state(plain)
         assert not plain.signatures and len(memo.signatures) <= capacity
-    assert skipped > 100
+    # One memo entry still answers about 90 of the 2800 packets; the larger memos answer over 100.
+    assert skipped > (50 if capacity == 1 else 100)
 
 
 def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
@@ -558,6 +560,47 @@ def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
     assert len(state.signatures) == 64
     with pytest.raises(ValueError, match="adjacent must be non-empty"):  # a memoized frame is still checked
         state.process(frames[0], 1, HARDENED, b"")
+
+
+def test_signature_memo_hit_never_touches_the_microflow(parsed):
+    class Untouched(OrderedDict):
+        def get(self, key, default=None):
+            raise AssertionError("microflow probed")
+
+        def move_to_end(self, key, last=True):
+            raise AssertionError("microflow reordered")
+
+        def __setitem__(self, key, value):
+            raise AssertionError("microflow filled")
+
+    state = SwitchState(load_rules(
+        "priority=3, l4_src=7, actions=controller\n"  # every mask holds l4_src: one entry per flow
+        "priority=2, ip_proto=17, actions=pop_mpls,output:2\n"
+        "priority=1, actions=drop"
+    ))
+    frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(4)]
+    for _ in range(2):  # an upcall, then a microflow hit that stores the memo entry
+        for frame in frames:
+            state.process(frame, 1, HARDENED)
+    assert len(state.signatures) == 4 and len(parsed) == 8
+    untouched = Untouched()
+    for key, entry in state.microflow.items():
+        OrderedDict.__setitem__(untouched, key, entry)
+    state.microflow = untouched
+    before = dict(state.stats)
+    for profile in ALL_PROFILES:
+        for frame in frames:
+            expected = Forwarded((2,)) if frame.data[23] == 17 else Dropped()
+            assert state.process(frame, 1, profile, bytes(64)) == expected
+    assert len(parsed) == 8 and len(state.microflow) == 4
+    gained = {name: count - before[name] for name, count in state.stats.items() if count != before[name]}
+    hits = 4 * len(ALL_PROFILES)
+    half = hits // 2  # the UDP flows forward through a pop that finds no label; the TCP flows drop
+    assert gained == {"processed": hits, "fast_path_hits": hits, "forwards": half, "drops": half, "pop_mpls_noop": half}
+    for frame in frames:
+        key, entry = state.signatures[key_signature(frame.data, 1)]
+        project, table = state.megaflows[entry.mask]
+        assert table[project(key)] is entry and entry.hits == 1 + len(ALL_PROFILES)
 
 
 def test_signature_memo_unused_without_caches(parsed):
