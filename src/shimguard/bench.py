@@ -42,6 +42,9 @@ QUEUE_CAPACITY = 4096  # packets the modeled ingress queue holds
 CHUNK = 8192  # packets a sweep times before replaying them through the queues; also the pool size cap
 MAX_INTERVAL_MS = threading.TIMEOUT_MAX * 1000  # a pause time.sleep is known to accept
 MAX_OFFERED = 10**9  # packets one rate may offer; the full-scale run offers at most 100 000 pps x 120 s
+# Latency rounds per size: _sample holds about 96 B a round (a time, a disposition, the summary's
+# copies), so 9.6 MB at the bound, about 10x the full run's 10 500.
+MAX_LATENCY_COUNT = 100_000
 
 
 class PathMode(TextEnum):
@@ -54,9 +57,9 @@ def path_mode(name: str) -> PathMode:
 
 
 def _check_latency_plan(count: int, warmup: int, sizes: tuple[int, ...]) -> None:
-    """Raise ValueError naming the first bad value: need 0 <= warmup < count, and each size a frame size."""
-    if not 0 <= warmup < count:
-        raise ValueError(f"latency count {count}, warmup {warmup}: need 0 <= warmup < count")
+    """Raise ValueError naming the first bad value: need 0 <= warmup < count <= MAX_LATENCY_COUNT, and frame sizes."""
+    if not 0 <= warmup < count <= MAX_LATENCY_COUNT:
+        raise ValueError(f"latency count {count}, warmup {warmup}: need 0 <= warmup < count <= {MAX_LATENCY_COUNT}")
     for size in sizes:
         if not MIN_FRAME <= size <= MAX_FRAME:
             raise ValueError(f"packet size {size} outside {MIN_FRAME}..{MAX_FRAME}")

@@ -195,6 +195,8 @@ def _cmd_fuzz(args, seed: int) -> int:
 
 
 def _cmd_wormsim(args) -> int:
+    if args.dos and args.csv:
+        raise ValueError("--csv writes the worm timeline; --dos prints outage intervals and writes no CSV")
     topology = Topology(compute_nodes=args.nodes, attacker_vm_host=args.attacker_host)
     overrides = {}
     for item in args.timing:

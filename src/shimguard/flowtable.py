@@ -317,8 +317,8 @@ class SwitchState:
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         # key_signature of a frame -> the flow key extract built for it and that key's megaflow
-        # entry; LRU, same bound as the microflow. Exact only while the entry stays in
-        # `megaflows`: a megaflow eviction must also drop every signature pointing at it.
+        # entry; oldest out first, same bound as the microflow. Exact only while the entry stays
+        # in `megaflows`: a megaflow eviction must also drop every signature pointing at it.
         self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
@@ -380,7 +380,7 @@ class SwitchState:
         return entry
 
     def _remember(self, signature: tuple, key: FlowKey, entry: MegaflowEntry) -> None:
-        """Map a frame's signature to its key and entry, evicting the least recently used signature."""
+        """Map a frame's signature to its key and entry, evicting the oldest signature when full."""
         signatures = self.signatures
         if len(signatures) >= self.microflow_capacity:
             signatures.popitem(last=False)
@@ -403,13 +403,14 @@ class SwitchState:
 
         A frame whose ``key_signature`` is in the memo (``signatures``) is
         answered by the entry stored with it, without ``extract`` or the
-        microflow. The key is exact because the memo holds only COMPLETE
-        keys, and a COMPLETE key is read from its frame's signature alone,
-        whatever the profile or ``adjacent``. The entry is exact because it is
-        the one megaflow entry that key matches, and megaflow entries are
-        never removed. Skipping the microflow changes no output: a memo key
-        only leaves the microflow by eviction, so the microflow is full then
-        and stays full.
+        microflow. The key is exact: the memo holds only COMPLETE keys, read
+        from the signature alone whatever the profile or ``adjacent``. So is
+        the entry: it is the one megaflow entry the key matches, and megaflow
+        entries are never removed. Each cache evicts its oldest insert, and no
+        output sees that order: every cache answers a key with the same entry,
+        and with caches on ``len(microflow) == min(microflow_capacity, distinct
+        keys accepted)``, as the microflow gains only keys it lacks and evicts
+        only when full.
         """
         stats = self.stats
         stats["processed"] += 1
@@ -419,7 +420,6 @@ class SwitchState:
             signature = key_signature(frame.data, in_port)
             hit = self.signatures.get(signature)  # a None signature is never stored
         if hit is not None:
-            self.signatures.move_to_end(signature)
             key, entry = hit
             entry.hits += 1
             stats["fast_path_hits"] += 1
@@ -436,7 +436,6 @@ class SwitchState:
             # An empty microflow (always so with caches off) is not worth hashing the key for.
             entry = microflow.get(key) if microflow else None
             if entry is not None:
-                microflow.move_to_end(key)
                 entry.hits += 1
                 stats["fast_path_hits"] += 1
                 if key.parse_status is _COMPLETE:
@@ -452,7 +451,7 @@ class SwitchState:
                 else:
                     entry = self._upcall(key)
                 if self.megaflow_enabled:
-                    # Megaflow hits and upcalls alike fill the LRU microflow.
+                    # Megaflow hits and upcalls alike fill the microflow; its oldest insert goes first.
                     if len(microflow) >= self.microflow_capacity:
                         microflow.popitem(last=False)
                     microflow[key] = entry

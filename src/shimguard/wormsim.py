@@ -23,6 +23,11 @@ from typing import NamedTuple
 from .packet import TextEnum
 
 CONTROLLER = "controller"
+# simulate holds about 850 B per node with its CSV (three events and three lines each): 8.5 MB at the
+# bound, 100x the 100-node deployment the defaults calibrate.
+MAX_NODES = 10_000
+# simulate_dos holds 120-180 B per repeat (its interval, then the merged copy): under 2 MB at the bound.
+MAX_REPEATS = 10_000
 
 
 def node_name(index: int) -> str:
@@ -35,8 +40,8 @@ class Topology:
     attacker_vm_host: int = 0
 
     def __post_init__(self) -> None:
-        if self.compute_nodes < 1:
-            raise ValueError("need at least one compute node")
+        if not 1 <= self.compute_nodes <= MAX_NODES:
+            raise ValueError(f"compute node count {self.compute_nodes} outside 1..{MAX_NODES}")
         if not 0 <= self.attacker_vm_host < self.compute_nodes:
             raise ValueError(
                 f"attacker_vm_host {self.attacker_vm_host} outside 0..{self.compute_nodes - 1}"
@@ -170,8 +175,8 @@ def simulate_dos(
     repeats chain into one merged interval). The report maps the host's
     node name to its merged intervals.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if not 1 <= repeats <= MAX_REPEATS:
+        raise ValueError(f"repeats {repeats} outside 1..{MAX_REPEATS}")
     if interval_s is None:
         interval_s = timings.dos_outage
     if not (math.isfinite(interval_s) and interval_s >= 0):

@@ -240,14 +240,16 @@ def test_config_rate_must_offer_a_packet(rates, duration):
         (dict(latency_count=0, warmup_drop=0), "latency count 0, warmup 0:"),
         (dict(latency_count=-5, warmup_drop=-10), "latency count -5, warmup -10:"),
         (dict(latency_count=300, warmup_drop=-250), "latency count 300, warmup -250:"),
+        (dict(latency_count=bench.MAX_LATENCY_COUNT + 1, warmup_drop=0),
+         f"latency count {bench.MAX_LATENCY_COUNT + 1}, warmup 0:"),
         (dict(interval_ms=-1.0), "interval -1.0 "),
         (dict(interval_ms=math.inf), "interval inf "),
         (dict(interval_ms=math.nan), "interval nan "),
         (dict(packet_sizes=(44, 65550)), "packet size 65550 "),
         (dict(packet_sizes=(70000,)), "packet size 70000 "),
     ],
-    ids=["count-0", "count-negative", "warmup-negative", "interval-negative", "interval-inf", "interval-nan",
-         "size-65550", "size-70000"],
+    ids=["count-0", "count-negative", "warmup-negative", "count-past-bound", "interval-negative", "interval-inf",
+         "interval-nan", "size-65550", "size-70000"],
 )
 def test_config_rejects_latency_values_naming_them(overrides, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -260,10 +262,12 @@ def test_config_rejects_latency_values_naming_them(overrides, message):
         (dict(count=-5, warmup=-10), "latency count -5, warmup -10:"),
         (dict(count=300, warmup=-250), "latency count 300, warmup -250:"),
         (dict(count=100, warmup=100), "latency count 100, warmup 100:"),
+        (dict(count=bench.MAX_LATENCY_COUNT + 1), f"latency count {bench.MAX_LATENCY_COUNT + 1}, warmup 500:"),
         (dict(sizes=(44, 70000)), "packet size 70000 "),
         (dict(sizes=(43,)), "packet size 43 "),
     ],
-    ids=["count-negative", "warmup-negative", "warmup-equals-count", "size-70000", "size-43"],
+    ids=["count-negative", "warmup-negative", "warmup-equals-count", "count-past-bound", "size-70000",
+         "size-43"],
 )
 def test_compare_latency_rejects_values_before_sampling(monkeypatch, kwargs, message):
     def no_sampling(*args):

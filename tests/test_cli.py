@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from shimguard import bench, wormsim
 from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
@@ -177,6 +178,24 @@ def test_wormsim_timing_overrides_and_dos(capsys):
     assert "unknown timing field" in err
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["stale-file", "no-file"])
+def test_wormsim_dos_rejects_csv_before_simulating(tmp_path, capsys, monkeypatch, existing):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before validating")
+
+    monkeypatch.setattr(wormsim, "simulate_dos", no_simulation)
+    csv_path = tmp_path / "w.csv"
+    if existing:
+        csv_path.write_text("time_s,node,event\n0,node0,ExploitSent\n")
+    code, stdout, err = run(capsys, "wormsim", "--nodes", "2", "--dos", "--repeats", "2", "--csv", str(csv_path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: --csv writes the worm timeline")
+    if existing:
+        assert csv_path.read_text() == "time_s,node,event\n0,node0,ExploitSent\n"
+    else:
+        assert not csv_path.exists()
+
+
 def test_bench_csv_output(tmp_path, capsys):
     csv_path = tmp_path / "bench.csv"
     code, stdout, _ = run(
@@ -241,6 +260,11 @@ def test_usage_errors_exit_2(capsys):
         (["bench", "--mode", "fast", "--duration", "1e300"], "rate 10000 pps"),
         (["wormsim", "--nodes", "1", "--timing", "download"], "bad --timing 'download', expected k=v"),
         (["wormsim", "--nodes", "1", "--timing", "warp=1"], "unknown timing field 'warp'"),
+        (["wormsim", "--nodes", str(wormsim.MAX_NODES + 1)], f"compute node count {wormsim.MAX_NODES + 1} outside"),
+        (["wormsim", "--nodes", "1", "--dos", "--repeats", str(wormsim.MAX_REPEATS + 1)],
+         f"repeats {wormsim.MAX_REPEATS + 1} outside"),
+        (["bench", "--mode", "fast", "--count", str(bench.MAX_LATENCY_COUNT + 1)],
+         f"latency count {bench.MAX_LATENCY_COUNT + 1}, warmup 500"),
     ],
 )
 def test_out_of_range_values_exit_2(tmp_path, capsys, argv, message):

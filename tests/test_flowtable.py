@@ -246,15 +246,15 @@ def test_microflow_lru_eviction_keeps_megaflow():
     assert state.stats["fast_path_hits"] >= 1
 
 
-def test_microflow_evicts_least_recently_used():
+def test_microflow_evicts_oldest_insert():
     state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=2)
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
     for frame in (a, b, a, c):
         state.process(frame, 1, HARDENED)
     key_a, key_b, key_c = (extract(frame, 1, HARDENED).key for frame in (a, b, c))
-    # the hit on A refreshed it, so C's install evicts B, not A
-    assert list(state.microflow) == [key_a, key_c]
-    assert key_b not in state.microflow
+    # the hit on A reorders nothing, so C's install evicts A, the oldest insert
+    assert list(state.microflow) == [key_b, key_c]
+    assert key_a not in state.microflow
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
@@ -496,6 +496,11 @@ def parsed(monkeypatch):
     return frames
 
 
+class Unreordered(OrderedDict):
+    def move_to_end(self, key, last=True):
+        raise AssertionError("cache reordered")
+
+
 def _memo_pool(rng):
     """Distinct frames that share, or nearly share, a signature or a flow key."""
     pool = [ip_frame(size, sport=53, dport=80) for size in (60, 590, 1514)]
@@ -529,6 +534,7 @@ def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, c
     for round_no, rules in enumerate(rulesets):
         pool = _memo_pool(rng)
         memo = SwitchState(rules, microflow_capacity=capacity)
+        memo.microflow, memo.signatures = Unreordered(), Unreordered()
         plain = SwitchState(rules, microflow_capacity=capacity)
         monkeypatch.setattr(plain, "_remember", lambda *args: None)
         for i in range(400):
@@ -549,8 +555,30 @@ def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, c
     assert skipped > (50 if capacity == 1 else 100)
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 4096])
+def test_microflow_size_is_capacity_or_distinct_accepted_keys(capacity):
+    # Why eviction order is free: the one microflow figure any output prints never depends on it.
+    rng = random.Random(100 + capacity)
+    for round_no in range(4):
+        state = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)), microflow_capacity=capacity)
+        pool = _memo_pool(rng)
+        accepted = set()
+        for i in range(300):
+            frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
+            port = rng.choice([1, 2])
+            profile = rng.choice(ALL_PROFILES)
+            adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
+            result = extract(frame, port, profile, adjacent)
+            if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
+                accepted.add(result.key)
+            state.process(frame, port, profile, adjacent)
+            assert len(state.microflow) == min(capacity, len(accepted)), f"round {round_no} frame {i}"
+        assert len(accepted) > 2
+
+
 def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
     state = SwitchState(load_rules("priority=2, ip_proto=17, actions=output:2\npriority=1, actions=output:1"))
+    state.microflow, state.signatures = Unreordered(), Unreordered()
     frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(64)]
     rng = random.Random(9)
     for _ in range(64 * 40):
@@ -563,12 +591,9 @@ def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
 
 
 def test_signature_memo_hit_never_touches_the_microflow(parsed):
-    class Untouched(OrderedDict):
+    class Untouched(Unreordered):
         def get(self, key, default=None):
             raise AssertionError("microflow probed")
-
-        def move_to_end(self, key, last=True):
-            raise AssertionError("microflow reordered")
 
         def __setitem__(self, key, value):
             raise AssertionError("microflow filled")
@@ -587,6 +612,7 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
     for key, entry in state.microflow.items():
         OrderedDict.__setitem__(untouched, key, entry)
     state.microflow = untouched
+    state.signatures = Unreordered(state.signatures)
     before = dict(state.stats)
     for profile in ALL_PROFILES:
         for frame in frames:

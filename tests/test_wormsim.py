@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+import shimguard.wormsim as wormsim
 from shimguard.wormsim import (
     CONTROLLER,
+    MAX_NODES,
+    MAX_REPEATS,
     OutageReport,
     StageTimings,
     Topology,
@@ -177,8 +180,20 @@ def test_topology_validation():
         Topology(compute_nodes=0)
     with pytest.raises(ValueError):
         Topology(compute_nodes=3, attacker_vm_host=3)
+    with pytest.raises(ValueError, match=f"^compute node count {MAX_NODES + 1} outside 1..{MAX_NODES}$"):
+        Topology(compute_nodes=MAX_NODES + 1)
     with pytest.raises(ValueError):
         StageTimings(download=-1)
+
+
+def test_dos_repeats_bounded_before_building_intervals(monkeypatch):
+    def no_merge(intervals):
+        raise AssertionError("intervals merged before validating")
+
+    monkeypatch.setattr(wormsim, "merge_intervals", no_merge)
+    for repeats in (0, MAX_REPEATS + 1):
+        with pytest.raises(ValueError, match=f"^repeats {repeats} outside 1..{MAX_REPEATS}$"):
+            simulate_dos(Topology(compute_nodes=1), repeats=repeats)
 
 
 def test_dos_single_attack():
