@@ -7,8 +7,7 @@ parser defects against simulated memory: instead of corrupting memory they
 emit a CorruptionEvent describing exactly how many octets would have been
 written past the label buffer or read past the packet, while still returning
 the defective flow key the buggy daemon would have acted on. The bytes past
-the packet are a caller-supplied ``adjacent`` region, and every extraction
-returns its own BufferAccounting.
+the packet are a caller-supplied ``adjacent`` region.
 
 All profiles share one walk; they differ only at their trigger condition, so
 on frames that trigger nothing every profile produces an identical FlowKey.
@@ -28,11 +27,11 @@ its first 38 octets (Ethernet, the IPv4 fields, the L4 ports) yields the whole
 key when the ethertype is IPv4, version/IHL is 0x45 and 20 <= total length
 <= the octets past Ethernet. No trigger can fire on such a frame: v232 and
 v240 need an MPLS ethertype, and v250 a total length below the 20-octet
-header. So the walk would return the same COMPLETE key, no events, Accept and
-zero accounting under every profile, label limit and ``adjacent``, which is
-what the shortcut returns. The 38 octets it reads are ``key_signature``'s
-IHL-5 prefix, and the frame length its bound, so the memo stays exact. Every
-other frame (IHL > 5, short, non-IPv4, every trigger) takes the walk.
+header. So the walk would return the same COMPLETE key, no events and Accept
+under every profile, label limit and ``adjacent``, which is what the shortcut
+returns. The 38 octets it reads are ``key_signature``'s IHL-5 prefix, and the
+frame length its bound, so the memo stays exact. Every other frame (IHL > 5,
+short, non-IPv4, every trigger) takes the walk.
 """
 
 from __future__ import annotations
@@ -114,22 +113,6 @@ VULN_250 = ParserProfile(ParserMode.VULN_250)
 ALL_PROFILES = (HARDENED, VULN_232, VULN_240, VULN_250)
 
 
-class BufferAccounting(NamedTuple):
-    """What one extraction did to the simulated buffers.
-
-    ``stack_written_slots`` counts label-buffer slots the walk stored; the
-    capacity is the profile's ``label_limit``, and every slot past it adds
-    four octets to ``overflow_bytes_written``. ``adjacent_bytes_read``
-    counts octets taken from the region past the packet. A hardened
-    extraction writes no overflow and reads nothing adjacent.
-    """
-
-    stack_capacity_slots: int
-    stack_written_slots: int
-    adjacent_bytes_read: int
-    overflow_bytes_written: int
-
-
 def _adjacent_prefix(adjacent: bytes, count: int) -> bytes:
     """The first ``count`` octets past the packet; a short region repeats."""
     if count > len(adjacent):
@@ -165,7 +148,7 @@ class Verdict(TextEnum):
 
 
 class ExtractionResult(NamedTuple):
-    """A flow key, its corruption events, the verdict and the buffer accounting.
+    """A flow key, its corruption events and the verdict.
 
     The verdict is DROP iff the key is MALFORMED and no event fired: a
     correct parser drops a malformed frame, while a defective one acts on
@@ -175,7 +158,6 @@ class ExtractionResult(NamedTuple):
     key: FlowKey
     events: tuple[CorruptionEvent, ...]
     verdict: Verdict
-    memory: BufferAccounting
 
 
 class VulnClass(TextEnum):
@@ -242,10 +224,7 @@ def extract(
                 l4_src = l4_dst = None
             key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, (), 0, ip_src, ip_dst,
                                        proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
-            # A fresh accounting tuple per call: caching one per label limit
-            # read faster but raised fwd-churn's peak RSS.
-            memory = _tuple_new(BufferAccounting, (profile.label_limit, 0, 0, 0))
-            return _tuple_new(ExtractionResult, (key, (), _ACCEPT, memory))
+            return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
     return _walk(data, in_port, profile, adjacent)
 
 
@@ -253,29 +232,26 @@ def _walk(data, in_port, profile, adjacent):
     """The general walk: every frame the option-less IPv4 shortcut does not take."""
     events = labels = ()
     ip = _NO_IP
-    depth = written = read = 0
+    depth = 0
     if len(data) < ETHERNET_HEADER_LEN:
         eth_dst = eth_src = ethertype = None
         status = _MALFORMED
     else:
         eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
         if ethertype in MPLS_ETHERTYPES:
-            status, labels, depth, events, written, read = _extract_mpls(data, profile, adjacent)
+            status, labels, depth, events = _extract_mpls(data, profile, adjacent)
         elif ethertype == ETHERTYPE_IPV4:
-            status, ip, events, read = _extract_ipv4(data, profile, adjacent)
+            status, ip, events = _extract_ipv4(data, profile, adjacent)
         else:
             status = _L2_ONLY
     # Positional: the keyword constructor costs about 4x as much.
     key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, *ip, status))
     verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
-    limit = profile.label_limit
-    over = written - limit
-    memory = _tuple_new(BufferAccounting, (limit, written, read, 4 * over if over > 0 else 0))
-    return _tuple_new(ExtractionResult, (key, events, verdict, memory))
+    return _tuple_new(ExtractionResult, (key, events, verdict))
 
 
 def _extract_mpls(data, profile, adjacent):
-    """Walk an MPLS stack; returns (status, labels, depth, events, slots written, adjacent octets read)."""
+    """Walk an MPLS stack; returns (status, labels, depth, events)."""
     limit = profile.label_limit
     stack = data[ETHERNET_HEADER_LEN:]
     n_complete = len(stack) // 4
@@ -291,13 +267,13 @@ def _extract_mpls(data, profile, adjacent):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        return _MPLS_TERMINATED, (decode_lse(body[:4]),), depth, (), depth, 0
+        return _MPLS_TERMINATED, (decode_lse(body[:4]),), depth, ()
 
     if profile.mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        return _MALFORMED, (decode_lse(body[:4]),), n_complete, (event,), n_complete, 0
+        return _MALFORMED, (decode_lse(body[:4]),), n_complete, (event,)
 
     if profile.mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
@@ -307,22 +283,22 @@ def _extract_mpls(data, profile, adjacent):
         first = decode_lse(body[:4]) if n_complete else blended
         depth = n_complete + 1
         event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
-        return _MALFORMED, (first,), depth, (event,), min(depth, limit), missing
+        return _MALFORMED, (first,), depth, (event,)
 
     # Shared malformed path: the stack never terminated (and/or a trailing
     # fragment remained) and no profile-specific trigger applies.
     depth = n_complete if n_complete <= limit else limit
-    return _MALFORMED, (), depth, (), depth, 0
+    return _MALFORMED, (), depth, ()
 
 
 def _extract_ipv4(data, profile, adjacent):
-    """Parse IPv4 and its ports; returns (status, IP fields, events, adjacent octets read).
+    """Parse IPv4 and its ports; returns (status, IP fields, events).
 
     The IP fields are (ip_src, ip_dst, ip_proto, ip_tos, ip_ttl, l4_src, l4_dst).
     """
     rem = len(data) - ETHERNET_HEADER_LEN
     if rem < IPV4_MIN_HEADER_LEN:
-        return _MALFORMED, _NO_IP, (), 0
+        return _MALFORMED, _NO_IP, ()
 
     version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
     version = version_ihl >> 4
@@ -336,22 +312,20 @@ def _extract_ipv4(data, profile, adjacent):
         # end -- from the frame if the octets exist there, otherwise from the
         # adjacent region.
         l4_src = l4_dst = None
-        missing = 0
         if proto in _L4_PROTOS:
             raw = data[l4_off : l4_off + 4]
-            missing = 4 - len(raw)
-            l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, missing))
+            l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, 4 - len(raw)))
         event = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, offset=header_len - total_length, byte_count=2)
-        return _MALFORMED, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (event,), missing
+        return _MALFORMED, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (event,)
 
     well_formed = version == 4 and ihl >= 5 and total_length >= header_len
     if not well_formed or total_length > rem:
-        return _MALFORMED, _NO_IP, (), 0
+        return _MALFORMED, _NO_IP, ()
 
     l4_src = l4_dst = None
     if proto in _L4_PROTOS and header_len + 4 <= total_length:
         l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
-    return _COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (), 0
+    return _COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), ()
 
 
 def key_signature(data: bytes, in_port: int) -> tuple | None:

@@ -63,6 +63,24 @@ def assert_flowkey_invariants(key):
         assert key.ethertype in (0x8847, 0x8848)
 
 
+def adjacent_octets_read(frame, profile):
+    """How many octets past the packet the extraction's result depends on.
+
+    Flips each octet of a seeded 64-octet region in turn and returns one past
+    the highest index whose flip changes the result. This is exact: v240's
+    blended LSE and v250's ports use all 32 bits of what they read.
+    """
+    region = random.Random(64).randbytes(DEFAULT_ADJACENT_LEN)
+    result = extract(frame, 0, profile, region)
+    read = 0
+    for index in range(len(region)):
+        flipped = bytearray(region)
+        flipped[index] ^= 0xFF
+        if extract(frame, 0, profile, bytes(flipped)) != result:
+            read = index + 1
+    return read
+
+
 def test_long_shim_vuln232_overflow_byte_count():
     frame = long_shim_frame()
     labels = (frame.capture_len - 14) // 4  # independent count from the raw frame
@@ -74,8 +92,8 @@ def test_long_shim_vuln232_overflow_byte_count():
     assert event.byte_count == 4 * (labels - 3) == 1488
     assert result.verdict is Verdict.ACCEPT
     assert result.key.parse_status is ParseStatus.MALFORMED
-    assert result.memory.stack_written_slots == labels
-    assert result.memory.overflow_bytes_written == event.byte_count
+    # Every entry lands in the buffer, so the depth is the slots written.
+    assert result.key.mpls_depth_seen == labels
 
 
 def test_long_shim_custom_label_limit():
@@ -100,7 +118,7 @@ def test_short_shim_vuln240_two_byte_overread():
     assert event.kind is CorruptionKind.SHORT_LSE_OVERFLOW
     assert event.byte_count == 2
     assert result.verdict is Verdict.ACCEPT
-    assert result.memory.adjacent_bytes_read == 2
+    assert adjacent_octets_read(short_shim_frame(), VULN_240) == 2
 
 
 @pytest.mark.parametrize("frag_len", [1, 2, 3])
@@ -127,7 +145,7 @@ def test_short_shim_hardened_drops_cleanly():
     result = extract(short_shim_frame(), 0, HARDENED)
     assert result.events == ()
     assert result.verdict is Verdict.DROP
-    assert result.memory.adjacent_bytes_read == 0
+    assert adjacent_octets_read(short_shim_frame(), HARDENED) == 0
 
 
 def test_zero_total_length_vuln250_overread_with_ports():
@@ -158,7 +176,7 @@ def test_vuln250_ports_blend_from_adjacent_when_frame_ends():
     raw = b"\x1f" + adjacent[:3]
     assert result.key.l4_src == (raw[0] << 8) | raw[1]
     assert result.key.l4_dst == (raw[2] << 8) | raw[3]
-    assert result.memory.adjacent_bytes_read == 3
+    assert adjacent_octets_read(frame, VULN_250) == 3
 
 
 def test_malformed_ip_hardened_drops_cleanly():
@@ -362,8 +380,9 @@ def test_complete_key_depends_only_on_its_signature():
             continue
         complete += 1
         for r in results:
-            assert r.key == results[0].key and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
-            assert r.events == () and r.memory.adjacent_bytes_read == 0, frame.data.hex()
+            # Equal under every region: no octet past the packet is read.
+            assert r == results[0] and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
+            assert r.events == (), frame.data.hex()
         # Every octet past the signature prefix replaced: same signature, same key under every profile.
         signature = key_signature(frame.data, 1)
         prefix = signature[1]
@@ -463,15 +482,16 @@ def test_verdict_drops_exactly_malformed_frames_without_events():
 
 
 def test_hardened_accounting_identically_zero():
+    """A hardened parse writes nothing past its label buffer and reads nothing past the packet."""
     rng = random.Random(99)
     frames = [_random_frame(rng) for _ in range(300)]
     frames += [long_shim_frame(), short_shim_frame(), acl_bypass_frame()]
+    regions = [random.Random(seed).randbytes(64) for seed in (1, 2)]
     for frame in frames:
         result = extract(frame, 0, HARDENED)
         assert result.events == ()
-        assert result.memory.adjacent_bytes_read == 0
-        assert result.memory.overflow_bytes_written == 0
-        assert result.memory.stack_written_slots <= result.memory.stack_capacity_slots
+        assert result.key.mpls_depth_seen <= HARDENED.label_limit
+        assert all(extract(frame, 0, HARDENED, adjacent) == result for adjacent in regions), frame.data.hex()
         assert_flowkey_invariants(result.key)
         if result.key.parse_status is ParseStatus.MALFORMED:
             # nothing beyond the last successfully parsed layer
@@ -485,56 +505,64 @@ def test_accounting_agrees_with_events():
     frames = [_random_frame(rng) for _ in range(600)]
     frames += [craft(AttackSpec(kind)) for kind in AttackKind]
     frames += [craft(AttackSpec(AttackKind.SHORT_SHIM, fragment_len=n)) for n in (1, 3)]
-    regions = (None, random.Random(5).randbytes(64))
+    region = random.Random(5).randbytes(64)
     seen = set()
     for frame in frames:
+        data = frame.data
         for base in ALL_PROFILES:
             for limit in (1, 3, 7):
                 profile = ParserProfile(base.mode, limit)
-                for adjacent in regions:
-                    result = extract(frame, 1, profile, adjacent)
-                    memory = result.memory
-                    assert memory.stack_capacity_slots == limit
-                    if not result.events:
-                        assert memory.stack_written_slots <= limit
-                        assert memory.overflow_bytes_written == 0
-                        assert memory.adjacent_bytes_read == 0
-                        seen.add(None)
-                        continue
-                    (event,) = result.events
-                    if profile.mode is ParserMode.VULN_232:
-                        assert memory.overflow_bytes_written == event.byte_count
-                    elif profile.mode is ParserMode.VULN_240:
-                        assert memory.adjacent_bytes_read == event.byte_count
-                    seen.add(profile.mode)
-    assert {None, ParserMode.VULN_232, ParserMode.VULN_240} <= seen
+                result = extract(frame, 1, profile)
+                if not result.events:
+                    # Nothing written past the buffer, nothing read past the packet.
+                    assert result.key.mpls_depth_seen <= limit
+                    assert extract(frame, 1, profile, region) == result
+                    seen.add(None)
+                    continue
+                (event,) = result.events
+                if profile.mode is ParserMode.VULN_232:
+                    # Every entry is stored; each slot past the capacity is four octets of overflow.
+                    assert event.byte_count == 4 * (result.key.mpls_depth_seen - limit)
+                elif profile.mode is ParserMode.VULN_240:
+                    # The blended entry reaches the key only as the top of the stack.
+                    top_blended = len(data) < 14 + 4
+                    assert adjacent_octets_read(frame, profile) == (event.byte_count if top_blended else 0)
+                else:
+                    # v250 reads the TCP/UDP ports the frame lacks from past the packet.
+                    l4_off = 14 + 4 * (data[14] & 0xF)
+                    lacking = 4 - len(data[l4_off : l4_off + 4]) if data[23] in (6, 17) else 0
+                    assert adjacent_octets_read(frame, profile) == lacking
+                seen.add(profile.mode)
+    assert {None, ParserMode.VULN_232, ParserMode.VULN_240, ParserMode.VULN_250} <= seen
 
 
 def test_long_shim_custom_label_limit_accounting():
     profile = ParserProfile(ParserMode.VULN_232, label_limit=10)
-    memory = extract(long_shim_frame(), 0, profile).memory
-    assert memory.stack_capacity_slots == 10
-    assert memory.stack_written_slots == 375
-    assert memory.overflow_bytes_written == 4 * (375 - 10)
+    result = extract(long_shim_frame(), 0, profile)
+    assert result.key.mpls_depth_seen == 375
+    assert result.events[0].byte_count == 4 * (375 - 10)
     # the capacity comes from the profile whatever region is passed
     short = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=60))
     result = extract(short, 0, profile, random.Random(1).randbytes(64))
-    assert result.memory.overflow_bytes_written == result.events[0].byte_count == 4
+    assert result.key.mpls_depth_seen == 11
+    assert result.events[0].byte_count == 4
+    assert adjacent_octets_read(short, profile) == 0
 
 
 def test_same_region_gives_equal_accounting():
     adjacent = random.Random(5).randbytes(64)
     ip = Ipv4Header(total_length=0, protocol=17, src_ip=1, dst_ip=2)
     ports_cut = encode_frame(ETH_IP, [ip], payload=b"\x1f")
-    for frame, profile in ((long_shim_frame(), VULN_232), (short_shim_frame(), VULN_240), (ports_cut, VULN_250)):
+    cases = ((long_shim_frame(), VULN_232, 0), (short_shim_frame(), VULN_240, 2), (ports_cut, VULN_250, 3))
+    for frame, profile, read in cases:
         first, second = (extract(frame, 0, profile, adjacent) for _ in range(2))
-        assert first == second
-        assert first.memory.adjacent_bytes_read + first.memory.overflow_bytes_written > 0
+        assert first == second and first.events
+        assert adjacent_octets_read(frame, profile) == read
 
 
 def test_short_adjacent_region_repeats():
     result = extract(short_shim_frame(b"\x12"), 0, VULN_240, b"\xab")
-    assert result.memory.adjacent_bytes_read == 3
+    assert adjacent_octets_read(short_shim_frame(b"\x12"), VULN_240) == 3
     top = result.key.mpls_top
     word = int.from_bytes(b"\x12\xab\xab\xab", "big")
     assert (top.label, top.ttl) == (word >> 12, word & 0xFF)
@@ -583,8 +611,8 @@ def test_hardened_depth_bounded_by_complete_lses():
 def test_memory_model_flags_overflow():
     frame = long_shim_frame(5)
     result = extract(frame, 0, VULN_232)
-    assert result.memory.stack_written_slots == 5
-    assert result.memory.overflow_bytes_written == 8
+    assert result.key.mpls_depth_seen == 5
+    assert result.events[0].byte_count == 8
     with pytest.raises(ValueError):
         extract(frame, 0, VULN_232, b"")
 
