@@ -16,6 +16,7 @@ from shimguard.flowtable import (
     PopMpls,
     PushMpls,
     Rule,
+    RuleParseError,
     RuleSyntaxError,
     SentToController,
     SwitchState,
@@ -194,6 +195,39 @@ def test_rules_round_trip_through_rule_file_text():
             for _ in range(rng.randrange(1, 8))
         ]
         assert load_rules("\n".join(map(str, rules))) == rules
+
+
+_SOAK_RULES = """\
+priority=20, eth_src=02:00:00:00:00:01, ip_src=10.0.0.1, actions=output:1,output:2
+priority=10, eth_type=0x0800, ip_proto=17, l4_dst=8080, actions=drop  # acl
+priority=5, parse_status=Complete, mpls_label=16, mpls_s=1, actions=pop_mpls,push_mpls:100,controller
+priority=1, in_port=2, actions=output:4294967295
+"""
+# The format's own characters, and digits int() accepts (or not) beyond ASCII.
+_SOAK_ALPHABET = "0123456789abcdefx:.,=#_- \t\n\x00\u00b2\u0663" + "priority" + "actions"
+
+
+def test_load_rules_soak_raises_only_rule_parse_errors():
+    """Character-level mutants of a four-rule file either load or raise RuleParseError."""
+    rng = random.Random(606)
+    loaded = 0
+    for _ in range(5000):
+        text = list(_SOAK_RULES)
+        for _ in range(rng.randrange(1, 5)):
+            at = rng.randrange(len(text))
+            op = rng.randrange(3)
+            if op == 0:
+                text.insert(at, rng.choice(_SOAK_ALPHABET))
+            elif op == 1:
+                del text[at]
+            else:
+                text[at] = rng.choice(_SOAK_ALPHABET)
+        try:
+            load_rules("".join(text))
+        except RuleParseError:
+            continue
+        loaded += 1
+    assert 100 < loaded < 4000
 
 
 # --- caches -------------------------------------------------------------------

@@ -1,10 +1,20 @@
+import random
 import re
 import struct
 
 import pytest
 
 from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, RawFrame, encode_frame
-from shimguard.pcap import BadMagic, TruncatedRecord, UnsupportedFormat, global_header, read_pcap, write_pcap
+from shimguard.pcap import (
+    SNAPLEN,
+    BadMagic,
+    PcapError,
+    TruncatedRecord,
+    UnsupportedFormat,
+    global_header,
+    read_pcap,
+    write_pcap,
+)
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -139,3 +149,59 @@ def test_write_rejects_record_read_would_refuse(tmp_path, bad, message):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         read_pcap(tmp_path / "nope.pcap")
+
+
+# Big-endian, nanosecond little-endian and nanosecond big-endian magic.
+_FOREIGN_MAGICS = (bytes.fromhex("a1b2c3d4"), bytes.fromhex("4d3cb2a1"), bytes.fromhex("a1b23c4d"))
+
+
+def _pcap_mutant(rng, base, records):
+    """``base`` after 1-3 of: a truncation, a foreign magic, a forged record length, a tail, a bit flip."""
+    headers = list(range(24)) + [at + i for at in records for i in range(16)]
+    data = bytearray(base)
+    for _ in range(rng.randrange(1, 4)):
+        op = rng.randrange(6)
+        if op == 0:
+            del data[rng.randrange(len(data) + 1):]
+        elif op == 1:
+            data[:4] = rng.choice(_FOREIGN_MAGICS)
+        elif op == 2:  # a record's incl_len, and half the time its orig_len too
+            at = rng.choice(records)
+            length = struct.pack("<I", rng.choice((0, 65535, 65536, 2**32 - 1)))
+            data[at + 8 : at + 12] = length
+            if rng.random() < 0.5:
+                data[at + 12 : at + 16] = length
+        elif op == 3:
+            data += b"\xff" * rng.choice((1, 15, 65536))
+        elif data:  # a bit flip, half the time in a header
+            at = rng.choice(headers) if op == 4 else rng.randrange(len(data))
+            if at < len(data):
+                data[at] ^= 1 << rng.randrange(8)
+    return data
+
+
+def test_read_pcap_soak_raises_only_pcap_errors(tmp_path):
+    """Mutants of a multi-record capture either read back as valid records or raise PcapError."""
+    path = tmp_path / "soak.pcap"
+    write_pcap(path, _crafted_corpus() + [RawFrame.of(b"")])
+    base = path.read_bytes()
+    records = [24]
+    while records[-1] < len(base):
+        records.append(records[-1] + 16 + struct.unpack_from("<I", base, records[-1] + 8)[0])
+    records.pop()
+    rng = random.Random(2000)
+    read = 0
+    # One handle rewrites every mutant: opening the file costs more than reading it.
+    with open(path, "r+b") as fh:
+        for _ in range(2000):
+            fh.seek(0)
+            fh.write(_pcap_mutant(rng, base, records))
+            fh.truncate()
+            fh.flush()
+            try:
+                frames = read_pcap(path)
+            except PcapError:
+                continue
+            read += 1
+            assert all(len(f.data) <= SNAPLEN and f.orig_len >= len(f.data) for f in frames)
+    assert 100 < read < 1500
