@@ -5,5 +5,3 @@ modeled-vulnerable parsers, attack-frame crafting, a differential fuzzer, a
 worm-propagation timing simulator and a slow-/fast-path benchmark. All parser
 defects are simulated: corruption is reported as events, never performed.
 """
-
-__version__ = "0.1.0"

@@ -17,7 +17,6 @@ import contextlib
 import hashlib
 import io
 import random
-import struct
 import tempfile
 from pathlib import Path
 
@@ -28,14 +27,9 @@ from shimguard.bench import LATENCY_CSV_HEADER, THROUGHPUT_CSV_HEADER
 from shimguard.cli import main
 from shimguard.extract import ALL_PROFILES
 from shimguard.flowtable import SwitchState, dump_state
-from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, RawFrame, encode_frame
+from shimguard.packet import EthernetHeader, MplsLse, RawFrame, encode_frame
 from shimguard.pcap import write_pcap
-from test_flowtable import _random_rules, _random_traffic
-
-MAC_A = bytes.fromhex("020000000001")
-MAC_B = bytes.fromhex("020000000002")
-ETH_IP = EthernetHeader(MAC_B, MAC_A, 0x0800)
-ETH_MPLS = EthernetHeader(MAC_B, MAC_A, 0x8847)
+from test_flowtable import ETH_MPLS, MAC_A, MAC_B, _random_rules, _random_traffic, ip_frame, udp_frame
 
 RULES = """\
 priority=20, eth_type=0x0800, ip_proto=17, l4_dst=8080, actions=drop
@@ -55,24 +49,17 @@ def _run(*argv):
     return f"$ {' '.join(argv)}\nexit={code}\n{out.getvalue()}"
 
 
-def _ip_frame(proto, payload, total_length=None, options=b""):
-    ihl = 5 + len(options) // 4
-    if total_length is None:
-        total_length = 4 * ihl + len(payload)
-    ip = Ipv4Header(total_length=total_length, protocol=proto, src_ip=0x0A000001, dst_ip=0x0A000002,
-                    ihl=ihl, options=options)
-    return encode_frame(ETH_IP, [ip], payload=payload)
-
-
 def _mixed_frames():
     """UDP, TCP, ICMP, IPv4 options, MPLS, runts, an empty record and every attack kind, with repeats."""
-    udp = [_ip_frame(17, struct.pack(">HHHH", sport, dport, 8, 0)) for sport, dport in ((53, 1024), (1024, 8080))]
-    frames = udp + [
-        _ip_frame(6, struct.pack(">HHIIHHHH", 40000, 80, 1, 0, 0x5002, 512, 0, 0)),
-        _ip_frame(1, bytes(8)),
-        _ip_frame(17, struct.pack(">HHHH", 7, 9, 8, 0), options=b"\x01\x01\x01\x00"),
-        _ip_frame(17, struct.pack(">HHHH", 7, 9, 8, 0) + bytes(18), total_length=28),
-        encode_frame(ETH_MPLS, [MplsLse(16), MplsLse(200, bottom_of_stack=True)], payload=udp[0].data[14:]),
+    udp = udp_frame()
+    frames = [
+        udp,
+        udp_frame(1024, 8080),
+        ip_frame(size=54, sport=40000, dport=80, proto=6),
+        ip_frame(size=42, proto=1),
+        ip_frame(size=46, sport=7, dport=9, options=b"\x01\x01\x01\x00"),
+        ip_frame(size=60, sport=7, dport=9, total_length=28),
+        encode_frame(ETH_MPLS, [MplsLse(16), MplsLse(200, bottom_of_stack=True)], payload=udp.data[14:]),
         encode_frame(ETH_MPLS, [MplsLse(i) for i in range(5)] + [MplsLse(5, bottom_of_stack=True)]),
         encode_frame(ETH_MPLS, [MplsLse(1), MplsLse(2)]),
         encode_frame(EthernetHeader(MAC_B, MAC_A, 0x8848), [MplsLse(16, bottom_of_stack=True)]),
@@ -80,7 +67,7 @@ def _mixed_frames():
         RawFrame.of(b"\x01\x02\x03"),
         RawFrame.of(MAC_B + MAC_A[:1]),
         RawFrame.of(MAC_B + MAC_A + b"\x08\x00"),
-        RawFrame.of(udp[0].data[:33]),
+        RawFrame.of(udp.data[:33]),
         RawFrame.of(b""),
     ]
     frames += [craft(AttackSpec(kind)) for kind in AttackKind]
