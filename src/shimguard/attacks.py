@@ -40,7 +40,6 @@ from .packet import (
     TextEnum,
     decode_lse,
     encode_frame,
-    enum_by_value,
 )
 from .pcap import SNAPLEN
 
@@ -77,10 +76,6 @@ class AttackKind(TextEnum):
     LONG_SHIM = "long-shim"
     SHORT_SHIM = "short-shim"
     ACL_BYPASS = "acl-bypass"
-
-
-def attack_kind(name: str) -> AttackKind:
-    return enum_by_value(AttackKind, name, "attack kind")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .extract import HARDENED
 from .flowtable import Disposition, Forwarded, SwitchState, load_rules
-from .packet import EthernetHeader, Ipv4Header, RawFrame, TextEnum, encode_frame, enum_by_value
+from .packet import EthernetHeader, Ipv4Header, RawFrame, TextEnum, encode_frame
 
 DEFAULT_RATES = tuple(range(10_000, 100_001, 10_000))
 DEFAULT_SIZES = (44, 512, 1500, 2048, 9000)
@@ -50,10 +50,6 @@ MAX_LATENCY_COUNT = 100_000
 class PathMode(TextEnum):
     ALL_SLOW_PATH = "slow"
     ALL_FAST_PATH = "fast"
-
-
-def path_mode(name: str) -> PathMode:
-    return enum_by_value(PathMode, name, "bench mode")
 
 
 def _check_latency_plan(count: int, warmup: int, sizes: tuple[int, ...]) -> None:

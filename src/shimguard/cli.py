@@ -25,8 +25,8 @@ from .extract import (
     ParserProfile,
     classify_events,
     extract,
-    parser_mode,
 )
+from .packet import enum_by_value
 from .wormsim import StageTimings, Topology
 
 SEED_ENV_VAR = "SHIMGUARD_SEED"
@@ -40,10 +40,6 @@ def _resolve_seed(value: int | None) -> int:
         return int(env) if env else 0
     except ValueError:
         raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-
-
-def _profile_list(text: str, label_limit: int) -> list[ParserProfile]:
-    return [ParserProfile(parser_mode(tok), label_limit) for tok in text.split(",") if tok]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,13 +119,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_craft(args) -> int:
+def _cmd_craft(args, seed: int) -> int:
     payload = None
     if args.payload:
         with open(args.payload, "rb") as fh:
             payload = fh.read()
     spec = attacks.AttackSpec(
-        kind=attacks.attack_kind(args.kind),
+        kind=attacks.AttackKind(args.kind),
         frame_size=args.size,
         fragment_len=args.fragment,
         total_length=args.total_length,
@@ -143,8 +139,8 @@ def _cmd_craft(args) -> int:
     return 0
 
 
-def _cmd_extract(args) -> int:
-    profile = ParserProfile(parser_mode(args.profile), args.label_limit)
+def _cmd_extract(args, seed: int) -> int:
+    profile = ParserProfile(ParserMode(args.profile), args.label_limit)
     for i, frame in enumerate(pcap.read_pcap(args.infile)):
         try:
             result = extract(frame, 0, profile)
@@ -160,13 +156,13 @@ def _cmd_extract(args) -> int:
     return 0
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args, seed: int) -> int:
     if not 0 <= args.in_port < 1 << 32:
         raise ValueError(f"--in-port {args.in_port} does not fit in 32 bits")
     with open(args.rules, "r", encoding="utf-8") as fh:
         rules = flowtable.load_rules(fh.read())
     state = flowtable.SwitchState(rules, megaflow_enabled=not args.no_megaflow)
-    profile = ParserProfile(parser_mode(args.profile), args.label_limit)
+    profile = ParserProfile(ParserMode(args.profile), args.label_limit)
     for i, frame in enumerate(pcap.read_pcap(args.infile)):
         disposition = state.process(frame, args.in_port, profile)
         print(f"frame={i} disposition={disposition}")
@@ -182,7 +178,10 @@ def _cmd_fuzz(args, seed: int) -> int:
         max_len=args.max_len,
         strategies=frozenset(s for s in args.strategies.split(",") if s),
     )
-    profiles = _profile_list(args.profiles, args.label_limit)
+    profiles = [
+        ParserProfile(enum_by_value(ParserMode, tok, "parser profile"), args.label_limit)
+        for tok in args.profiles.split(",") if tok
+    ]
     report = attacks.diff_fuzz(corpus, budget, profiles)
     text = report.to_text()
     print(text, end="")
@@ -194,7 +193,7 @@ def _cmd_fuzz(args, seed: int) -> int:
     return 1 if report.has_failures else 0
 
 
-def _cmd_wormsim(args) -> int:
+def _cmd_wormsim(args, seed: int) -> int:
     if args.dos and args.csv:
         raise ValueError("--csv writes the worm timeline; --dos prints outage intervals and writes no CSV")
     topology = Topology(compute_nodes=args.nodes, attacker_vm_host=args.attacker_host)
@@ -226,11 +225,10 @@ def _cmd_wormsim(args) -> int:
 
 
 def _cmd_bench(args, seed: int) -> int:
-    mode = bench.path_mode(args.mode)
     rates = tuple(int(r) for r in args.rates.split(",") if r)
     sizes = tuple(int(s) for s in args.sizes.split(",") if s)
     config = bench.BenchConfig(
-        path_mode=mode, rates_pps=rates, duration_s=args.duration, packet_sizes=sizes,
+        path_mode=bench.PathMode(args.mode), rates_pps=rates, duration_s=args.duration, packet_sizes=sizes,
         latency_count=args.count, warmup_drop=args.warmup, interval_ms=args.interval_ms, seed=seed,
     )
     outputs = []
@@ -247,6 +245,16 @@ def _cmd_bench(args, seed: int) -> int:
     return 0
 
 
+_COMMANDS = {
+    "craft": _cmd_craft,
+    "extract": _cmd_extract,
+    "pipeline": _cmd_pipeline,
+    "fuzz": _cmd_fuzz,
+    "wormsim": _cmd_wormsim,
+    "bench": _cmd_bench,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -254,23 +262,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        seed = _resolve_seed(args.seed)
-        if args.command == "craft":
-            return _cmd_craft(args)
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args, seed)
-        if args.command == "wormsim":
-            return _cmd_wormsim(args)
-        if args.command == "bench":
-            return _cmd_bench(args, seed)
+        return _COMMANDS[args.command](args, _resolve_seed(args.seed))
     except (ValueError, OSError, pcap.PcapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

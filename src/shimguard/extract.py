@@ -52,7 +52,6 @@ from .packet import (
     RawFrame,
     TextEnum,
     decode_lse,
-    enum_by_value,
 )
 
 DEFAULT_LABEL_LIMIT = 3
@@ -88,10 +87,6 @@ class ParserMode(TextEnum):
     VULN_232 = "v232"
     VULN_240 = "v240"
     VULN_250 = "v250"
-
-
-def parser_mode(name: str) -> ParserMode:
-    return enum_by_value(ParserMode, name, "parser profile")
 
 
 @dataclass(frozen=True)
@@ -279,8 +274,8 @@ def _extract_mpls(data, profile, adjacent):
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
         missing = 4 - frag_len
-        blended = decode_lse(stack[n_complete * 4 :] + _adjacent_prefix(adjacent, missing))
-        first = decode_lse(body[:4]) if n_complete else blended
+        # The blended entry is the key's only when no complete entry precedes it.
+        first = decode_lse(body[:4] if n_complete else stack + _adjacent_prefix(adjacent, missing))
         depth = n_complete + 1
         event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
         return _MALFORMED, (first,), depth, (event,)

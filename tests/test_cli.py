@@ -1,10 +1,12 @@
+import functools
+import random
 import re
 import struct
 from pathlib import Path
 
 import pytest
 
-from shimguard import bench, wormsim
+from shimguard import bench, cli, wormsim
 from shimguard.attacks import AttackKind, AttackSpec, craft
 from shimguard.cli import main
 from shimguard.extract import VULN_232, extract
@@ -442,3 +444,123 @@ def test_values_overflowing_a_computed_time_exit_2(capsys, argv, message):
     assert code == 2
     assert stdout == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+# CLI-value soak: each run gives a subcommand valid required arguments, then
+# sets one or two options to an edge value. Flags are passed as --flag=value so
+# that "", "-1" and "," reach the option as values. Paths are relative to the
+# run's directory, where in/ holds the inputs.
+_EDGE = ["-1", "0", "nan", "inf", "1e308", "", "abc", ","]
+_IN_FILE = _EDGE + ["in/missing", "in/latin1.txt", "in/rules.txt"]
+_OUT_FILE = _EDGE + ["nodir/out"]
+_SOAK_BASE = {
+    "craft": ["craft", "--kind=long-shim", "--out=o.pcap"],
+    "extract": ["extract", "--in=in/corpus.pcap"],
+    "pipeline": ["pipeline", "--in=in/corpus.pcap", "--rules=in/rules.txt"],
+    "fuzz": ["fuzz", "--corpus=in/corpus.pcap", "--iters=10"],
+    "wormsim": ["wormsim", "--nodes=3"],
+    "bench": ["bench", "--mode=fast", "--rates=2", "--duration=0.5", "--sizes=44",
+              "--count=5", "--warmup=1"],
+}
+_SOAK_OPTIONS = {
+    "craft": {
+        "--kind": _EDGE + ["LONG-SHIM", "short-shim", "acl-bypass"],
+        "--size": _EDGE + ["17", "18", "65536"],
+        "--fragment": _EDGE + ["4"],
+        "--total-length": _EDGE + ["65536"],
+        "--sport": _EDGE + ["65536"],
+        "--dport": _EDGE + ["65536"],
+        "--payload": _IN_FILE,
+        "--out": _OUT_FILE,
+    },
+    "extract": {
+        "--in": _IN_FILE,
+        "--profile": _EDGE + ["V232", "v240"],
+        "--label-limit": _EDGE + ["1"],
+    },
+    "pipeline": {
+        "--in": _IN_FILE,
+        "--rules": _IN_FILE + ["in/corpus.pcap"],
+        "--profile": _EDGE + ["Hardened", "v250"],
+        "--label-limit": _EDGE,
+        "--in-port": _EDGE + [str(1 << 32)],
+        "--no-megaflow": [None],
+    },
+    "fuzz": {
+        "--corpus": _IN_FILE,
+        "--iters": _EDGE,
+        "--profiles": _EDGE + ["HARDENED,V232", "hardened", "hardened,,v250", "hardened,bogus"],
+        "--label-limit": _EDGE,
+        "--max-len": _EDGE + ["65536"],
+        "--strategies": _EDGE + ["bitflip,,lse-duplicate"],
+        "--out-report": _OUT_FILE,
+        "--out-exemplars": _OUT_FILE,
+    },
+    "wormsim": {
+        "--nodes": _EDGE + [str(wormsim.MAX_NODES + 1)],
+        "--attacker-host": _EDGE + ["3"],
+        "--timing": _EDGE + ["download=-1", "download=nan", "download=1e308", "=1", "download="],
+        "--dos": [None],
+        "--repeats": _EDGE + [str(wormsim.MAX_REPEATS + 1)],
+        "--interval": _EDGE,
+        "--csv": _OUT_FILE,
+    },
+    "bench": {
+        "--mode": _EDGE + ["FAST", "slow"],
+        # One packet past bench.MAX_OFFERED at the base duration, and at the base rate.
+        "--rates": _EDGE + [str((bench.MAX_OFFERED + 1) * 2)],
+        "--duration": _EDGE + [str((bench.MAX_OFFERED + 1) / 2)],
+        "--sizes": _EDGE + [str(bench.MIN_FRAME - 1), str(bench.MAX_FRAME + 1)],
+        "--count": _EDGE + [str(bench.MAX_LATENCY_COUNT + 1)],
+        "--warmup": _EDGE + ["5"],
+        "--interval-ms": _EDGE + [str(bench.MAX_INTERVAL_MS * 2)],
+        "--csv": _OUT_FILE,
+    },
+}
+# A value that passes validation on a work-count flag must keep the run small.
+_WORK_LIMITS = {"--iters": 50, "--count": 100, "--nodes": 100, "--interval-ms": 1, "--rates": 100}
+
+
+def _soak_runs(rng):
+    """Every edge value of every option on its own, then seeded pairs of them."""
+    options = {command: {**_SOAK_OPTIONS[command], "--seed": _EDGE} for command in _SOAK_BASE}
+    for command, flags in options.items():
+        for flag, values in flags.items():
+            for value in values:
+                yield command, {flag: value}
+    for _ in range(10):
+        for command, flags in options.items():
+            yield command, {flag: rng.choice(flags[flag]) for flag in rng.sample(sorted(flags), 2)}
+
+
+def test_cli_value_soak_exits_cleanly(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in").mkdir()
+    write_pcap("in/corpus.pcap", [craft(AttackSpec(kind)) for kind in AttackKind])
+    (tmp_path / "in/rules.txt").write_text("priority=5, parse_status=malformed, actions=controller\npriority=1, actions=output:1\n")
+    (tmp_path / "in/latin1.txt").write_bytes(b"priority=1, actions=output:1 # caf\xe9\n")
+    monkeypatch.delenv("SHIMGUARD_SEED", raising=False)
+    # main builds the same parser on every call; building it once keeps the soak fast.
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    rng = random.Random(2016)
+    codes = set()
+    for command, chosen in _soak_runs(rng):
+        # --seed is global, so it goes before the subcommand.
+        argv = [f"--seed={chosen.pop('--seed', rng.randrange(1 << 16))}", *_SOAK_BASE[command]]
+        argv += [flag if value is None else f"{flag}={value}" for flag, value in chosen.items()]
+        try:
+            code, _, err = run(capsys, *argv)
+        except Exception as exc:  # a traceback escaping main is the failure this soak looks for
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert code in (0, 1, 2), argv
+        codes.add(code)
+        if code == 2:
+            assert err.startswith("usage: shimguard") or (
+                err.startswith("error: ") and err.count("\n") == 1
+            ), (argv, err)
+            continue
+        assert err == "", (argv, err)
+        for flag, limit in _WORK_LIMITS.items():
+            if flag in chosen:
+                assert max(map(float, filter(None, chosen[flag].split(","))), default=0) <= limit, argv
+    assert codes >= {0, 2}

@@ -1,10 +1,11 @@
 import random
+from functools import partial
 
 import pytest
 
-from shimguard.attacks import AttackKind, attack_kind
-from shimguard.bench import PathMode, path_mode
-from shimguard.extract import CorruptionKind, ParserMode, Verdict, VulnClass, parser_mode
+from shimguard.attacks import AttackKind
+from shimguard.bench import PathMode
+from shimguard.extract import CorruptionKind, ParserMode, Verdict, VulnClass
 from shimguard.packet import (
     EthernetHeader,
     FlowKey,
@@ -15,6 +16,7 @@ from shimguard.packet import (
     RawFrame,
     decode_lse,
     encode_frame,
+    enum_by_value,
     format_ipv4,
     format_mac,
     parse_ipv4,
@@ -220,9 +222,11 @@ def test_mac_ip_text_helpers():
     "lookup, enum, what",
     [
         (parse_status, ParseStatus, "parse status"),
-        (parser_mode, ParserMode, "parser profile"),
-        (attack_kind, AttackKind, "attack kind"),
-        (path_mode, PathMode, "bench mode"),
+        # How fuzz --profiles reads each comma-separated name.
+        pytest.param(
+            partial(enum_by_value, ParserMode, what="parser profile"), ParserMode, "parser profile",
+            id="enum_by_value-ParserMode-parser profile",
+        ),
     ],
 )
 def test_enum_lookup_by_value(lookup, enum, what):
