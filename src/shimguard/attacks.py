@@ -125,10 +125,10 @@ def encode_payload(data: bytes) -> list[MplsLse]:
         raise ValueError(f"payload length {len(data)} not divisible by 4; caller pads")
     lses = []
     for index in range(0, len(data), 4):
-        chunk = data[index : index + 4]
-        if chunk[2] & 1:
+        lse = decode_lse(data[index : index + 4])
+        if lse.bottom_of_stack:
             raise PayloadViolatesConstraint(index // 4)
-        lses.append(decode_lse(chunk))
+        lses.append(lse)
     return lses
 
 

@@ -72,6 +72,7 @@ _PORTS = struct.Struct(">HH")
 _IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
 _IPV4_FRAME_LEN = _IPV4_FRAME.size
 _NO_IP = (None,) * 7
+_NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
 # The default adjacent region, shared by every call; bytes are immutable.
@@ -217,15 +218,16 @@ def extract(
                 and IPV4_MIN_HEADER_LEN <= total_length <= size - ETHERNET_HEADER_LEN):
             if total_length < IPV4_MIN_HEADER_LEN + 4 or proto not in _L4_PROTOS:
                 l4_src = l4_dst = None
-            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, (), 0, ip_src, ip_dst,
-                                       proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
+            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
+                                       ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
             return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
     return _walk(data, in_port, profile, adjacent)
 
 
 def _walk(data, in_port, profile, adjacent):
     """The general walk: every frame the option-less IPv4 shortcut does not take."""
-    events = labels = ()
+    events = ()
+    top = _NO_LSE
     ip = _NO_IP
     depth = 0
     if len(data) < ETHERNET_HEADER_LEN:
@@ -234,19 +236,19 @@ def _walk(data, in_port, profile, adjacent):
     else:
         eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
         if ethertype in MPLS_ETHERTYPES:
-            status, labels, depth, events = _extract_mpls(data, profile, adjacent)
+            status, top, depth, events = _extract_mpls(data, profile, adjacent)
         elif ethertype == ETHERTYPE_IPV4:
             status, ip, events = _extract_ipv4(data, profile, adjacent)
         else:
             status = _L2_ONLY
     # Positional: the keyword constructor costs about 4x as much.
-    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, labels, depth, *ip, status))
+    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, *top, depth, *ip, status))
     verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
     return _tuple_new(ExtractionResult, (key, events, verdict))
 
 
 def _extract_mpls(data, profile, adjacent):
-    """Walk an MPLS stack; returns (status, labels, depth, events)."""
+    """Walk an MPLS stack; returns (status, top entry or _NO_LSE, depth, events)."""
     limit = profile.label_limit
     stack = data[ETHERNET_HEADER_LEN:]
     n_complete = len(stack) // 4
@@ -262,13 +264,13 @@ def _extract_mpls(data, profile, adjacent):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        return _MPLS_TERMINATED, (decode_lse(body[:4]),), depth, ()
+        return _MPLS_TERMINATED, decode_lse(body[:4]), depth, ()
 
     if profile.mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        return _MALFORMED, (decode_lse(body[:4]),), n_complete, (event,)
+        return _MALFORMED, decode_lse(body[:4]), n_complete, (event,)
 
     if profile.mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
@@ -278,12 +280,12 @@ def _extract_mpls(data, profile, adjacent):
         first = decode_lse(body[:4] if n_complete else stack + _adjacent_prefix(adjacent, missing))
         depth = n_complete + 1
         event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
-        return _MALFORMED, (first,), depth, (event,)
+        return _MALFORMED, first, depth, (event,)
 
     # Shared malformed path: the stack never terminated (and/or a trailing
     # fragment remained) and no profile-specific trigger applies.
     depth = n_complete if n_complete <= limit else limit
-    return _MALFORMED, (), depth, ()
+    return _MALFORMED, _NO_LSE, depth, ()
 
 
 def _extract_ipv4(data, profile, adjacent):

@@ -17,16 +17,15 @@ packet for packet.
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
 from .packet import (
     FlowKey,
-    MplsLse,
     ParseStatus,
     RawFrame,
     format_ipv4,
@@ -88,10 +87,10 @@ class ToController:
 
 @dataclass(frozen=True)
 class PushMpls:
-    lse: MplsLse
+    label: int
 
     def __str__(self) -> str:
-        return f"push_mpls:{self.lse.label}"
+        return f"push_mpls:{self.label}"
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def disposition_of(actions: Sequence[Action]) -> Disposition:
 
 def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict) -> None:
     """Walk the key's label depth through the actions, counting each pop that finds no label."""
-    depth = len(key.mpls_labels)
+    depth = key.mpls_label is not None
     for action in actions:
         if isinstance(action, PushMpls):
             depth += 1
@@ -168,42 +167,48 @@ def _outcome(actions: tuple[Action, ...]) -> tuple[tuple[Action, ...], Dispositi
 # --- matching ---------------------------------------------------------------
 
 
-def _mpls_label(key: FlowKey):
-    top = key.mpls_top
-    return top.label if top else None
+def _number(syntax: str, base: int) -> Callable[[str], int]:
+    """Parse only what ``syntax`` fully matches; int() alone also takes signs, "_" and non-ASCII digits."""
+    match = re.compile(syntax).fullmatch
+
+    def parse(text: str) -> int:
+        if not match(text):
+            raise ValueError(f"bad number {text!r}")
+        return int(text, base)
+
+    return parse
 
 
-def _mpls_s(key: FlowKey):
-    top = key.mpls_top
-    return int(top.bottom_of_stack) if top else None
-
-
-_int0 = partial(int, base=0)  # decimal, 0x, 0o or 0b
+_decimal = _number("[0-9]+", 10)
+_priority = _number("-?[0-9]+", 10)
+# Decimal, 0x, 0o or 0b; int() with base 0 still rejects a decimal leading zero ("01").
+_int0 = _number("0x[0-9a-fA-F]+|0o[0-7]+|0b[01]+|[0-9]+", 0)
 
 
 class _Field(NamedTuple):
     """One field of the rule language.
 
-    ``source`` is the FlowKey field holding the value, or a getter for a
-    value the key derives. ``bits`` is the header field's width; a numeric
-    rule value must fit it, and a MAC or IPv4 value fits it by its syntax.
+    ``source`` is the name of the FlowKey field holding the value. ``bits``
+    is the header field's width; a numeric rule value must fit it, and a MAC
+    or IPv4 value fits it by its syntax.
     """
 
-    source: str | Callable[[FlowKey], object]
+    source: str
     parse: Callable[[str], object]
     show: Callable[[object], str]
     bits: int | None
 
 
 # The rule language, one row per field, in rule-file documentation order.
-# in_port and mpls_s parse as decimal only; int("01", 0) raises.
+# in_port and mpls_s parse as decimal only. The key's mpls_s is a bool and a
+# rule's an int; "{:d}" prints both as 0 or 1.
 _FIELDS: dict[str, _Field] = {
-    "in_port": _Field("in_port", int, str, 32),
+    "in_port": _Field("in_port", _decimal, str, 32),
     "eth_src": _Field("eth_src", parse_mac, format_mac, 48),
     "eth_dst": _Field("eth_dst", parse_mac, format_mac, 48),
     "eth_type": _Field("ethertype", _int0, "0x{:04x}".format, 16),
-    "mpls_label": _Field(_mpls_label, _int0, str, 20),
-    "mpls_s": _Field(_mpls_s, int, str, 1),
+    "mpls_label": _Field("mpls_label", _int0, str, 20),
+    "mpls_s": _Field("mpls_s", _decimal, "{:d}".format, 1),
     "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, 32),
     "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, 32),
     "ip_proto": _Field("ip_proto", _int0, str, 8),
@@ -212,29 +217,22 @@ _FIELDS: dict[str, _Field] = {
     "parse_status": _Field("parse_status", parse_status, str, None),
 }
 
-# Rule fields the FlowKey stores as they are, by position in the key.
-_KEY_POSITIONS = {
-    name: FlowKey._fields.index(field.source) for name, field in _FIELDS.items() if isinstance(field.source, str)
-}
-
-FIELD_GETTERS: dict[str, Callable[[FlowKey], object]] = {
-    name: itemgetter(_KEY_POSITIONS[name]) if name in _KEY_POSITIONS else field.source
-    for name, field in _FIELDS.items()
-}
+# Each rule field's position in the key.
+_KEY_POSITIONS = {name: FlowKey._fields.index(field.source) for name, field in _FIELDS.items()}
 
 
 def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
     """Compile the projection of a key onto a field list: its values, in list order.
 
-    Rule matches and megaflow masks both go through it. Two or more fields
-    the key stores as they are take one itemgetter; a shorter list, or one
-    with mpls_label or mpls_s, goes through the per-field getters, so a
-    one-field list still yields a 1-tuple.
+    Rule matches and megaflow masks both go through it. Every rule field is
+    one key position, so two or more fields take one itemgetter; a shorter
+    list builds its tuple from its positions, so a one-field list still
+    yields a 1-tuple.
     """
-    if len(mask) > 1 and all(name in _KEY_POSITIONS for name in mask):
-        return itemgetter(*(_KEY_POSITIONS[name] for name in mask))
-    getters = tuple(FIELD_GETTERS[name] for name in mask)
-    return lambda key: tuple([get(key) for get in getters])
+    positions = tuple(_KEY_POSITIONS[name] for name in mask)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    return lambda key: tuple([key[i] for i in positions])
 
 
 @dataclass(frozen=True)
@@ -473,24 +471,22 @@ def _parse_field(name: str, text: str):
     return value
 
 
+_PLAIN_ACTIONS = {"drop": Drop(), "controller": ToController(), "pop_mpls": PopMpls()}
+# An action with an argument: its class, the rule field the argument parses as, and the argument's name.
+_ARG_ACTIONS = {"output": (Output, "in_port", "output port"), "push_mpls": (PushMpls, "mpls_label", "label")}
+
+
 def _parse_action(token: str, lineno: int) -> Action:
     token = token.strip()
-    if token == "drop":
-        return Drop()
-    if token == "controller":
-        return ToController()
-    if token == "pop_mpls":
-        return PopMpls()
-    if token.startswith("output:"):
+    if token in _PLAIN_ACTIONS:
+        return _PLAIN_ACTIONS[token]
+    name, colon, arg = token.partition(":")
+    if colon and name in _ARG_ACTIONS:
+        make, field, what = _ARG_ACTIONS[name]
         try:
-            return Output(_parse_field("in_port", token.split(":", 1)[1]))
+            return make(_parse_field(field, arg))
         except ValueError:
-            raise RuleSyntaxError(lineno, f"bad output port in {token!r}") from None
-    if token.startswith("push_mpls:"):
-        try:
-            return PushMpls(MplsLse(_parse_field("mpls_label", token.split(":", 1)[1]), bottom_of_stack=True))
-        except ValueError:
-            raise RuleSyntaxError(lineno, f"bad label in {token!r}") from None
+            raise RuleSyntaxError(lineno, f"bad {what} in {token!r}") from None
     raise RuleSyntaxError(lineno, f"unknown action {token!r}")
 
 
@@ -528,7 +524,7 @@ def load_rules(text: str) -> list[Rule]:
                 if priority is not None:
                     raise DuplicateFieldError(lineno, "priority")
                 try:
-                    priority = int(value)
+                    priority = _priority(value)
                 except ValueError:
                     raise RuleSyntaxError(lineno, f"bad priority {value!r}") from None
                 continue

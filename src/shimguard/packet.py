@@ -8,6 +8,7 @@ and never validated; VLAN and every other unknown ethertype stay unparsed.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -99,7 +100,7 @@ class MplsLse(NamedTuple):
 def decode_lse(raw: bytes) -> MplsLse:
     """Decode exactly four octets into a label stack entry.
 
-    Length is the caller's responsibility; any 4-octet input decodes.
+    Every 4-octet input decodes; any other length raises ValueError.
     """
     if len(raw) != LSE_LEN:
         raise ValueError(f"LSE must be exactly {LSE_LEN} octets, got {len(raw)}")
@@ -207,14 +208,18 @@ class FlowKey(NamedTuple):
     """Canonical extracted header fields driving table lookup.
 
     Optional fields stay None beyond whatever layer parsing reached. The
-    recorded label tuple keeps top-of-stack first.
+    fields from mpls_label to mpls_ttl are the top label stack entry's, in
+    MplsLse order, all None when no entry was recorded.
     """
 
     in_port: int
     eth_src: bytes | None = None
     eth_dst: bytes | None = None
     ethertype: int | None = None
-    mpls_labels: tuple[MplsLse, ...] = ()
+    mpls_label: int | None = None
+    mpls_exp: int | None = None
+    mpls_s: bool | None = None
+    mpls_ttl: int | None = None
     mpls_depth_seen: int = 0
     ip_src: int | None = None
     ip_dst: int | None = None
@@ -225,10 +230,6 @@ class FlowKey(NamedTuple):
     l4_dst: int | None = None
     parse_status: ParseStatus = ParseStatus.MALFORMED
 
-    @property
-    def mpls_top(self) -> MplsLse | None:
-        return self.mpls_labels[0] if self.mpls_labels else None
-
     def describe(self) -> str:
         """One-line rendering with only the populated fields."""
         parts = [f"in_port={self.in_port}"]
@@ -236,9 +237,8 @@ class FlowKey(NamedTuple):
             parts.append(f"eth={format_mac(self.eth_src)}>{format_mac(self.eth_dst)}")
         if self.ethertype is not None:
             parts.append(f"eth_type=0x{self.ethertype:04x}")
-        top = self.mpls_top
-        if top is not None:
-            parts.append(f"mpls=[label={top.label} exp={top.exp} s={int(top.bottom_of_stack)} ttl={top.ttl}]")
+        if self.mpls_label is not None:
+            parts.append(f"mpls=[label={self.mpls_label} exp={self.mpls_exp} s={self.mpls_s:d} ttl={self.mpls_ttl}]")
         if self.mpls_depth_seen:
             parts.append(f"mpls_depth={self.mpls_depth_seen}")
         if self.ip_src is not None:
@@ -257,11 +257,15 @@ def format_mac(mac: bytes | None) -> str:
     return mac.hex(":")
 
 
+# ASCII only: int() alone also takes signs, "_", whitespace and non-ASCII digits.
+_MAC_SYNTAX = re.compile(r"[0-9a-fA-F]{1,2}(?::[0-9a-fA-F]{1,2}){5}")
+_IPV4_SYNTAX = re.compile(r"[0-9]{1,3}(?:\.[0-9]{1,3}){3}")
+
+
 def parse_mac(text: str) -> bytes:
-    parts = text.split(":")
-    if len(parts) != 6:
+    if not _MAC_SYNTAX.fullmatch(text):
         raise ValueError(f"bad MAC {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    return bytes(int(p, 16) for p in text.split(":"))
 
 
 def format_ipv4(addr: int | None) -> str:
@@ -271,16 +275,9 @@ def format_ipv4(addr: int | None) -> str:
 
 
 def parse_ipv4(text: str) -> int:
-    parts = text.split(".")
-    if len(parts) != 4:
+    if not _IPV4_SYNTAX.fullmatch(text) or max(map(int, text.split("."))) > 255:
         raise ValueError(f"bad IPv4 address {text!r}")
-    addr = 0
-    for p in parts:
-        octet = int(p)
-        if not 0 <= octet <= 255:
-            raise ValueError(f"bad IPv4 address {text!r}")
-        addr = (addr << 8) | octet
-    return addr
+    return int.from_bytes(bytes(map(int, text.split("."))), "big")
 
 
 def encode_frame(

@@ -299,13 +299,13 @@ def test_craft_long_shim_at_snaplen_writes_pcap(tmp_path, capsys):
 
 def test_pipeline_rule_value_wider_than_field_exits_2(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
-    rules.write_text("priority=1, actions=output:1\npriority=2, eth_type=-1, actions=drop\n")
+    rules.write_text("priority=1, actions=output:1\npriority=2, eth_type=0x10000, actions=drop\n")
     frame_pcap = tmp_path / "acl.pcap"
     run(capsys, "craft", "--kind", "acl-bypass", "--out", str(frame_pcap))
     code, stdout, err = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules))
     assert code == 2
     assert stdout == ""
-    assert err == "error: line 2: bad value for eth_type: -1 does not fit in 16 bits\n"
+    assert err == "error: line 2: bad value for eth_type: 65536 does not fit in 16 bits\n"
 
 
 @pytest.mark.parametrize(

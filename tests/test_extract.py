@@ -59,8 +59,13 @@ def udp_frame(sport=53, dport=1024):
 def assert_flowkey_invariants(key):
     if key.l4_src is not None or key.l4_dst is not None:
         assert key.ip_src is not None and key.ip_dst is not None
-    if key.mpls_top is not None:
+    if key.mpls_label is not None:
         assert key.ethertype in (0x8847, 0x8848)
+
+
+def top_entry(key):
+    """The key's top label stack entry fields, read by name, in MplsLse order."""
+    return key.mpls_label, key.mpls_exp, key.mpls_s, key.mpls_ttl
 
 
 def adjacent_octets_read(frame, profile):
@@ -107,7 +112,7 @@ def test_long_shim_hardened_drops_cleanly():
     assert result.events == ()
     assert result.verdict is Verdict.DROP
     assert result.key.parse_status is ParseStatus.MALFORMED
-    assert result.key.mpls_top is None
+    assert top_entry(result.key) == (None,) * 4
     assert result.key.mpls_depth_seen == 3
 
 
@@ -133,11 +138,7 @@ def test_short_shim_blended_top_from_seeded_region():
     result = extract(short_shim_frame(frag), 0, VULN_240, adjacent)
     # hand-computed blend: fragment octets then the first adjacent octets
     word = int.from_bytes(frag + adjacent[:2], "big")
-    top = result.key.mpls_top
-    assert top.label == word >> 12
-    assert top.exp == (word >> 9) & 0x7
-    assert top.bottom_of_stack == bool((word >> 8) & 1)
-    assert top.ttl == word & 0xFF
+    assert top_entry(result.key) == (word >> 12, (word >> 9) & 0x7, bool((word >> 8) & 1), word & 0xFF)
     assert result.key.mpls_depth_seen == 1
 
 
@@ -229,7 +230,7 @@ def test_terminated_stack_never_parses_beneath():
         key = result.key
         assert key.parse_status is ParseStatus.MPLS_TERMINATED
         assert result.verdict is Verdict.ACCEPT
-        assert key.mpls_top == MplsLse(100)
+        assert top_entry(key) == MplsLse(100)
         assert key.mpls_depth_seen == 2
         assert key.ip_src is None and key.l4_src is None
 
@@ -268,7 +269,7 @@ def test_mpls_multicast_ethertype_accepted():
     frame = encode_frame(eth, [MplsLse(5, bottom_of_stack=True)])
     result = extract(frame, 0, HARDENED)
     assert result.key.parse_status is ParseStatus.MPLS_TERMINATED
-    assert result.key.mpls_top.label == 5
+    assert result.key.mpls_label == 5
 
 
 def test_runt_frame_malformed():
@@ -294,10 +295,10 @@ def test_keys_equal_keyword_built_flowkeys():
         (HARDENED, acl_bypass_frame(), FlowKey(
             in_port=7, **eth, ethertype=0x0800, parse_status=ParseStatus.MALFORMED)),
         (HARDENED, encode_frame(ETH_MPLS, [MplsLse(5), lse]), FlowKey(
-            in_port=7, **eth, ethertype=0x8847, mpls_labels=(MplsLse(5),), mpls_depth_seen=2,
+            in_port=7, **eth, ethertype=0x8847, mpls_label=5, mpls_exp=0, mpls_s=False, mpls_ttl=64, mpls_depth_seen=2,
             parse_status=ParseStatus.MPLS_TERMINATED)),
         (VULN_232, long_shim_frame(5), FlowKey(
-            in_port=7, **eth, ethertype=0x8847, mpls_labels=(MplsLse(0),), mpls_depth_seen=5,
+            in_port=7, **eth, ethertype=0x8847, mpls_label=0, mpls_exp=0, mpls_s=False, mpls_ttl=64, mpls_depth_seen=5,
             parse_status=ParseStatus.MALFORMED)),
         (HARDENED, long_shim_frame(5), FlowKey(
             in_port=7, **eth, ethertype=0x8847, mpls_depth_seen=3, parse_status=ParseStatus.MALFORMED)),
@@ -495,7 +496,7 @@ def test_hardened_accounting_identically_zero():
         assert_flowkey_invariants(result.key)
         if result.key.parse_status is ParseStatus.MALFORMED:
             # nothing beyond the last successfully parsed layer
-            assert result.key.mpls_top is None
+            assert top_entry(result.key) == (None,) * 4
             assert result.key.ip_src is None
             assert result.key.l4_src is None
 
@@ -563,9 +564,8 @@ def test_same_region_gives_equal_accounting():
 def test_short_adjacent_region_repeats():
     result = extract(short_shim_frame(b"\x12"), 0, VULN_240, b"\xab")
     assert adjacent_octets_read(short_shim_frame(b"\x12"), VULN_240) == 3
-    top = result.key.mpls_top
     word = int.from_bytes(b"\x12\xab\xab\xab", "big")
-    assert (top.label, top.ttl) == (word >> 12, word & 0xFF)
+    assert (result.key.mpls_label, result.key.mpls_ttl) == (word >> 12, word & 0xFF)
 
 
 def test_vuln232_trigger_iff_predicate():

@@ -7,7 +7,6 @@ import pytest
 import shimguard.flowtable as flowtable
 from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract, key_signature
 from shimguard.flowtable import (
-    FIELD_GETTERS,
     Drop,
     DuplicateFieldError,
     Dropped,
@@ -141,6 +140,56 @@ def test_load_rules_rejects_output_port_outside_32_bits(port):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "token",
+    [
+        "ip_dst=10.0.0.1_0",
+        "ip_dst=10.0.0.+1",
+        "ip_dst=10.0.0.0001",
+        "ip_src=10.0.0.\u0661",
+        "l4_dst=1_0",
+        "l4_src=0x_50",
+        "priority=1_0",
+        "priority=+5",
+        "in_port=\u0663",
+        "mpls_label=\uff11\uff16",
+        "mpls_s=+1",
+        "eth_type=0X800",
+        "eth_type=-0",
+        "eth_src=0x1:2:3:4:5:6",
+        "eth_dst=02:00:00:00:00: 1",
+        "eth_dst=02:00:00:00:00:+1",
+        "eth_dst=02:00:00:00:00:001",
+        "actions=output:\u0663",
+        "actions=push_mpls:1_6",
+    ],
+)
+def test_load_rules_rejects_numbers_outside_the_documented_syntax(token):
+    if token.startswith("actions="):
+        line = f"priority=5, {token}"
+    elif token.startswith("priority="):
+        line = f"{token}, actions=drop"
+    else:
+        line = f"priority=5, {token}, actions=drop"
+    with pytest.raises(RuleSyntaxError) as exc:
+        load_rules("priority=1, actions=output:1\n" + line)
+    assert exc.value.line == 2
+
+
+def test_load_rules_accepts_every_documented_number_form():
+    (rule,) = load_rules(
+        "priority=-3, in_port=007, eth_src=2:0:0:0:0:A, eth_dst=0a:0B:00:00:00:01, eth_type=0x88A8, "
+        "mpls_label=0o17, ip_src=010.0.0.1, ip_dst=255.255.255.255, ip_proto=0b110, l4_src=0, actions=output:01"
+    )
+    assert rule.priority == -3
+    assert dict(rule.match) == {
+        "in_port": 7, "eth_src": bytes.fromhex("02000000000a"), "eth_dst": bytes.fromhex("0a0b00000001"),
+        "eth_type": 0x88A8, "mpls_label": 15, "ip_src": 0x0A000001, "ip_dst": 0xFFFFFFFF, "ip_proto": 6,
+        "l4_src": 0,
+    }
+    assert rule.actions == (Output(1),)
+
+
 def test_load_rules_accepts_output_port_extremes():
     (rule,) = load_rules("priority=1, actions=output:0,output:4294967295")
     assert rule.actions == (Output(0), Output(4294967295))
@@ -155,7 +204,7 @@ def test_load_rules_accepts_field_extremes_and_decimal_leading_zeros():
         "in_port": 0xFFFFFFFF, "eth_type": 0xFFFF, "mpls_label": 0xFFFFF, "mpls_s": 1,
         "ip_proto": 255, "l4_src": 0, "l4_dst": 0xFFFF,
     }
-    assert rule.actions == (PushMpls(MplsLse(0xFFFFF, bottom_of_stack=True)),)
+    assert rule.actions == (PushMpls(0xFFFFF),)
 
 
 _FIELD_VALUES = {
@@ -176,13 +225,13 @@ _ACTION_MAKERS = (
     lambda rng: Output(rng.randrange(1 << 16)),
     lambda rng: Drop(),
     lambda rng: ToController(),
-    lambda rng: PushMpls(MplsLse(rng.randrange(1 << 20), bottom_of_stack=True)),
+    lambda rng: PushMpls(rng.randrange(1 << 20)),
     lambda rng: PopMpls(),
 )
 
 
 def test_rules_round_trip_through_rule_file_text():
-    assert sorted(_FIELD_VALUES) == sorted(FIELD_GETTERS)
+    assert sorted(_FIELD_VALUES) == sorted(flowtable._FIELDS)
     rng = random.Random(77)
     for _ in range(200):
         rules = [
@@ -395,7 +444,7 @@ _RANDOM_ACTIONS = (
     lambda rng: (Drop(),),
     lambda rng: (ToController(),),
     lambda rng: (PopMpls(), Output(rng.randrange(1, 4))),
-    lambda rng: (PushMpls(MplsLse(rng.choice([16, 100]), bottom_of_stack=True)), Output(2)),
+    lambda rng: (PushMpls(rng.choice([16, 100])), Output(2)),
     lambda rng: (PopMpls(), ToController()),
     lambda rng: (PopMpls(), PopMpls()),
 )
@@ -692,34 +741,39 @@ def test_signature_memo_keyed_on_header_octets_and_port(parsed):
     assert parsed[2:] == [other_ident, frame]  # another header octet, another port: parsed
 
 
-@pytest.mark.parametrize("name", sorted(FIELD_GETTERS))
+def _field_value(key, name):
+    """A rule field's value in the key, read by attribute name rather than by key position."""
+    return getattr(key, "ethertype" if name == "eth_type" else name)
+
+
+@pytest.mark.parametrize("name", sorted(_FIELD_VALUES))
 def test_mask_projector_one_field(name):
     project = mask_projector((name,))
     keys = [
         FlowKey(in_port=2, eth_src=MAC_A, eth_dst=MAC_B, ethertype=0x0800, ip_src=1, ip_dst=2, ip_proto=17,
                 ip_tos=0, ip_ttl=64, l4_src=53, l4_dst=80, parse_status=ParseStatus.COMPLETE),
         FlowKey(in_port=1, eth_src=MAC_A, eth_dst=MAC_B, ethertype=0x8847,
-                mpls_labels=(MplsLse(16, bottom_of_stack=True),), mpls_depth_seen=1,
+                mpls_label=16, mpls_exp=0, mpls_s=True, mpls_ttl=64, mpls_depth_seen=1,
                 parse_status=ParseStatus.MPLS_TERMINATED),
         FlowKey(in_port=3),
     ]
     for key in keys:
-        assert project(key) == (FIELD_GETTERS[name](key),)
+        assert project(key) == (_field_value(key, name),)
 
 
 def test_mask_projector_matches_field_getters():
     rng = random.Random(9)
-    names = sorted(FIELD_GETTERS)
+    names = sorted(_FIELD_VALUES)
     for _ in range(200):
         mask = tuple(sorted(rng.sample(names, k=rng.randrange(0, len(names) + 1))))
         key = _random_key(rng)
-        assert mask_projector(mask)(key) == tuple(FIELD_GETTERS[name](key) for name in mask)
+        assert mask_projector(mask)(key) == tuple(_field_value(key, name) for name in mask)
 
 
 def _reference_scan(rules_in_scan_order, key):
-    """Scan position of the first rule whose every field getter equals its value."""
+    """Scan position of the first rule whose every field, read by name, equals its value."""
     for pos, rule in enumerate(rules_in_scan_order):
-        if all(FIELD_GETTERS[name](key) == value for name, value in rule.match):
+        if all(_field_value(key, name) == value for name, value in rule.match):
             return pos
     return None
 
@@ -789,9 +843,9 @@ def _random_key(rng):
                        l4_src=53, l4_dst=80, parse_status=ParseStatus.COMPLETE)
     if variant == 1:
         ethertype = rng.choice([0x8847, 0x8848])
-        labels = tuple(MplsLse(rng.randrange(1 << 20)) for _ in range(rng.randrange(1, 3)))
         return FlowKey(in_port=2, eth_src=MAC_A, eth_dst=MAC_B, ethertype=ethertype,
-                       mpls_labels=labels, mpls_depth_seen=len(labels),
+                       mpls_label=rng.randrange(1 << 20), mpls_exp=0, mpls_s=rng.random() < 0.5, mpls_ttl=64,
+                       mpls_depth_seen=rng.randrange(1, 3),
                        parse_status=ParseStatus.MPLS_TERMINATED)
     return FlowKey(in_port=3, eth_src=MAC_A, eth_dst=MAC_B, ethertype=0x9999,
                    parse_status=ParseStatus.L2_ONLY)
@@ -802,10 +856,10 @@ def _random_key(rng):
     [("pop", 0, 1), ("push,pop,pop", 0, 1), ("pop,pop", 1, 1), ("push,pop", 0, 0), ("pop,push,pop", 0, 1)],
 )
 def test_pop_without_label_is_flagged_noop(names, depth, noops):
-    actions = {"push": PushMpls(MplsLse(77, bottom_of_stack=True)), "pop": PopMpls()}
+    actions = {"push": PushMpls(77), "pop": PopMpls()}
     stats = {"pop_mpls_noop": 0}
-    key = FlowKey(in_port=1, ethertype=0x8847 if depth else 0x0800,
-                  mpls_labels=(MplsLse(16, bottom_of_stack=True),) * depth, mpls_depth_seen=depth,
+    top = {"mpls_label": 16, "mpls_exp": 0, "mpls_s": True, "mpls_ttl": 64} if depth else {}
+    key = FlowKey(in_port=1, ethertype=0x8847 if depth else 0x0800, **top, mpls_depth_seen=depth,
                   parse_status=ParseStatus.MPLS_TERMINATED if depth else ParseStatus.COMPLETE)
     walk = tuple(actions[name] for name in names.split(",")) + (Output(1),)
     apply_actions(key, walk, stats)

@@ -156,9 +156,8 @@ def _old_describe(key):
         parts.append(f"eth={mac(key.eth_src)}>{mac(key.eth_dst)}")
     if key.ethertype is not None:
         parts.append(f"eth_type=0x{key.ethertype:04x}")
-    top = key.mpls_top
-    if top is not None:
-        parts.append(f"mpls=[label={top.label} exp={top.exp} s={int(top.bottom_of_stack)} ttl={top.ttl}]")
+    if key.mpls_label is not None:
+        parts.append(f"mpls=[label={key.mpls_label} exp={key.mpls_exp} s={int(key.mpls_s)} ttl={key.mpls_ttl}]")
     if key.mpls_depth_seen:
         parts.append(f"mpls_depth={key.mpls_depth_seen}")
     if key.ip_src is not None:
@@ -179,12 +178,16 @@ def test_describe_renders_as_per_octet_joins():
 
     edges = (0, 0xFFFFFFFF, 0x0A000001, 0x7F000001)
     for _ in range(1000):
+        top = rng.choice(((None,) * 4, (rng.randrange(1 << 20), rng.randrange(8), rng.random() < 0.5, 64)))
         key = FlowKey(
             in_port=rng.randrange(1 << 32),
             eth_src=maybe(rng.randbytes(6)),
             eth_dst=maybe(rng.choice((bytes(6), b"\xff" * 6, rng.randbytes(6)))),
             ethertype=maybe(rng.randrange(1 << 16)),
-            mpls_labels=rng.choice(((), (MplsLse(rng.randrange(1 << 20), rng.randrange(8), rng.random() < 0.5),))),
+            mpls_label=top[0],
+            mpls_exp=top[1],
+            mpls_s=top[2],
+            mpls_ttl=top[3],
             mpls_depth_seen=rng.randrange(4),
             ip_src=maybe(rng.choice((rng.getrandbits(32), *edges))),
             ip_dst=maybe(rng.getrandbits(32)),
