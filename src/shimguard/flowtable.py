@@ -10,6 +10,11 @@ and the microflow), a microflow hit, a megaflow hit, an upcall. A switch
 built with its caches disabled is a pure slow-path device, which is how the
 benchmark isolates slow-path cost.
 
+A megaflow lookup probes the mask tables largest first. Probe order changes
+no output, because at most one entry of all the tables matches a key: an
+entry's mask holds every field of every rule at or above its winner's
+priority, so every key it matches has that same winner.
+
 The cache-correctness contract: for any rule set and packet sequence, the
 dispositions with caches enabled equal the dispositions with caches disabled,
 packet for packet.
@@ -318,8 +323,12 @@ class SwitchState:
         # entry; oldest out first, same bound as the microflow. Exact only while the entry stays
         # in `megaflows`: a megaflow eviction must also drop every signature pointing at it.
         self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
-        # mask -> (compiled projector, table keyed by projection), in install order.
+        # mask -> (compiled projector, table keyed by projection), in install order. At most one
+        # entry of all the tables matches any key, so the order tables are probed in is invisible.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
+        # The same (projector, table) pairs in probe order: largest table first, ties in the
+        # order they reached that size. `_upcall` keeps it sorted, so a hit updates nothing.
+        self._probe: list[tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = []
         self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
         # Scan order: descending priority, ties by file order.
         self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
@@ -373,8 +382,19 @@ class SwitchState:
         values = project(key)
         entry = MegaflowEntry(mask, values, *outcome)
         if self.megaflow_enabled:
-            _, table = self.megaflows.setdefault(mask, (project, {}))
-            table[values] = entry
+            probe = self._probe
+            pair = self.megaflows.get(mask)
+            if pair is None:
+                pair = self.megaflows[mask] = project, {}
+                probe.append(pair)
+            pair[1][values] = entry
+            # The grown table moves ahead of every table it now outsizes; a tie keeps the one ahead.
+            size = len(pair[1])
+            at = ahead = probe.index(pair)
+            while ahead and len(probe[ahead - 1][1]) < size:
+                ahead -= 1
+            if ahead != at:
+                probe.insert(ahead, probe.pop(at))
         return entry
 
     def _remember(self, signature: tuple, key: FlowKey, entry: MegaflowEntry) -> None:
@@ -440,7 +460,7 @@ class SwitchState:
                     # The memo is as it was at the probe: a non-empty one was probed with this frame's signature.
                     self._remember(signature if self.signatures else key_signature(frame.data, in_port), key, entry)
             else:
-                for project, table in self.megaflows.values():
+                for project, table in self._probe:
                     entry = table.get(project(key))
                     if entry is not None:
                         entry.hits += 1

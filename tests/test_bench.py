@@ -1,7 +1,10 @@
+import json
 import math
 import random
 import re
+import statistics
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -185,9 +188,13 @@ def test_fast_variance_below_slow_per_size():
     # At in-process resolution both spreads bottom out at the per-sample
     # timer/interpreter jitter (~0.1 us^2), where the ordering becomes a tie;
     # the headroom admits that floor while still failing if the fast path
-    # ever gains a variable-cost component.
-    for slow, fast in compare_latency(sizes=(44, 512), count=2000, warmup=500, seed=3):
-        assert fast.variance_us2 <= slow.variance_us2 * 1.25 + 0.05
+    # ever gains a variable-cost component. One run's variance swings with a
+    # burst of host noise, so each path's is the median of three runs.
+    runs = [compare_latency(sizes=(44, 512), count=2000, warmup=500, seed=seed) for seed in (3, 4, 5)]
+    for pairs in zip(*runs):
+        slow = statistics.median(slow.variance_us2 for slow, _ in pairs)
+        fast = statistics.median(fast.variance_us2 for _, fast in pairs)
+        assert fast <= slow * 1.25 + 0.05
 
 
 def test_medians_reproducible_in_distribution():
@@ -299,3 +306,14 @@ def test_config_interval_bounded_by_timeout_max():
     for interval in (math.nextafter(bench.MAX_INTERVAL_MS, math.inf), 1e308):
         with pytest.raises(ValueError, match="^" + re.escape(f"interval {interval} ms ")):
             _config(PathMode.ALL_FAST_PATH, interval_ms=interval)
+
+
+def test_bench_records_carry_machine_facts():
+    # Every committed benchmark record names the command it ran and the machine it ran on.
+    records = sorted(Path(__file__).resolve().parent.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text())
+        assert isinstance(record.get("command"), str) and record["command"], path.name
+        assert re.fullmatch(r"3\.\d+\.\d+", record.get("python", "")), path.name
+        assert type(record.get("nproc")) is int and record["nproc"] >= 1, path.name

@@ -810,26 +810,110 @@ def test_empty_frame_counted_as_drop():
     assert stats["slow_path_upcalls"] == 1
 
 
+def _probe_in_rank_order(state, reached):
+    """``_probe`` holds every table once, largest first, ties in the order they reached their size."""
+    assert sorted(map(id, state._probe)) == sorted(map(id, state.megaflows.values()))
+    sizes = [len(table) for _, table in state._probe]
+    assert sizes == sorted(sizes, reverse=True)
+    assert [id(table) for _, table in state._probe] == [
+        id(table) for _, table in sorted(state._probe, key=lambda pair: (-len(pair[1]), reached[id(pair[1])]))
+    ]
+
+
 def test_megaflow_entries_reselect_same_actions():
+    # At most one entry matches a key, which is why the tables' probe order is invisible.
     rng = random.Random(17)
-    rules = _random_rules(rng)
-    state = SwitchState(rules)
-    keys = []
-    for frame in _random_traffic(rng, 80):
-        result = extract(frame, 1, HARDENED)
-        state.process(frame, 1, HARDENED)
-        if result.verdict is Verdict.ACCEPT:
-            keys.append(result.key)
-    # re-evaluating the full table for any key must reproduce the actions of
-    # its microflow entry (if still cached) and of the first megaflow entry
-    # that matches it, in install order
-    for key in keys:
-        pos = state._scan_rules(key)
-        expected = flowtable.DEFAULT_ACTIONS if pos is None else state.rules[state._ordered[pos]].actions
-        micro = state.microflow.get(key)
-        assert micro is None or micro.actions == expected
-        mega = next((table[project(key)] for project, table in state.megaflows.values() if project(key) in table), None)
-        assert mega is not None and mega.actions == expected
+    for round_no in range(12):
+        rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
+        for profile in ALL_PROFILES:
+            state = SwitchState(rules)
+            keys, reached, sizes = [], {}, {}
+            for i, frame in enumerate(_random_traffic(rng, 80)):
+                port = rng.choice([1, 2])
+                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
+                result = extract(frame, port, profile, adjacent)
+                state.process(frame, port, profile, adjacent)
+                if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
+                    keys.append(result.key)
+                for _, table in state.megaflows.values():
+                    if sizes.get(id(table)) != len(table):
+                        sizes[id(table)], reached[id(table)] = len(table), i
+                _probe_in_rank_order(state, reached)
+            # Re-evaluating the full table for any key reproduces the actions of its
+            # microflow entry (if still cached) and of the one megaflow entry matching it.
+            for key in keys:
+                pos = state._scan_rules(key)
+                expected = flowtable.DEFAULT_ACTIONS if pos is None else state.rules[state._ordered[pos]].actions
+                micro = state.microflow.get(key)
+                assert micro is None or micro.actions == expected
+                (mega,) = [table[project(key)] for project, table in state.megaflows.values() if project(key) in table]
+                assert mega.actions == expected
+
+
+def test_reversed_probe_order_changes_no_output():
+    rng = random.Random(23)
+    reordered = 0
+    for round_no in range(20):
+        rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
+        profile = ALL_PROFILES[round_no % len(ALL_PROFILES)]
+        stream = [(frame, rng.choice([1, 2])) for frame in _random_traffic(rng, 300)]
+        ranked, reversed_ = SwitchState(rules), SwitchState(rules)
+        for frame, port in stream[:150]:
+            ranked.process(frame, port, profile)
+            reversed_.process(frame, port, profile)
+        reversed_._probe.reverse()
+        for i, (frame, port) in enumerate(stream[150:]):
+            where = f"round {round_no} frame {i}"
+            assert reversed_.process(frame, port, profile) == ranked.process(frame, port, profile), where
+            assert reversed_.stats == ranked.stats, where
+        assert dump_state(reversed_) == dump_state(ranked)
+        reordered += len(ranked.megaflows) > 1
+    assert reordered >= 8
+
+
+@pytest.mark.parametrize("flood_masks", [1, 5])
+def test_tuple_space_flood_leaves_busiest_table_probed_first(monkeypatch, flood_masks):
+    # Each flood rule sits at its own priority and adds one field, so each of its
+    # packets installs one entry under a mask of its own. The benign class
+    # matches below them all, under the widest mask.
+    flood = [
+        ("l4_dst=7001", udp_frame(dport=7001), 1),
+        ("l4_src=7002", udp_frame(sport=7002), 1),
+        ("ip_src=10.9.0.1", udp_frame(src=0x0A090001), 1),
+        ("ip_dst=10.9.0.2", udp_frame(dst=0x0A090002), 1),
+        ("in_port=9", udp_frame(), 9),
+    ][:flood_masks]
+    text = "".join(f"priority={100 - n}, {match}, actions=output:3\n" for n, (match, _, _) in enumerate(flood))
+    rules = load_rules(text + "priority=1, eth_type=0x0800, actions=output:2")
+    probes = []
+    real_projector = flowtable.mask_projector
+
+    def counting_projector(mask):
+        project = real_projector(mask)
+        return lambda key: probes.append(mask) or project(key)
+
+    monkeypatch.setattr(flowtable, "mask_projector", counting_projector)
+    cached, uncached = SwitchState(rules), SwitchState(rules, megaflow_enabled=False)
+    benign = [(udp_frame(dport=2000 + n), 1) for n in range(64)]
+    stream = [(frame, port) for _, frame, port in flood] + benign
+    benign_mask = cached._winners[-1][0]
+    for frame, port in stream + stream[::-1]:
+        assert cached.process(frame, port, HARDENED) == uncached.process(frame, port, HARDENED)
+        for counter in _DISPOSITION_COUNTERS:
+            assert cached.stats[counter] == uncached.stats[counter]
+        _, table = cached.megaflows.get(benign_mask, (None, {}))
+        # Once the benign table outgrows every flood table, it is probed first.
+        assert len(table) < 2 or cached._probe[0][1] is table
+    assert cached.stats["slow_path_upcalls"] == cached.megaflow_entry_count() == flood_masks + len(benign)
+    assert len(cached.megaflows) == flood_masks + 1
+    assert [len(table) for _, table in cached._probe] == [len(benign)] + [1] * flood_masks
+    # A benign megaflow hit probes the benign table alone, however many masks the flood added.
+    for frame, port in benign:
+        cached.microflow.clear()
+        cached.signatures.clear()
+        probes.clear()
+        assert cached.process(frame, port, HARDENED) == Forwarded((2,))
+        assert len(probes) == 1
 
 
 # --- actions --------------------------------------------------------------------
