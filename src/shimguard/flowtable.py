@@ -2,13 +2,14 @@
 
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
-masked down to exactly the fields rule selection consulted, and a microflow
-entry pointing at it. A packet is answered by exactly one of five paths,
-tried in order: a parse drop, a memo hit (a repeated well-formed IPv4 frame
-takes the key and megaflow entry of its earlier parse, skipping extraction
-and the microflow), a microflow hit, a megaflow hit, an upcall. A switch
-built with its caches disabled is a pure slow-path device, which is how the
-benchmark isolates slow-path cost.
+masked down to exactly the fields rule selection consulted. Of the packets
+a megaflow hit or an upcall answers, one in MICROFLOW_ADMIT_EVERY installs
+a microflow entry pointing at its megaflow entry. A packet is answered by
+exactly one of five paths, tried in order: a parse drop, a memo hit (a
+repeated well-formed IPv4 frame takes the key and megaflow entry of its
+earlier parse, skipping extraction and the microflow), a microflow hit, a
+megaflow hit, an upcall. A switch built with its caches disabled is a pure
+slow-path device, which is how the benchmark isolates slow-path cost.
 
 A megaflow lookup probes the mask tables largest first. Probe order changes
 no output, because at most one entry of all the tables matches a key: an
@@ -41,6 +42,10 @@ from .packet import (
 )
 
 MICROFLOW_CAPACITY = 4096
+# The microflow admits one in this many of its candidates, the packets a megaflow hit or an
+# upcall answers (OVS's emc-insert-inv-prob, made deterministic): under churn most of them
+# skip the insert and its eviction, while a repeated flow gets in after about this many misses.
+MICROFLOW_ADMIT_EVERY = 8
 
 
 class RuleParseError(ValueError):
@@ -319,9 +324,13 @@ class SwitchState:
         self.megaflow_enabled = megaflow_enabled
         self.microflow_capacity = microflow_capacity
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
+        # Microflow candidates left until the next is admitted; 1, so the first one is.
+        self._admit_in = 1
         # key_signature of a frame -> the flow key extract built for it and that key's megaflow
-        # entry; oldest out first, same bound as the microflow. Exact only while the entry stays
-        # in `megaflows`: a megaflow eviction must also drop every signature pointing at it.
+        # entry; oldest out first, same bound as the microflow. A signature is stored on a
+        # microflow hit, so a flow reaches the memo only after the microflow admitted its key.
+        # Exact only while the entry stays in `megaflows`: a megaflow eviction must also drop
+        # every microflow key and signature pointing at it.
         self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order. At most one
         # entry of all the tables matches any key, so the order tables are probed in is invisible.
@@ -424,11 +433,14 @@ class SwitchState:
         microflow. The key is exact: the memo holds only COMPLETE keys, read
         from the signature alone whatever the profile or ``adjacent``. So is
         the entry: it is the one megaflow entry the key matches, and megaflow
-        entries are never removed. Each cache evicts its oldest insert, and no
-        output sees that order: every cache answers a key with the same entry,
-        and with caches on ``len(microflow) == min(microflow_capacity, distinct
-        keys accepted)``, as the microflow gains only keys it lacks and evicts
-        only when full.
+        entries are never removed. A microflow miss answered by a megaflow hit
+        or an upcall is a candidate, and with caches on the first candidate
+        and every MICROFLOW_ADMIT_EVERY-th after it enter the microflow. Each
+        cache evicts its oldest insert, and neither admission nor eviction
+        shows in any output: every cache answers a key with the same entry, and
+        with caches on ``len(microflow) == min(microflow_capacity,
+        ceil(candidates / MICROFLOW_ADMIT_EVERY))``, as the microflow admits
+        only keys it lacks and evicts only when full.
         """
         stats = self.stats
         stats["processed"] += 1
@@ -469,10 +481,14 @@ class SwitchState:
                 else:
                     entry = self._upcall(key)
                 if self.megaflow_enabled:
-                    # Megaflow hits and upcalls alike fill the microflow; its oldest insert goes first.
-                    if len(microflow) >= self.microflow_capacity:
-                        microflow.popitem(last=False)
-                    microflow[key] = entry
+                    # One candidate (megaflow hit or upcall) in MICROFLOW_ADMIT_EVERY enters the
+                    # microflow, the first included; its oldest insert goes first.
+                    self._admit_in -= 1
+                    if not self._admit_in:
+                        self._admit_in = MICROFLOW_ADMIT_EVERY
+                        if len(microflow) >= self.microflow_capacity:
+                            microflow.popitem(last=False)
+                        microflow[key] = entry
         if entry.pops_mpls:
             apply_actions(key, entry.actions, stats)
         stats[entry.counter] += 1

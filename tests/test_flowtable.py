@@ -1,4 +1,5 @@
 import random
+import re
 import struct
 from collections import OrderedDict
 
@@ -282,6 +283,12 @@ def test_load_rules_soak_raises_only_rule_parse_errors():
 # --- caches -------------------------------------------------------------------
 
 
+@pytest.fixture
+def admit_every_miss(monkeypatch):
+    """The microflow admits every candidate, so each megaflow hit and upcall fills it."""
+    monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 1)
+
+
 def test_repeated_flow_single_upcall():
     state = SwitchState(load_rules("priority=1, actions=output:2"))
     frame = udp_frame()
@@ -317,6 +324,7 @@ def test_caches_off_never_probes_the_empty_microflow():
     assert state.stats["slow_path_upcalls"] == 100
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 def test_microflow_lru_eviction_keeps_megaflow():
     state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=4)
     frames = [udp_frame(sport=1000 + i) for i in range(6)]
@@ -329,6 +337,7 @@ def test_microflow_lru_eviction_keeps_megaflow():
     assert state.stats["fast_path_hits"] >= 1
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 def test_microflow_evicts_oldest_insert():
     state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=2)
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
@@ -338,6 +347,22 @@ def test_microflow_evicts_oldest_insert():
     # the hit on A reorders nothing, so C's install evicts A, the oldest insert
     assert list(state.microflow) == [key_b, key_c]
     assert key_a not in state.microflow
+
+
+def test_microflow_admits_the_first_candidate_then_one_in_eight():
+    state = SwitchState(load_rules("priority=1, l4_src=7, actions=output:1"), microflow_capacity=2)
+    frames = [udp_frame(sport=1000 + i) for i in range(25)]
+    for frame in frames:  # 25 distinct flows: 25 upcalls, so 25 candidates
+        state.process(frame, 1, HARDENED)
+    keys = [extract(frame, 1, HARDENED).key for frame in frames]
+    assert flowtable.MICROFLOW_ADMIT_EVERY == 8
+    # flows 0, 8, 16 and 24 were admitted; 24's admission evicted 0, the oldest
+    assert list(state.microflow) == [keys[16], keys[24]]
+    assert state.stats["slow_path_upcalls"] == 25 and state.megaflow_entry_count() == 25
+    for frame in frames[:12]:  # 12 megaflow hits; the 8th candidate since flow 24, flow 7, is admitted
+        state.process(frame, 1, HARDENED)
+    assert list(state.microflow) == [keys[24], keys[7]]
+    assert state.stats["fast_path_hits"] == 12
 
 
 @pytest.mark.parametrize("capacity", [0, -1])
@@ -638,6 +663,7 @@ def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, c
     assert skipped > (50 if capacity == 1 else 100)
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
 def test_microflow_size_is_capacity_or_distinct_accepted_keys(capacity):
     # Why eviction order is free: the one microflow figure any output prints never depends on it.
@@ -659,7 +685,58 @@ def test_microflow_size_is_capacity_or_distinct_accepted_keys(capacity):
         assert len(accepted) > 2
 
 
-def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
+class CountingHits(Unreordered):
+    """A cache that counts its probes that hit."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        self.hits += entry is not None
+        return entry
+
+
+def _hits(state):
+    return [entry.hits for _, table in state.megaflows.values() for entry in table.values()]
+
+
+def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
+    # Twin switches, one admitting one candidate in 8 and one admitting every candidate,
+    # agree on every output but dump_state's microflow figure.
+    rng = random.Random(20)
+    differed = set()
+    for round_no in range(10):
+        rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
+        pool = _memo_pool(rng)
+        stream = [(pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)],
+                   rng.choice([1, 2]),
+                   random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None)
+                  for _ in range(200)]
+        for profile in ALL_PROFILES:
+            for capacity in (1, 2, 4096):
+                eighth, every = (SwitchState(rules, microflow_capacity=capacity) for _ in range(2))
+                eighth.microflow, eighth.signatures = CountingHits(), CountingHits()
+                where = f"round {round_no} {profile.mode} capacity {capacity}"
+                for i, (frame, port, adjacent) in enumerate(stream):
+                    monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 8)
+                    disposition = eighth.process(frame, port, profile, adjacent)
+                    monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 1)
+                    assert disposition == every.process(frame, port, profile, adjacent), f"{where} frame {i}"
+                    assert eighth.stats == every.stats and _hits(eighth) == _hits(every), f"{where} frame {i}"
+                    # Candidates: the packets a cache or an upcall answered, less memo and microflow hits.
+                    answered = eighth.stats["fast_path_hits"] + eighth.stats["slow_path_upcalls"]
+                    candidates = answered - eighth.signatures.hits - eighth.microflow.hits
+                    assert len(eighth.microflow) == min(capacity, -(-candidates // 8)), f"{where} frame {i}"
+                    if len(eighth.microflow) != len(every.microflow):
+                        differed.add(capacity)
+                masked = [re.sub(r"microflow=\d+/", "microflow=?/", dump_state(s)) for s in (eighth, every)]
+                assert masked[0] == masked[1], where
+    # The microflows did hold different keys; at capacity 1 both admit the first candidate and stay full.
+    assert differed == {2, 4096}
+
+
+def _repeated_flows():
+    """64 flows repeated in a seeded order, 2560 packets: the switch that answered them, and the flows."""
     state = SwitchState(load_rules("priority=2, ip_proto=17, actions=output:2\npriority=1, actions=output:1"))
     state.microflow, state.signatures = Unreordered(), Unreordered()
     frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(64)]
@@ -667,12 +744,28 @@ def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
     for _ in range(64 * 40):
         state.process(frames[rng.randrange(64)], 1, HARDENED)
     assert state.stats["processed"] == 64 * 40
+    return state, frames
+
+
+@pytest.mark.usefixtures("admit_every_miss")
+def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
+    state, frames = _repeated_flows()
     assert len(parsed) <= 2 * 64
     assert len(state.signatures) == 64
     with pytest.raises(ValueError, match="adjacent must be non-empty"):  # a memoized frame is still checked
         state.process(frames[0], 1, HARDENED, b"")
 
 
+def test_signature_memo_reaches_every_repeated_flow_admitting_one_in_eight(parsed):
+    # A flow waits for a microflow admission, then for a microflow hit, before the memo
+    # stores it; every flow still gets there, at more parses than one admission per miss.
+    state, frames = _repeated_flows()
+    assert len(state.signatures) == 64
+    assert len(parsed) == 569  # this seeded stream's count; admitting every candidate parses 128
+    assert state.stats["slow_path_upcalls"] == 2 and state.stats["fast_path_hits"] == 64 * 40 - 2
+
+
+@pytest.mark.usefixtures("admit_every_miss")
 def test_signature_memo_hit_never_touches_the_microflow(parsed):
     class Untouched(Unreordered):
         def get(self, key, default=None):

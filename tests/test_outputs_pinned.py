@@ -175,9 +175,9 @@ OUTPUTS = {
 }
 
 PINNED = {
-    "flowtable": "aa5c6b5a4ad1d459cf4a20dda42e96a02df55ca610f92f23744de42c843cbde3",
+    "flowtable": "dbc904887a51048b432ff827f8c63ec5d75e8d6147bc3455040764aa06753d47",
     "extract": "8aa2ca1274ea5c69a63c9235545979a795433fd14ecc9180a8c3dec2b915beca",
-    "pipeline": "91e3b639a225c8b995f4b26475463a9ef640bfa6f1a71d91e3de578c35f7655b",
+    "pipeline": "ffcf5037cf49a1f1bf96b9a8081ed89d99d7c100d4198f7a705d868047d6e81b",
     "wormsim": "07439668cdcae066dfb74705e5a388db48db31dec1a53223ea2aec9f41f01eee",
     "bench": "fb32c4f021c3ae97c0794519e54668152d8c0b1a777d4c3efeb992cac2f5dd35",
 }
