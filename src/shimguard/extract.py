@@ -73,6 +73,8 @@ _IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
 _IPV4_FRAME_LEN = _IPV4_FRAME.size
 _NO_IP = (None,) * 7
 _NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
+_TOP_LSE = slice(ETHERNET_HEADER_LEN, ETHERNET_HEADER_LEN + 4)  # the top MPLS entry's octets
+_S_FLAG_OCTET = ETHERNET_HEADER_LEN + 2  # the top entry's third octet, which holds its bottom-of-stack flag
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
 # The default adjacent region, shared by every call; bytes are immutable.
@@ -250,13 +252,13 @@ def _walk(data, in_port, profile, adjacent):
 def _extract_mpls(data, profile, adjacent):
     """Walk an MPLS stack; returns (status, top entry or _NO_LSE, depth, events)."""
     limit = profile.label_limit
-    stack = data[ETHERNET_HEADER_LEN:]
-    n_complete = len(stack) // 4
-    body = stack[: n_complete * 4]
-    frag_len = len(stack) - n_complete * 4
+    size = len(data)
+    n_complete = (size - ETHERNET_HEADER_LEN) // 4
+    frag_len = (size - ETHERNET_HEADER_LEN) % 4
 
-    # Index of the first entry with the bottom-of-stack flag, -1 when absent.
-    s_idx = body[2::4].translate(_S_FLAG_TABLE).find(1) if n_complete else -1
+    # Index of the first entry with the bottom-of-stack flag, -1 when absent: one strided
+    # slice takes each complete entry's third octet, and is empty when there is none.
+    s_idx = data[_S_FLAG_OCTET : size - frag_len : 4].translate(_S_FLAG_TABLE).find(1)
     terminated = s_idx >= 0
     walked = s_idx + 1 if terminated else n_complete
 
@@ -264,20 +266,22 @@ def _extract_mpls(data, profile, adjacent):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        return _MPLS_TERMINATED, decode_lse(body[:4]), depth, ()
+        return _MPLS_TERMINATED, decode_lse(data[_TOP_LSE]), depth, ()
 
     if profile.mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        return _MALFORMED, decode_lse(body[:4]), n_complete, (event,)
+        return _MALFORMED, decode_lse(data[_TOP_LSE]), n_complete, (event,)
 
     if profile.mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
         missing = 4 - frag_len
         # The blended entry is the key's only when no complete entry precedes it.
-        first = decode_lse(body[:4] if n_complete else stack + _adjacent_prefix(adjacent, missing))
+        first = decode_lse(
+            data[_TOP_LSE] if n_complete else data[ETHERNET_HEADER_LEN:] + _adjacent_prefix(adjacent, missing)
+        )
         depth = n_complete + 1
         event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
         return _MALFORMED, first, depth, (event,)

@@ -11,6 +11,10 @@ earlier parse, skipping extraction and the microflow), a microflow hit, a
 megaflow hit, an upcall. A switch built with its caches disabled is a pure
 slow-path device, which is how the benchmark isolates slow-path cost.
 
+The rule scan is one function generated when the switch is built
+(``_compile_scan``), one ``if`` per rule in scan order; it returns the scan
+position a loop over the rules would.
+
 A megaflow lookup probes the mask tables largest first. Probe order changes
 no output, because at most one entry of all the tables matches a key: an
 entry's mask holds every field of every rule at or above its winner's
@@ -234,8 +238,8 @@ _KEY_POSITIONS = {name: FlowKey._fields.index(field.source) for name, field in _
 def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
     """Compile the projection of a key onto a field list: its values, in list order.
 
-    Rule matches and megaflow masks both go through it. Every rule field is
-    one key position, so two or more fields take one itemgetter; a shorter
+    A megaflow mask's lookup and insert both go through it. Every rule field
+    is one key position, so two or more fields take one itemgetter; a shorter
     list builds its tuple from its positions, so a one-field list still
     yields a 1-tuple.
     """
@@ -266,6 +270,33 @@ class Rule:
 def _format_value(name: str, value) -> str:
     """A field value as the rule file writes it; a field the key lacks prints as None."""
     return "None" if value is None else _FIELDS[name].show(value)
+
+
+def _compile_scan(scan: Sequence[Rule]) -> Callable[[FlowKey], int | None]:
+    """Compile a rule list, in scan order, into one function: key -> position of the first match, or None.
+
+    The function holds one ``if`` per rule, testing ``==`` per field in the
+    rule's field order against the key position of that field; it ends at
+    the first rule with no fields, which matches every key. Its source names
+    only key positions, scan positions and generated names: every rule value
+    is bound by name in the namespace the source runs in, never written into
+    the text, and that namespace has no builtins.
+    """
+    namespace: dict[str, object] = {"__builtins__": {}}
+    lines = ["def scan(key):"]
+    for pos, rule in enumerate(scan):
+        tests = []
+        for n, (name, value) in enumerate(rule.match):
+            namespace[f"v{pos}_{n}"] = value
+            tests.append(f"key[{_KEY_POSITIONS[name]}] == v{pos}_{n}")
+        if not tests:
+            lines.append(f"    return {pos}")
+            break
+        lines.append(f"    if {' and '.join(tests)}: return {pos}")
+    else:
+        lines.append("    return None")
+    exec("\n".join(lines), namespace)
+    return namespace["scan"]
 
 
 @dataclass(slots=True)
@@ -342,12 +373,8 @@ class SwitchState:
         # Scan order: descending priority, ties by file order.
         self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
         scan = [self.rules[i] for i in self._ordered]
-        # Each rule's match compiled once: the projection onto its fields and
-        # the values that projection must equal.
-        self._matches = [
-            (mask_projector(tuple(name for name, _ in rule.match)), tuple(value for _, value in rule.match))
-            for rule in scan
-        ]
+        # key -> scan position of the first rule it matches, or None.
+        self._scan_rules = _compile_scan(scan)
         # The fields rule selection must preserve when a rule of a given
         # priority wins: the union of match fields of every rule at that
         # priority or higher.
@@ -370,12 +397,6 @@ class SwitchState:
         return sum(len(table) for _, table in self.megaflows.values())
 
     # -- lookup paths --
-
-    def _scan_rules(self, key: FlowKey) -> int | None:
-        for pos, (project, values) in enumerate(self._matches):
-            if project(key) == values:
-                return pos
-        return None
 
     def _upcall(self, key: FlowKey) -> MegaflowEntry:
         self.stats["slow_path_upcalls"] += 1

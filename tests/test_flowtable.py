@@ -2,6 +2,7 @@ import random
 import re
 import struct
 from collections import OrderedDict
+from enum import Enum
 
 import pytest
 
@@ -891,6 +892,94 @@ def test_scan_rules_matches_per_field_reference():
     # the draw must have exercised wildcards, one-field matches and the computed fields
     assert {"mpls_label", "mpls_s", "parse_status"} <= won_on
     assert {0, 1} <= won_sizes
+
+
+def _key_matching(rng, rule):
+    """A random key carrying the rule's values; mpls_s as the key's bool, against the rule's int."""
+    key = _random_key(rng)
+    values = {flowtable._FIELDS[name].source: value for name, value in rule.match}
+    if "mpls_s" in values:
+        values["mpls_s"] = bool(values["mpls_s"])
+    return key._replace(**values)
+
+
+def _scan_rule_sets():
+    """(case, rules, keys) at the edges of the generated scan."""
+    rng = random.Random(31)
+    traffic_keys = [
+        extract(frame, rng.choice([1, 2]), profile).key
+        for profile in ALL_PROFILES
+        for frame in _random_traffic(rng, 40)
+    ]
+    # Keys with None fields: L2-only, malformed and MPLS keys, and a key with only a port.
+    assert any(key.ip_src is None for key in traffic_keys)
+    edge_keys = traffic_keys + [_random_key(rng) for _ in range(30)] + [FlowKey(in_port=1)]
+
+    def rule(priority, *match, actions=(Output(2),)):
+        return Rule(priority, tuple(match), actions)
+
+    yield "empty", [], edge_keys
+    one_field = [rule(len(_FIELD_VALUES) - n, (name, _FIELD_VALUES[name](rng))) for n, name in enumerate(_FIELD_VALUES)]
+    catch_all = [
+        rule(20, ("eth_type", 0x0800), ("ip_proto", 17)),
+        rule(10, ("parse_status", ParseStatus.MALFORMED)),
+        rule(5),  # matches every key: no rule below it can win
+        rule(5, ("in_port", 1)),
+        rule(1, ("eth_type", 0x0800)),
+    ]
+    yield "catch-all mid-scan", catch_all, edge_keys + [_key_matching(rng, r) for r in catch_all]
+    ties = [rule(7, (name, value)) for name, value in
+            [("in_port", 1), ("eth_type", 0x0800), ("in_port", 2), ("parse_status", ParseStatus.COMPLETE),
+             ("mpls_s", 1), ("mpls_s", 0), ("eth_type", 0x8847), ("in_port", 1)]]
+    yield "ties at one priority", ties, edge_keys + [_key_matching(rng, r) for r in ties]
+    yield "every field", one_field, edge_keys + [_key_matching(rng, r) for r in one_field]
+    every_field = [rule(1, *((name, _FIELD_VALUES[name](rng)) for name in _FIELD_VALUES))]
+    yield "every field in one rule", every_field, edge_keys + [_key_matching(rng, every_field[0])]
+    # Small per-field value pools, so rules overlap and many keys match several rules.
+    pools = {name: [_FIELD_VALUES[name](rng) for _ in range(3)] for name in _FIELD_VALUES}
+    for seed in (1, 2, 3):
+        draw = random.Random(seed)
+        rules = [
+            rule(draw.randrange(20), *((name, draw.choice(pools[name]))
+                                       for name in draw.sample(sorted(pools), k=draw.randrange(1, 4))))
+            for _ in range(1000)
+        ]
+        keys = [_key_matching(draw, draw.choice(rules)) for _ in range(150)]
+        yield f"1000 rules, seed {seed}", rules, keys + edge_keys[::8]
+
+
+def test_scan_rules_at_the_edges():
+    cases = 0
+    for case, rules, keys in _scan_rule_sets():
+        state = SwitchState(rules)
+        scan = [rules[i] for i in state._ordered]
+        wins = [state._scan_rules(key) for key in keys]
+        assert wins == [_reference_scan(scan, key) for key in keys], case
+        # Every case but the empty one holds keys built to match a rule.
+        assert any(pos is not None for pos in wins) == bool(rules), case
+        if case == "catch-all mid-scan":
+            assert set(wins) == {0, 1, 2}  # the catch-all at position 2 answers every key the two above it miss
+        cases += 1
+    assert cases == 8
+
+
+def test_scan_rules_binds_values_by_name():
+    rules = load_rules(
+        "priority=9, eth_src=02:00:00:00:00:01, ip_dst=10.0.0.2, parse_status=Complete, actions=drop\n"
+        "priority=5, eth_dst=ff:ff:ff:ff:ff:ff, ip_src=192.168.7.1, actions=output:2\n"
+        "priority=3, parse_status=Malformed, mpls_s=1, actions=controller\n"
+    )
+    # A value that reads as code is still only a value: it is compared, never compiled.
+    rules.append(Rule(1, (("eth_type", "__import__('os')._exit(3)"),), (Drop(),)))
+    scan = SwitchState(rules)._scan_rules
+    consts = scan.__code__.co_consts
+    assert not [c for c in consts if isinstance(c, (bytes, str, Enum))]
+    # Only scan positions and key positions: an IPv4 value written into the source would show here.
+    assert {c for c in consts if c is not None} <= set(range(len(FlowKey._fields)))
+    assert scan.__globals__["__builtins__"] == {}
+    bound = [v for name, v in scan.__globals__.items() if name != "__builtins__" and name != "scan"]
+    assert sorted(map(repr, bound)) == sorted(repr(value) for rule in rules for _, value in rule.match)
+    assert scan(FlowKey(in_port=1, ethertype=0x0800)) is None
 
 
 def test_empty_frame_counted_as_drop():
