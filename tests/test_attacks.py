@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import itertools
 import random
 import struct
+import zlib
 
 import pytest
 
@@ -9,6 +11,7 @@ import shimguard.attacks as attacks
 from shimguard.attacks import (
     AttackKind,
     AttackSpec,
+    FuzzReport,
     MutationBudget,
     PayloadTooLarge,
     PayloadViolatesConstraint,
@@ -24,8 +27,10 @@ from shimguard.extract import (
     VULN_232,
     VULN_240,
     VULN_250,
+    CorruptionEvent,
     CorruptionKind,
     ParserMode,
+    ParserProfile,
     Verdict,
     VulnClass,
     classify_events,
@@ -406,3 +411,170 @@ def test_long_shim_frame_size_bounded_by_snaplen():
     assert craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN)).capture_len <= SNAPLEN
     with pytest.raises(ValueError, match="snaplen"):
         AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN + 1)
+
+
+# --- verdict memo -----------------------------------------------------------------
+
+
+def _reference_diff_fuzz(corpus, budget, profiles):
+    """diff_fuzz without its verdict memo: every frame, repeated or not, is judged afresh."""
+    profiles = tuple(profiles)
+    hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
+    vulnerable = tuple(p for p in profiles if p.mode is not ParserMode.HARDENED)
+    seeds = tuple(frame for frame in corpus if frame.data)
+    leaders = {}
+    for profile in vulnerable:
+        leaders.setdefault(profile.label_limit, profile)
+    counts, best, hardened_events = {}, {}, 0
+    for frame in itertools.chain(seeds, attacks.mutate(seeds, budget)):
+        results = [attacks.extract(frame, 0, profile) for profile in hardened]
+        if any(result.key.parse_status is ParseStatus.MALFORMED for result in results):
+            results += [attacks.extract(frame, 0, profile) for profile in vulnerable]
+        else:
+            parsed = {limit: attacks.extract(frame, 0, leader) for limit, leader in leaders.items()}
+            results += [parsed[profile.label_limit] for profile in vulnerable]
+        found = [classify_events(result.events) for result in results if result.events]
+        if found:
+            hardened_events += sum(1 for result in results[: len(hardened)] if result.events)
+        elif any(result.key != results[0].key for result in results[1:]):
+            found = [None]
+        for cls in found:
+            rank = (frame.capture_len, frame.data)
+            counts[cls] = counts.get(cls, 0) + 1
+            if cls not in best or rank < best[cls]:
+                best[cls] = rank
+    violations = counts.pop(None, 0)
+    violation = best.pop(None, None)
+    return FuzzReport(
+        profiles=profiles,
+        seed_count=len(seeds),
+        mutant_count=budget.iterations,
+        class_counts=counts,
+        exemplars={cls: attacks.minimize(RawFrame(data, size), cls, profiles) for cls, (size, data) in best.items()},
+        equivalence_violations=violations,
+        violation_exemplar=RawFrame(violation[1], violation[0]) if violation else None,
+        hardened_event_count=hardened_events,
+        empty_seeds=len(corpus) - len(seeds),
+    )
+
+
+def _noisy(real):
+    """extract, but on a fixed eighth of frames each the hardened parser fires, or skews an event-free key.
+
+    So hardened events and equivalence violations both accrue, on repeated frames too.
+    """
+    fake = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, 0, 1)
+
+    def noisy(frame, in_port, profile, adjacent=None):
+        result = real(frame, in_port, profile, adjacent)
+        if profile.mode is ParserMode.HARDENED:
+            tag = zlib.crc32(frame.data) % 8
+            if tag == 0:
+                return result._replace(events=(fake,))
+            if tag == 1 and not result.events:
+                return result._replace(key=result.key._replace(in_port=in_port + 1))
+        return result
+
+    return noisy
+
+
+def _duplicated_corpora():
+    """Seeded corpora in which seeds repeat, whole or as copies of one frame."""
+    rng = random.Random(22)
+    c6 = _c6_corpus()
+    shuffled = c6 * 2 + [RawFrame.of(b"")]
+    rng.shuffle(shuffled)
+    mutants = list(mutate(c6, MutationBudget(iterations=6, seed=rng.getrandbits(32))))
+    return [c6 + c6[:2], shuffled, mutants + mutants[::2] + c6[1:3]]
+
+
+_MIXED_LIMITS = (
+    ParserProfile(ParserMode.HARDENED, 1),
+    ParserProfile(ParserMode.VULN_232, 3),
+    ParserProfile(ParserMode.VULN_240, 1),
+    VULN_250,
+)
+
+
+def _same_report(report, expected):
+    assert report.to_text() == expected.to_text()
+    assert [frame.data for frame in report.exemplar_frames()] == [frame.data for frame in expected.exemplar_frames()]
+    assert report.violation_exemplar == expected.violation_exemplar
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2000])
+@pytest.mark.parametrize("profiles", [ALL_PROFILES, _MIXED_LIMITS], ids=["all", "mixed-limits"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["real", "noisy"])
+def test_diff_fuzz_equals_memo_free_reference(monkeypatch, iterations, profiles, noisy):
+    if noisy:
+        monkeypatch.setattr(attacks, "extract", _noisy(attacks.extract))
+    for index, corpus in enumerate(_duplicated_corpora()):
+        budget = MutationBudget(iterations=iterations, seed=100 + index)
+        expected = _reference_diff_fuzz(corpus, budget, profiles)
+        _same_report(diff_fuzz(corpus, budget, profiles), expected)
+        if noisy and iterations >= 2000:
+            assert expected.hardened_event_count and expected.equivalence_violations
+
+
+@pytest.mark.parametrize("cap", [None, 8, 1])
+def test_diff_fuzz_judges_each_distinct_frame_once(monkeypatch, cap):
+    """Outside minimize, extract runs once per profile asked on each admitted distinct frame.
+
+    Frames past the first ``VERDICT_MEMO_FRAMES`` distinct ones are judged at every occurrence.
+    """
+    real_extract, real_minimize = attacks.extract, attacks.minimize
+    calls = collections.Counter()
+    minimizing = []
+
+    def counting(frame, in_port, profile, adjacent=None):
+        if not minimizing:
+            calls[frame.data] += 1
+        return real_extract(frame, in_port, profile, adjacent)
+
+    def uncounted_minimize(*args):
+        minimizing.append(True)
+        try:
+            return real_minimize(*args)
+        finally:
+            minimizing.pop()
+
+    monkeypatch.setattr(attacks, "extract", counting)
+    monkeypatch.setattr(attacks, "minimize", uncounted_minimize)
+    if cap is not None:
+        monkeypatch.setattr(attacks, "VERDICT_MEMO_FRAMES", cap)
+    corpus = _c6_corpus() * 2
+    budget = MutationBudget(iterations=2000, seed=22)
+    stream = [frame.data for frame in itertools.chain(corpus, mutate(corpus, budget))]
+    occurrences = collections.Counter(stream)
+    expected = _reference_diff_fuzz(corpus, budget, ALL_PROFILES)
+    per_frame = {}
+    for data, n in calls.items():
+        per_frame[data], rest = divmod(n, occurrences[data])
+        assert rest == 0 and per_frame[data] >= 2
+    assert per_frame.keys() == occurrences.keys()
+
+    calls.clear()
+    _same_report(diff_fuzz(corpus, budget, ALL_PROFILES), expected)
+    distinct = list(dict.fromkeys(stream))
+    admitted = set(distinct[: attacks.VERDICT_MEMO_FRAMES])
+    assert len(admitted) == min(len(distinct), attacks.VERDICT_MEMO_FRAMES)
+    assert calls == {data: per_frame[data] * (1 if data in admitted else occurrences[data]) for data in distinct}
+    assert len(distinct) < len(stream)
+    if cap is None:  # every distinct frame admitted: each is judged exactly once
+        assert len(distinct) <= attacks.VERDICT_MEMO_FRAMES
+        assert calls == per_frame
+
+
+def test_diff_fuzz_memo_lives_one_call(monkeypatch):
+    """A second identical call judges every frame again: nothing is kept between calls."""
+    real = attacks.extract
+    calls = []
+    monkeypatch.setattr(attacks, "extract", lambda frame, *rest: calls.append(frame.data) or real(frame, *rest))
+    corpus = _c6_corpus()
+    budget = MutationBudget(iterations=300, seed=9)
+    first = diff_fuzz(corpus, budget, ALL_PROFILES)
+    first_calls = list(calls)
+    calls.clear()
+    second = diff_fuzz(corpus, budget, ALL_PROFILES)
+    assert calls == first_calls
+    _same_report(second, first)

@@ -17,6 +17,7 @@ from shimguard.extract import (
     ParserProfile,
     Verdict,
     VulnClass,
+    _lse_fields,
     _walk,
     classify_events,
     extract,
@@ -29,6 +30,7 @@ from shimguard.packet import (
     MplsLse,
     ParseStatus,
     RawFrame,
+    decode_lse,
     encode_frame,
 )
 
@@ -140,6 +142,30 @@ def test_short_shim_blended_top_from_seeded_region():
     word = int.from_bytes(frag + adjacent[:2], "big")
     assert top_entry(result.key) == (word >> 12, (word >> 9) & 0x7, bool((word >> 8) & 1), word & 0xFF)
     assert result.key.mpls_depth_seen == 1
+
+
+def test_lse_fields_equal_decode_lse():
+    """The top-entry helper decodes a word as decode_lse does, S flag as a bool, at its offset."""
+    rng = random.Random(22)
+    for _ in range(2000):
+        word = rng.getrandbits(32)
+        for raw in ((word | 0x100).to_bytes(4, "big"), (word & ~0x100).to_bytes(4, "big")):
+            fields = _lse_fields(raw, 0)
+            assert fields == tuple(decode_lse(raw))
+            assert type(fields[2]) is bool
+            assert _lse_fields(ETH_MPLS.encode() + raw + raw[::-1]) == fields
+
+
+@pytest.mark.parametrize("frag_len", [1, 2, 3])
+def test_short_shim_blended_top_equals_decode_lse(frag_len):
+    """v240's blended entry is the fragment then the (repeating) seeded region, read by decode_lse."""
+    rng = random.Random(240 + frag_len)
+    for _ in range(300):
+        frag = rng.randbytes(frag_len)
+        adjacent = rng.randbytes(rng.choice((1, 2, 3, DEFAULT_ADJACENT_LEN)))
+        result = extract(short_shim_frame(frag), 0, VULN_240, adjacent)
+        assert top_entry(result.key) == tuple(decode_lse(frag + (adjacent * 4)[: 4 - frag_len]))
+        assert type(result.key.mpls_s) is bool
 
 
 def test_short_shim_hardened_drops_cleanly():
