@@ -11,6 +11,10 @@ earlier parse, skipping extraction and the microflow), a microflow hit, a
 megaflow hit, an upcall. A switch built with its caches disabled is a pure
 slow-path device, which is how the benchmark isolates slow-path cost.
 
+A cache hit pays one count, its megaflow entry's ``hits``, as an OVS
+datapath flow keeps its own packet count. ``stats`` sums those on read: the
+other paths are rare, and count as they happen.
+
 The rule scan is one function generated when the switch is built
 (``_compile_scan``), one ``if`` per rule in scan order; it returns the scan
 position a loop over the rules would.
@@ -361,15 +365,23 @@ class SwitchState:
         # entry; oldest out first, same bound as the microflow. A signature is stored on a
         # microflow hit, so a flow reaches the memo only after the microflow admitted its key.
         # Exact only while the entry stays in `megaflows`: a megaflow eviction must also drop
-        # every microflow key and signature pointing at it.
+        # every microflow key and signature pointing at it. A memo hit counts only in the
+        # entry's `hits`, which `stats` reads from `megaflows`.
         self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order. At most one
         # entry of all the tables matches any key, so the order tables are probed in is invisible.
+        # Every cache hit is counted in one of these entries' `hits`, and `stats` sums them here.
         self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
         # The same (projector, table) pairs in probe order: largest table first, ties in the
         # order they reached that size. `_upcall` keeps it sorted, so a hit updates nothing.
         self._probe: list[tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = []
-        self.stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
+        # The dict `stats` fills and returns. slow_path_upcalls, no_rule_match and pop_mpls_noop
+        # are counted here as they happen; `stats` writes the rest on each read.
+        self._stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
+        # Per disposition counter, the packets a parse drop or an upcall answered. Every other
+        # packet is a hit, counted only in its stored entry's `hits`; an entry removed from
+        # `megaflows` must first add its hits here.
+        self._answered: dict[str, int] = {counter: 0 for counter in _COUNTERS.values()}
         # Scan order: descending priority, ties by file order.
         self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
         scan = [self.rules[i] for i in self._ordered]
@@ -396,13 +408,38 @@ class SwitchState:
     def megaflow_entry_count(self) -> int:
         return sum(len(table) for _, table in self.megaflows.values())
 
+    @property
+    def stats(self) -> dict[str, int]:
+        """The counters, in STAT_KEYS order: the same dict on every read.
+
+        A packet is answered once: by a parse drop or an upcall, counted in
+        ``_answered``, or by a hit on an entry in ``megaflows``, counted in
+        its ``hits``. So a read walks the entries once: ``fast_path_hits``
+        is the sum of their hits, each disposition counter its ``_answered``
+        count plus the hits of the entries carrying it, and ``processed``
+        the three counters' sum. A dict held across ``process`` calls sees
+        only the live counters advance until ``stats`` is read again.
+        """
+        totals = dict(self._answered)
+        hits = 0
+        for _, table in self.megaflows.values():
+            for entry in table.values():
+                hits += entry.hits
+                totals[entry.counter] += entry.hits
+        stats = self._stats
+        stats.update(totals)
+        stats["fast_path_hits"] = hits
+        stats["processed"] = sum(totals.values())
+        return stats
+
     # -- lookup paths --
 
     def _upcall(self, key: FlowKey) -> MegaflowEntry:
-        self.stats["slow_path_upcalls"] += 1
+        stats = self._stats
+        stats["slow_path_upcalls"] += 1
         scan_pos = self._scan_rules(key)
         if scan_pos is None:
-            self.stats["no_rule_match"] += 1
+            stats["no_rule_match"] += 1
             mask, project, outcome = self._miss
         else:
             mask, project, outcome = self._winners[scan_pos]
@@ -411,6 +448,8 @@ class SwitchState:
         # the entry from being stored.
         values = project(key)
         entry = MegaflowEntry(mask, values, *outcome)
+        # The entry's hits count the packets after this one.
+        self._answered[entry.counter] += 1
         if self.megaflow_enabled:
             probe = self._probe
             pair = self.megaflows.get(mask)
@@ -449,6 +488,9 @@ class SwitchState:
         ``adjacent`` is handed to ``extract`` as the bytes past the packet. A
         zero-length frame has nothing to extract; it is counted as a drop.
 
+        A hit, on any cache, counts only in its entry's ``hits``; a parse drop
+        or an upcall counts in ``_answered``. ``stats`` derives the rest.
+
         A frame whose ``key_signature`` is in the memo (``signatures``) is
         answered by the entry stored with it, without ``extract`` or the
         microflow. The key is exact: the memo holds only COMPLETE keys, read
@@ -463,8 +505,6 @@ class SwitchState:
         ceil(candidates / MICROFLOW_ADMIT_EVERY))``, as the microflow admits
         only keys it lacks and evicts only when full.
         """
-        stats = self.stats
-        stats["processed"] += 1
         hit = None
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
         if self.signatures and (adjacent is None or adjacent):
@@ -473,14 +513,13 @@ class SwitchState:
         if hit is not None:
             key, entry = hit
             entry.hits += 1
-            stats["fast_path_hits"] += 1
         else:
             try:
                 result = extract(frame, in_port, profile, adjacent)
             except EmptyFrameError:
                 result = None
             if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
-                stats["drops"] += 1
+                self._answered["drops"] += 1
                 return Dropped()
             key = result.key
             microflow = self.microflow
@@ -488,7 +527,6 @@ class SwitchState:
             entry = microflow.get(key) if microflow else None
             if entry is not None:
                 entry.hits += 1
-                stats["fast_path_hits"] += 1
                 if key.parse_status is _COMPLETE:
                     # The memo is as it was at the probe: a non-empty one was probed with this frame's signature.
                     self._remember(signature if self.signatures else key_signature(frame.data, in_port), key, entry)
@@ -497,7 +535,6 @@ class SwitchState:
                     entry = table.get(project(key))
                     if entry is not None:
                         entry.hits += 1
-                        stats["fast_path_hits"] += 1
                         break
                 else:
                     entry = self._upcall(key)
@@ -511,8 +548,7 @@ class SwitchState:
                             microflow.popitem(last=False)
                         microflow[key] = entry
         if entry.pops_mpls:
-            apply_actions(key, entry.actions, stats)
-        stats[entry.counter] += 1
+            apply_actions(key, entry.actions, self._stats)
         return entry.disposition
 
 
@@ -615,6 +651,7 @@ def dump_state(state: SwitchState) -> str:
         for _, table in state.megaflows.values():
             for entry in table.values():
                 lines.append(f"  {entry.describe()}")
-    counters = " ".join(f"{k}={state.stats[k]}" for k in STAT_KEYS)
+    stats = state.stats
+    counters = " ".join(f"{k}={stats[k]}" for k in STAT_KEYS)
     lines.append(f"counters: {counters}")
     return "\n".join(lines) + "\n"

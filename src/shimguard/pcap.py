@@ -67,9 +67,9 @@ def read_pcap(path: str | Path) -> list[RawFrame]:
         if offset + _RECORD.size > len(blob):
             raise TruncatedRecord(f"{path}: record header cut short at offset {offset}")
         ts_sec, ts_usec, incl_len, orig_len = _RECORD.unpack_from(blob, offset)
-        offset += _RECORD.size
         if incl_len > SNAPLEN:
             raise TruncatedRecord(f"{path}: record at offset {offset} claims incl_len {incl_len} > snaplen {SNAPLEN}")
+        offset += _RECORD.size
         if offset + incl_len > len(blob):
             raise TruncatedRecord(f"{path}: record body cut short at offset {offset}")
         if orig_len < incl_len:

@@ -736,6 +736,59 @@ def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
     assert differed == {2, 4096}
 
 
+_COUNTER_OF = {Forwarded: "forwards", Dropped: "drops", SentToController: "to_controller"}
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 4096, None], ids=["1", "2", "4096", "caches-off"])
+def test_counters_equal_dispositions_sent_and_entry_hits(parsed, capacity):
+    # `stats` derives processed, fast_path_hits and the disposition counters on read, from
+    # the entries' hits and the packets a parse drop or an upcall answered. After every
+    # packet they must equal what the caller saw, and the hits what the entries hold.
+    rng = random.Random(23 + (capacity or 0))
+    memo_hits = 0
+    for round_no in range(4):
+        rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
+        pool = _memo_pool(rng)
+        for profile in ALL_PROFILES:
+            if capacity is None:
+                state = SwitchState(rules, megaflow_enabled=False)
+            else:
+                state = SwitchState(rules, microflow_capacity=capacity)
+            tally = dict.fromkeys(_COUNTER_OF.values(), 0)
+            for sent in range(1, 201):
+                if rng.random() < 0.05:
+                    frame = RawFrame.of(b"")
+                else:
+                    frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
+                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
+                before = len(parsed)
+                disposition = state.process(frame, rng.choice([1, 2]), profile, adjacent)
+                memo_hits += len(parsed) == before
+                tally[_COUNTER_OF[type(disposition)]] += 1
+                stats = state.stats
+                where = f"round {round_no} {profile.mode} packet {sent} ({frame.data.hex()})"
+                assert stats["processed"] == sent, where
+                assert {counter: stats[counter] for counter in tally} == tally, where
+                assert stats["fast_path_hits"] == sum(_hits(state)), where
+    # The memo answered some packets, so its hit path was checked too; a switch without caches has none.
+    assert memo_hits > 0 if capacity else memo_hits == 0
+
+
+def test_stats_is_one_dict_whose_live_counters_advance():
+    # A caller may read `stats` once and watch slow_path_upcalls across process calls,
+    # so every read returns the same dict, in STAT_KEYS order, and refreshes it in place.
+    state = SwitchState(load_rules("priority=1, l4_src=1, actions=output:2"))
+    held = state.stats
+    assert state.stats is held and tuple(held) == flowtable.STAT_KEYS
+    for sport in (1, 2, 3):
+        state.process(udp_frame(sport=sport), 1, HARDENED)
+        assert held["slow_path_upcalls"] == sport
+    state.process(udp_frame(sport=1), 1, HARDENED)  # a megaflow hit
+    assert held["slow_path_upcalls"] == 3
+    assert state.stats is held
+    assert (held["processed"], held["fast_path_hits"], held["forwards"], held["drops"]) == (4, 1, 2, 2)
+
+
 def _repeated_flows():
     """64 flows repeated in a seeded order, 2560 packets: the switch that answered them, and the flows."""
     state = SwitchState(load_rules("priority=2, ip_proto=17, actions=output:2\npriority=1, actions=output:1"))

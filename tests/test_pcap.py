@@ -129,6 +129,17 @@ def test_record_over_snaplen_rejected(tmp_path):
         read_pcap(path)
 
 
+def test_record_over_snaplen_names_its_header_offset(tmp_path):
+    """The error names the octet where the bad record's header starts, first record or later."""
+    bad = struct.pack("<IIII", 0, 0, 65536, 65536) + bytes(65536)
+    good = struct.pack("<IIII", 0, 0, 20, 20) + bytes(20)
+    for records, offset in (([bad, good], 24), ([good, bad], 24 + 16 + 20)):
+        path = tmp_path / f"huge-{offset}.pcap"
+        path.write_bytes(global_header() + b"".join(records))
+        with pytest.raises(TruncatedRecord, match=f"record at offset {offset} claims incl_len 65536 > snaplen 65535$"):
+            read_pcap(path)
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [
