@@ -328,10 +328,16 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
         return False
 
     data = frame.data
-    while len(data) > 1 and triggers(data[:-1]):
-        data = data[:-1]
-    while len(data) > 1 and triggers(data[1:]):
-        data = data[1:]
+    while len(data) > 1:
+        candidate = data[:-1]
+        if not triggers(candidate):
+            break
+        data = candidate
+    while len(data) > 1:
+        candidate = data[1:]
+        if not triggers(candidate):
+            break
+        data = candidate
     return RawFrame(data, len(data))
 
 
@@ -371,10 +377,14 @@ def diff_fuzz(
     # every vulnerable profile of one label limit (extract's module
     # docstring), so the first vulnerable profile of each limit parses it for
     # all of them. The hardened profiles always parse on their own, so
-    # comparing keys stays a real check.
-    leaders: dict[int, ParserProfile] = {}
-    for profile in vulnerable:
-        leaders.setdefault(profile.label_limit, profile)
+    # comparing keys stays a real check. Each vulnerable profile is paired
+    # with the position of its limit's leader among the vulnerable profiles,
+    # or None when it leads: a leader comes before every profile it serves.
+    leaders: dict[int, int] = {}
+    plan = []
+    for index, profile in enumerate(vulnerable):
+        leader = leaders.setdefault(profile.label_limit, index)
+        plan.append((profile, None if leader == index else leader))
 
     # One ledger for both findings: a vulnerability class, or None for an
     # equivalence violation (no profile fired, yet the flow keys disagree).
@@ -388,18 +398,36 @@ def diff_fuzz(
         data = frame.data
         verdict = verdicts.get(data)
         if verdict is None:
-            results = [extract(frame, 0, profile) for profile in hardened]
-            if any(result.key.parse_status is _MALFORMED for result in results):
-                results += [extract(frame, 0, profile) for profile in vulnerable]
-            else:
-                parsed = {limit: extract(frame, 0, leader) for limit, leader in leaders.items()}
-                results += [parsed[profile.label_limit] for profile in vulnerable]
-            found = [classify_events(result.events) for result in results if result.events]
+            # Plain loops, with no comprehension or generator per frame (each
+            # builds and calls a function object). They collect the classes in
+            # profile order, the hardened events, and whether every event-free
+            # key equals the first hardened profile's key.
+            found = []
             events = 0
-            if found:
-                events = sum(1 for result in results[: len(hardened)] if result.events)
-            elif any(result.key != results[0].key for result in results[1:]):
-                found = [None]
+            key = None
+            agree = True
+            malformed = False
+            for profile in hardened:
+                result = extract(frame, 0, profile)
+                if result.events:
+                    found.append(classify_events(result.events))
+                    events += 1
+                if key is None:
+                    key = result.key
+                elif result.key != key:
+                    agree = False
+                if result.key.parse_status is _MALFORMED:
+                    malformed = True
+            parsed = []
+            for profile, leader in plan:
+                result = extract(frame, 0, profile) if malformed or leader is None else parsed[leader]
+                parsed.append(result)
+                if result.events:
+                    found.append(classify_events(result.events))
+                elif result.key != key:
+                    agree = False
+            if not (found or agree):
+                found.append(None)
             verdict = (found, events)
             if len(verdicts) < VERDICT_MEMO_FRAMES:
                 verdicts[data] = verdict

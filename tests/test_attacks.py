@@ -461,18 +461,23 @@ def _reference_diff_fuzz(corpus, budget, profiles):
 def _noisy(real):
     """extract, but on a fixed eighth of frames each the hardened parser fires, or skews an event-free key.
 
-    So hardened events and equivalence violations both accrue, on repeated frames too.
+    So hardened events and equivalence violations both accrue, on repeated frames too. On
+    another eighth, a silent vulnerable profile of label limit 1 fires: profiles of one limit
+    still agree, so diff_fuzz may share a limit's result, but only among that limit's profiles.
     """
     fake = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, 0, 1)
+    fake_short = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, 0, 1)
 
     def noisy(frame, in_port, profile, adjacent=None):
         result = real(frame, in_port, profile, adjacent)
+        tag = zlib.crc32(frame.data) % 8
         if profile.mode is ParserMode.HARDENED:
-            tag = zlib.crc32(frame.data) % 8
             if tag == 0:
                 return result._replace(events=(fake,))
             if tag == 1 and not result.events:
                 return result._replace(key=result.key._replace(in_port=in_port + 1))
+        elif tag == 2 and profile.label_limit == 1 and not result.events:
+            return result._replace(events=(fake_short,))
         return result
 
     return noisy
@@ -495,6 +500,17 @@ _MIXED_LIMITS = (
     VULN_250,
 )
 
+# Two hardened profiles, and vulnerable ones at both limits with one profile given twice:
+# each vulnerable profile must take the result of its own limit's leader.
+_TWO_HARDENED = (
+    ParserProfile(ParserMode.HARDENED, 3),
+    ParserProfile(ParserMode.HARDENED, 1),
+    ParserProfile(ParserMode.VULN_240, 1),
+    ParserProfile(ParserMode.VULN_232, 3),
+    ParserProfile(ParserMode.VULN_240, 1),
+    ParserProfile(ParserMode.VULN_250, 3),
+)
+
 
 def _same_report(report, expected):
     assert report.to_text() == expected.to_text()
@@ -503,7 +519,9 @@ def _same_report(report, expected):
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 2000])
-@pytest.mark.parametrize("profiles", [ALL_PROFILES, _MIXED_LIMITS], ids=["all", "mixed-limits"])
+@pytest.mark.parametrize(
+    "profiles", [ALL_PROFILES, _MIXED_LIMITS, _TWO_HARDENED], ids=["all", "mixed-limits", "two-hardened"]
+)
 @pytest.mark.parametrize("noisy", [False, True], ids=["real", "noisy"])
 def test_diff_fuzz_equals_memo_free_reference(monkeypatch, iterations, profiles, noisy):
     if noisy:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -486,6 +487,42 @@ def test_ipv4_shortcut_equals_the_walk():
                 walked = _walk(frame.data, 2, profile, adjacent or bytes(DEFAULT_ADJACENT_LEN))
                 assert extract(frame, 2, profile, adjacent) == walked, (frame.data.hex(), profile, adjacent)
     assert shortcut > 600 and len(frames) - shortcut > 5000
+
+
+# sha256 of every result below, taken before extract's walk built its keys positionally.
+_BOUNDARY_DIGEST = "bfdc4585fb61263b52a90668d6df0b2c2841af4ccaafd2d4700b90a605ab632d"
+
+
+def _boundary_prefix_frames():
+    """Every prefix of 0-42 octets, and the whole frame, of frames that reach each branch of the walk."""
+    ihl6 = Ipv4Header(total_length=32, protocol=17, src_ip=0x0A000001, dst_ip=0x0A000002, ihl=6, options=b"\x01\x01\x01\x00")
+    tcp = Ipv4Header(total_length=40, protocol=6, src_ip=0x0A000003, dst_ip=0x0A000004, tos=0x10, ttl=9)
+    wholes = [craft(AttackSpec(kind)) for kind in AttackKind]
+    wholes += [
+        udp_frame(),
+        encode_frame(ETH_IP, [tcp], payload=struct.pack(">HHIIBBHHH", 443, 51000, 1, 0, 0x50, 0x10, 1024, 0, 0)),
+        encode_frame(ETH_MPLS, [MplsLse(16, exp=2, ttl=64), MplsLse(17, bottom_of_stack=True, ttl=63)], b"\x45"),
+        encode_frame(ETH_IP, [ihl6], payload=struct.pack(">HHHH", 67, 68, 8, 0)),
+        RawFrame.of(EthernetHeader(MAC_B, MAC_A, 0x8100).encode() + bytes(range(30))),
+    ]
+    prefixes = [whole.data[:n] for whole in wholes for n in range(43)] + [whole.data for whole in wholes]
+    return [RawFrame.of(data) for data in dict.fromkeys(prefixes)]
+
+
+def test_boundary_prefixes_extract_as_pinned():
+    """Each short, MPLS, IPv4 and other-ethertype branch of the walk returns what it returned when pinned."""
+    region = random.Random(3).randbytes(3)
+    profiles = [ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3)]
+    digest = hashlib.sha256()
+    for frame in _boundary_prefix_frames():
+        for profile in profiles:
+            for adjacent in (None, region):
+                try:
+                    result = extract(frame, 2, profile, adjacent)
+                except EmptyFrameError as error:
+                    result = error
+                digest.update(repr(result).encode() + b"\n")
+    assert digest.hexdigest() == _BOUNDARY_DIGEST
 
 
 def test_verdict_drops_exactly_malformed_frames_without_events():
