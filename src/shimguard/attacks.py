@@ -21,10 +21,10 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .extract import (
+    _KIND_TO_CLASS,
     ParserMode,
     ParserProfile,
     VulnClass,
-    classify_events,
     extract,
 )
 from .packet import (
@@ -52,6 +52,7 @@ _FILLER_LSE = MplsLse(label=0, exp=0, bottom_of_stack=False, ttl=64)
 _SHORT_FRAGMENT = b"\x12\x34\x56"
 
 STRATEGIES = ("bitflip", "byteflip", "field-splice", "length-truncate", "lse-duplicate")
+_SPLICE_SPANS = (1, 2, 4, 6)  # field-splice copies one of these many octets
 
 # Reproduced in reports as inert documentation of what the historical payload
 # did; nothing in this package executes or emits it.
@@ -207,6 +208,12 @@ def mutate(corpus: Sequence[RawFrame], budget: MutationBudget) -> Iterator[RawFr
     entry. Strategies that do not apply to the chosen frame fall back to
     byteflip so every iteration yields a mutant. Empty frames are skipped:
     no strategy can mutate zero octets.
+
+    Every integer is drawn with ``getrandbits`` by the rejection loop that
+    ``random.Random.randrange(n)`` and ``choice`` use (``n.bit_length()`` bits,
+    redrawn while not below ``n``), so each draw equals what ``randrange`` or
+    ``choice`` would return from the same seed, draw for draw, without their
+    argument checks.
     """
     return _mutation_stream(_non_empty(corpus), budget)
 
@@ -221,48 +228,72 @@ def _non_empty(corpus: Sequence[RawFrame]) -> tuple[RawFrame, ...]:
 
 def _mutation_stream(corpus: tuple[RawFrame, ...], budget: MutationBudget) -> Iterator[RawFrame]:
     rng = random.Random(budget.seed)
+    getrandbits = rng.getrandbits
     strategies = sorted(budget.strategies)
-    bit_cursors = [0] * len(corpus)
+    seeds = [frame.data for frame in corpus]
+    n_seeds = len(seeds)
+    n_strategies = len(strategies)
+    seed_bits = n_seeds.bit_length()
+    strategy_bits = n_strategies.bit_length()
+    bit_cursors = [0] * n_seeds
+    max_len = budget.max_len
+
+    def below(n):
+        """rng.randrange(n), draw for draw: n.bit_length() bits, redrawn while not below n."""
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     for _ in range(budget.iterations):
-        idx = rng.randrange(len(corpus)) if len(corpus) > 1 else 0
-        strategy = strategies[rng.randrange(len(strategies))] if len(strategies) > 1 else strategies[0]
-        buf = bytearray(corpus[idx].data)
+        # The two draws every mutant makes inline below(), saving a call each.
+        idx = 0
+        if n_seeds > 1:
+            idx = getrandbits(seed_bits)
+            while idx >= n_seeds:
+                idx = getrandbits(seed_bits)
+        strategy = strategies[0]
+        if n_strategies > 1:
+            pick = getrandbits(strategy_bits)
+            while pick >= n_strategies:
+                pick = getrandbits(strategy_bits)
+            strategy = strategies[pick]
+        data = seeds[idx]
+        size = len(data)
 
-        if strategy == "lse-duplicate":
-            ethertype = (buf[12] << 8) | buf[13] if len(buf) >= 14 else 0
-            if ethertype in MPLS_ETHERTYPES and len(buf) >= 18:
-                buf[14:14] = buf[14:18]
-            else:
-                strategy = "byteflip"
-        if strategy == "field-splice":
-            other = corpus[rng.randrange(len(corpus))].data
-            limit = min(len(buf), len(other))
-            if limit >= 2:
-                offset = rng.randrange(limit)
-                span = min(rng.choice((1, 2, 4, 6)), limit - offset)
-                buf[offset : offset + span] = other[offset : offset + span]
-            else:
-                strategy = "byteflip"
-        if strategy == "length-truncate":
-            ethertype = (buf[12] << 8) | buf[13] if len(buf) >= 14 else 0
-            if ethertype == ETHERTYPE_IPV4 and len(buf) >= 34 and rng.random() < 0.5:
-                old = (buf[16] << 8) | buf[17]
-                new = rng.randrange(old) if old else 0
-                buf[16:18] = new.to_bytes(2, "big")
-            elif len(buf) > 1:
-                del buf[rng.randrange(1, len(buf)) :]
-            else:
-                strategy = "byteflip"
+        # Each strategy that does not apply leaves mutant None, and the frame is byteflipped instead.
+        mutant = None
         if strategy == "bitflip":
-            pos = bit_cursors[idx] % (len(buf) * 8)
+            pos = bit_cursors[idx] % (size * 8)
             bit_cursors[idx] += 1
+            buf = bytearray(data)
             buf[pos >> 3] ^= 0x80 >> (pos & 7)
-        elif strategy == "byteflip":
-            buf[rng.randrange(len(buf))] ^= 0xFF
+            mutant = bytes(buf)
+        elif strategy == "lse-duplicate":
+            if size >= 18 and (data[12] << 8 | data[13]) in MPLS_ETHERTYPES:
+                mutant = data[:18] + data[14:]
+        elif strategy == "field-splice":
+            other = seeds[below(n_seeds)]
+            limit = min(size, len(other))
+            if limit >= 2:
+                offset = below(limit)
+                end = offset + min(_SPLICE_SPANS[below(len(_SPLICE_SPANS))], limit - offset)
+                mutant = data[:offset] + other[offset:end] + data[end:]
+        elif strategy == "length-truncate":
+            if size >= 34 and (data[12] << 8 | data[13]) == ETHERTYPE_IPV4 and rng.random() < 0.5:
+                old = data[16] << 8 | data[17]
+                new = below(old) if old else 0
+                mutant = data[:16] + new.to_bytes(2, "big") + data[18:]
+            elif size > 1:
+                mutant = data[: 1 + below(size - 1)]
+        if mutant is None:
+            buf = bytearray(data)
+            buf[below(size)] ^= 0xFF
+            mutant = bytes(buf)
 
-        del buf[budget.max_len :]
-        yield _tuple_new(RawFrame, (bytes(buf), len(buf), 0, 0))
+        mutant = mutant[:max_len]
+        yield _tuple_new(RawFrame, (mutant, len(mutant), 0, 0))
 
 
 @dataclass
@@ -320,8 +351,8 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
             return False
         candidate = _tuple_new(RawFrame, (data, len(data), 0, 0))
         for index, profile in enumerate(order):
-            events = extract(candidate, 0, profile).events
-            if events and classify_events(events) is cls:
+            events = extract(candidate, 0, profile)[1]
+            if events and _KIND_TO_CLASS[events[0].kind] is cls:
                 if index:
                     order.insert(0, order.pop(index))
                 return True
@@ -364,6 +395,10 @@ def diff_fuzz(
     exemplars still accrue per frame, so the report is the same as judging
     every frame afresh. The first ``VERDICT_MEMO_FRAMES`` distinct frames are
     kept, none is evicted, and nothing outlives the call.
+
+    A vulnerable profile that takes its label limit's leader's result adds
+    that result's class again, but its key is compared with the hardened key
+    once, for the leader; once one key disagrees, no further key is compared.
     """
     profiles = tuple(profiles)
     hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
@@ -400,31 +435,35 @@ def diff_fuzz(
         if verdict is None:
             # Plain loops, with no comprehension or generator per frame (each
             # builds and calls a function object). They collect the classes in
-            # profile order, the hardened events, and whether every event-free
-            # key equals the first hardened profile's key.
+            # profile order (one lookup of the first event's kind, as
+            # classify_events does), the hardened events, and whether every
+            # event-free key equals the first hardened profile's key.
             found = []
             events = 0
             key = None
             agree = True
             malformed = False
             for profile in hardened:
-                result = extract(frame, 0, profile)
-                if result.events:
-                    found.append(classify_events(result.events))
+                result_key, result_events, _ = extract(frame, 0, profile)
+                if result_events:
+                    found.append(_KIND_TO_CLASS[result_events[0].kind])
                     events += 1
                 if key is None:
-                    key = result.key
-                elif result.key != key:
+                    key = result_key
+                elif agree and result_key != key:
                     agree = False
-                if result.key.parse_status is _MALFORMED:
+                if result_key.parse_status is _MALFORMED:
                     malformed = True
             parsed = []
             for profile, leader in plan:
-                result = extract(frame, 0, profile) if malformed or leader is None else parsed[leader]
+                # A shared result is its leader's, whose key was compared already.
+                shared = leader is not None and not malformed
+                result = parsed[leader] if shared else extract(frame, 0, profile)
                 parsed.append(result)
-                if result.events:
-                    found.append(classify_events(result.events))
-                elif result.key != key:
+                result_key, result_events, _ = result
+                if result_events:
+                    found.append(_KIND_TO_CLASS[result_events[0].kind])
+                elif agree and not shared and result_key != key:
                     agree = False
             if not (found or agree):
                 found.append(None)

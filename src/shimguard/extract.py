@@ -34,6 +34,11 @@ under every profile, label limit and ``adjacent``, which is what the shortcut
 returns. The 38 octets it reads are ``key_signature``'s IHL-5 prefix, and the
 frame length its bound, so the memo stays exact. Every other frame (IHL > 5,
 short, non-IPv4, every trigger) takes the walk.
+
+The shortcut first tests the ethertype's high octet (0x08), so only frames of
+38 octets or more whose ethertype is 0x08xx pay its 12-field unpack: IPv4,
+and the rare 0x0806-0x08FF frames, which then fail the ethertype test and
+take the walk. MPLS, VLAN and every other frame go straight to the walk.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ _PORTS = struct.Struct(">HH")
 # _IPV4_FIELDS at offset 14, then _PORTS at offset 34.
 _IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
 _IPV4_FRAME_LEN = _IPV4_FRAME.size
+_IPV4_HIGH_OCTET = ETHERTYPE_IPV4 >> 8  # tested before the unpack, so MPLS and VLAN frames skip it
 _NO_IP = (None,) * 7
 _NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
 _LSE_WORD = struct.Struct(">I")
@@ -217,7 +223,7 @@ def extract(
         raise ValueError("adjacent must be non-empty")
 
     size = len(data)
-    if size >= _IPV4_FRAME_LEN:
+    if size >= _IPV4_FRAME_LEN and data[12] == _IPV4_HIGH_OCTET:
         (eth_dst, eth_src, ethertype, version_ihl, tos, total_length,
          ttl, proto, ip_src, ip_dst, l4_src, l4_dst) = _IPV4_FRAME.unpack_from(data)
         if (ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45
@@ -267,6 +273,7 @@ def _lse_fields(buf, offset=ETHERNET_HEADER_LEN):
 def _extract_mpls(data, profile, adjacent):
     """Walk an MPLS stack; returns (status, top entry or _NO_LSE, depth, events)."""
     limit = profile.label_limit
+    mode = profile.mode
     size = len(data)
     n_complete = (size - ETHERNET_HEADER_LEN) // 4
     frag_len = (size - ETHERNET_HEADER_LEN) % 4
@@ -274,22 +281,20 @@ def _extract_mpls(data, profile, adjacent):
     # Index of the first entry with the bottom-of-stack flag, -1 when absent: one strided
     # slice takes each complete entry's third octet, and is empty when there is none.
     s_idx = data[_S_FLAG_OCTET : size - frag_len : 4].translate(_S_FLAG_TABLE).find(1)
-    terminated = s_idx >= 0
-    walked = s_idx + 1 if terminated else n_complete
 
-    if terminated:
+    if s_idx >= 0:
         # Same result for every profile: record the top entry, count depth up
         # to the buffer capacity, never parse beneath the stack.
-        depth = walked if walked <= limit else limit
+        depth = s_idx + 1 if s_idx < limit else limit
         return _MPLS_TERMINATED, _lse_fields(data), depth, ()
 
-    if profile.mode is _V232 and n_complete > limit:
+    if mode is _V232 and n_complete > limit:
         # Unbounded copy loop: with no stack bottom in sight, every entry in
         # the frame lands in the fixed-capacity buffer.
         event = _tuple_new(CorruptionEvent, (_STACK_OVERFLOW_WRITE, 0, 4 * (n_complete - limit)))
         return _MALFORMED, _lse_fields(data), n_complete, (event,)
 
-    if profile.mode is _V240 and frag_len > 0:
+    if mode is _V240 and frag_len > 0:
         # The walk reads a full 4-octet entry where only frag_len octets
         # remain, blending frame bytes with whatever lies past the packet.
         missing = 4 - frag_len

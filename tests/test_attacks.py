@@ -265,6 +265,86 @@ def test_budget_validation():
         mutate([], MutationBudget(iterations=1))
 
 
+def _randrange_stream(corpus, budget):
+    """The mutation stream as first written, on randrange and choice: the oracle for mutate's draws."""
+    rng = random.Random(budget.seed)
+    strategies = sorted(budget.strategies)
+    bit_cursors = [0] * len(corpus)
+
+    for _ in range(budget.iterations):
+        idx = rng.randrange(len(corpus)) if len(corpus) > 1 else 0
+        strategy = strategies[rng.randrange(len(strategies))] if len(strategies) > 1 else strategies[0]
+        buf = bytearray(corpus[idx].data)
+
+        if strategy == "lse-duplicate":
+            ethertype = (buf[12] << 8) | buf[13] if len(buf) >= 14 else 0
+            if ethertype in (0x8847, 0x8848) and len(buf) >= 18:
+                buf[14:14] = buf[14:18]
+            else:
+                strategy = "byteflip"
+        if strategy == "field-splice":
+            other = corpus[rng.randrange(len(corpus))].data
+            limit = min(len(buf), len(other))
+            if limit >= 2:
+                offset = rng.randrange(limit)
+                span = min(rng.choice((1, 2, 4, 6)), limit - offset)
+                buf[offset : offset + span] = other[offset : offset + span]
+            else:
+                strategy = "byteflip"
+        if strategy == "length-truncate":
+            ethertype = (buf[12] << 8) | buf[13] if len(buf) >= 14 else 0
+            if ethertype == 0x0800 and len(buf) >= 34 and rng.random() < 0.5:
+                old = (buf[16] << 8) | buf[17]
+                new = rng.randrange(old) if old else 0
+                buf[16:18] = new.to_bytes(2, "big")
+            elif len(buf) > 1:
+                del buf[rng.randrange(1, len(buf)) :]
+            else:
+                strategy = "byteflip"
+        if strategy == "bitflip":
+            pos = bit_cursors[idx] % (len(buf) * 8)
+            bit_cursors[idx] += 1
+            buf[pos >> 3] ^= 0x80 >> (pos & 7)
+        elif strategy == "byteflip":
+            buf[rng.randrange(len(buf))] ^= 0xFF
+
+        del buf[budget.max_len :]
+        yield RawFrame(bytes(buf), len(buf))
+
+
+def _stream_oracle_corpora():
+    """One corpus of every size below, and one of each of its frames alone.
+
+    Each size is cut from an IPv4 frame whose total length holds its ports, one whose
+    total length is 0, and an MPLS frame, so every strategy meets frames it applies to
+    and frames it must hand to byteflip.
+    """
+    ip = _udp(53, 1024).data
+    mpls = encode_frame(EthernetHeader(bytes(6), bytes(6), 0x8848), [MplsLse(16 + n) for n in range(6)]).data
+    frames = []
+    for size in (1, 13, 14, 17, 18, 33, 34, 38):
+        for whole in (ip, ip[:16] + bytes(2) + ip[18:], mpls):
+            frames.append(RawFrame.of(whole[:size]))
+    return [frames[:9] + [RawFrame.of(b"")] + frames[9:]] + [[frame] for frame in frames]
+
+
+def test_mutate_draws_equal_randrange_stream():
+    """mutate's getrandbits draws give the randrange/choice stream's octets and lengths exactly."""
+    corpora = _stream_oracle_corpora()
+    strategy_sets = [frozenset({strategy}) for strategy in attacks.STRATEGIES] + [frozenset(attacks.STRATEGIES)]
+    mutants = 0
+    for seed in range(60):
+        for strategies in strategy_sets:
+            for max_len in (1, 17, 9216):
+                for corpus in corpora:
+                    budget = MutationBudget(iterations=64 if len(corpus) > 1 else 8, seed=seed, max_len=max_len, strategies=strategies)
+                    expected = list(_randrange_stream([frame for frame in corpus if frame.data], budget))
+                    got = list(mutate(corpus, budget))
+                    assert [(f.data, f.orig_len) for f in got] == [(f.data, f.orig_len) for f in expected], (seed, sorted(strategies), max_len, len(corpus))
+                    mutants += len(got)
+    assert mutants == 60 * 6 * 3 * (64 + 8 * 24)
+
+
 # --- diff_fuzz ------------------------------------------------------------------
 
 

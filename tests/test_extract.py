@@ -489,6 +489,59 @@ def test_ipv4_shortcut_equals_the_walk():
     assert shortcut > 600 and len(frames) - shortcut > 5000
 
 
+def _gate_frames():
+    """Frames on each side of extract's ethertype test ahead of its IPv4 unpack.
+
+    Non-IPv4 frames whose high ethertype octet is 0x08, IPv4 frames of every IHL but 5,
+    and MPLS and VLAN frames; each of 38 octets or more, so the old code unpacked them all.
+    """
+    rng = random.Random(3838)
+    frames = []
+    for size in (38, 39, 42, 60, 1514):
+        for ethertype in (0x0806, 0x08FF):
+            for total_length in (0, 20, 24, size - 14):
+                data = bytearray(rng.randbytes(size))
+                struct.pack_into(">HBBH", data, 12, ethertype, 0x45, 0, total_length)
+                data[23] = 17
+                frames.append(data)
+        for ihl in (*range(5), *range(6, 16)):
+            for total_length in sorted({0, max(0, 4 * ihl - 1), 4 * ihl, 4 * ihl + 4, size - 14, size - 13}):
+                for proto in (6, 17):
+                    data = bytearray(rng.randbytes(size))
+                    struct.pack_into(">HBBH", data, 12, 0x0800, 0x40 | ihl, 0, total_length)
+                    data[23] = proto
+                    frames.append(data)
+    for ethertype in (0x8847, 0x8848, 0x8100):
+        for size in (38, 39, 42, 1514):
+            # Random stacks, stacks with no bottom entry, and one that ends at its first entry, each
+            # followed by what looks like an option-less IPv4 header to the unpack.
+            for s_bits in ("random", "clear", "first"):
+                data = bytearray(rng.randbytes(size))
+                struct.pack_into(">H", data, 12, ethertype)
+                for offset in range(16, size - 1, 4):
+                    if s_bits != "random":
+                        data[offset] &= 0xFE
+                if s_bits == "first":
+                    data[16] |= 1
+                frames.append(data)
+    return [RawFrame.of(bytes(data)) for data in frames]
+
+
+def test_ethertype_gate_equals_the_walk():
+    """Frames the gate turns away, and IPv4 frames it lets through to a failing shortcut, extract as the walk does."""
+    region = random.Random(3).randbytes(3)
+    profiles = [ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3)]
+    frames = _gate_frames()
+    for frame in frames:
+        assert len(frame.data) >= 38 and not _takes_shortcut(frame.data)
+        for profile in profiles:
+            for adjacent in (None, region):
+                walked = _walk(frame.data, 2, profile, adjacent or bytes(DEFAULT_ADJACENT_LEN))
+                assert extract(frame, 2, profile, adjacent) == walked, (frame.data.hex(), profile, adjacent)
+    assert {frame.data[12] for frame in frames} == {0x08, 0x88, 0x81}
+    assert len(frames) > 800
+
+
 # sha256 of every result below, taken before extract's walk built its keys positionally.
 _BOUNDARY_DIGEST = "bfdc4585fb61263b52a90668d6df0b2c2841af4ccaafd2d4700b90a605ab632d"
 
