@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 
 from .extract import (
     _KIND_TO_CLASS,
+    _S_FLAG_TABLE,
     ParserMode,
     ParserProfile,
     VulnClass,
@@ -130,31 +131,34 @@ def encode_payload(data: bytes) -> list[MplsLse]:
     """
     if len(data) % 4:
         raise ValueError(f"payload length {len(data)} not divisible by 4; caller pads")
-    lses = []
-    for index in range(0, len(data), 4):
-        lse = decode_lse(data[index : index + 4])
-        if lse.bottom_of_stack:
-            raise PayloadViolatesConstraint(index // 4)
-        lses.append(lse)
-    return lses
+    _check_s_bits(data)
+    return [decode_lse(data[index : index + 4]) for index in range(0, len(data), 4)]
+
+
+def _check_s_bits(data: bytes) -> None:
+    """Raise PayloadViolatesConstraint for the first 4-octet chunk of data whose S-position bit is set.
+
+    One strided slice takes each chunk's third octet, as extract's stack walk does.
+    """
+    index = data[2::4].translate(_S_FLAG_TABLE).find(1)
+    if index >= 0:
+        raise PayloadViolatesConstraint(index)
 
 
 def craft(spec: AttackSpec) -> RawFrame:
     """Build the attack frame described by spec. Timestamps stay zero."""
     if spec.kind is AttackKind.LONG_SHIM:
+        # The payload's chunks are spliced in as they are: each decodes to an
+        # entry that encodes back to the same four octets. The filler entries
+        # behind them are one encoded word, repeated.
         count = spec.label_count
-        if spec.payload is not None:
-            padded = spec.payload + bytes(-len(spec.payload) % 4)
-            lses = encode_payload(padded)
-            if len(lses) > count:
-                raise PayloadTooLarge(
-                    f"payload needs {len(lses)} entries, frame budget is {count}"
-                )
-            lses += [_FILLER_LSE] * (count - len(lses))
-        else:
-            lses = [_FILLER_LSE] * count
+        payload = b"" if spec.payload is None else spec.payload + bytes(-len(spec.payload) % 4)
+        _check_s_bits(payload)
+        entries = len(payload) // 4
+        if entries > count:
+            raise PayloadTooLarge(f"payload needs {entries} entries, frame budget is {count}")
         eth = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST)
-        return encode_frame(eth, lses)
+        return RawFrame.of(eth.encode() + payload + _FILLER_LSE.encode() * (count - entries))
 
     if spec.kind is AttackKind.SHORT_SHIM:
         eth = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST)

@@ -27,6 +27,8 @@ IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
 _IPV4_BASE = struct.Struct(">BBHHHBBHII")
+# Positional NamedTuple construction: skips the generated __new__'s Python frame.
+_tuple_new = tuple.__new__
 
 
 class InconsistentLayering(ValueError):
@@ -129,12 +131,20 @@ class RawFrame(NamedTuple):
         data = bytes(data)
         if orig_len is None:
             orig_len = len(data)
-        if orig_len < len(data):
+        elif orig_len < len(data):
             raise ValueError(f"orig_len {orig_len} < capture_len {len(data)}")
-        return cls(data, orig_len, ts_sec, ts_usec)
+        return _tuple_new(cls, (data, orig_len, ts_sec, ts_usec))
 
 
-@dataclass(frozen=True)
+# The header dataclasses below are frozen, but their __init__ is written out:
+# it checks the arguments directly and stores the instance's attribute dict
+# in one step, where the generated one pays a frozen __setattr__ per field
+# and __post_init__ reads every field back. Defaults are written twice, in
+# the field list and in the signature; a test holds them equal.
+_set_attribute = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class EthernetHeader:
     """Destination MAC, source MAC, ethertype: always 14 octets on the wire."""
 
@@ -142,17 +152,18 @@ class EthernetHeader:
     src_mac: bytes
     ethertype: int
 
-    def __post_init__(self) -> None:
-        if len(self.dst_mac) != 6 or len(self.src_mac) != 6:
+    def __init__(self, dst_mac: bytes, src_mac: bytes, ethertype: int) -> None:
+        if len(dst_mac) != 6 or len(src_mac) != 6:
             raise ValueError("MAC addresses must be 6 octets")
-        if not 0 <= self.ethertype <= 0xFFFF:
-            raise ValueError(f"ethertype {self.ethertype:#x} exceeds 16 bits")
+        if not 0 <= ethertype <= 0xFFFF:
+            raise ValueError(f"ethertype {ethertype:#x} exceeds 16 bits")
+        _set_attribute(self, "__dict__", {"dst_mac": dst_mac, "src_mac": src_mac, "ethertype": ethertype})
 
     def encode(self) -> bytes:
         return self.dst_mac + self.src_mac + self.ethertype.to_bytes(2, "big")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ipv4Header:
     """IPv4 header carried field-for-field.
 
@@ -174,20 +185,36 @@ class Ipv4Header:
     checksum: int = 0
     options: bytes = b""
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.version <= 0xF or not 0 <= self.ihl <= 0xF:
+    def __init__(self, total_length: int, protocol: int, src_ip: int, dst_ip: int, version: int = 4, ihl: int = 5,
+                 tos: int = 0, identification: int = 0, flags_fragment: int = 0, ttl: int = 64, checksum: int = 0,
+                 options: bytes = b"") -> None:
+        if not 0 <= version <= 0xF or not 0 <= ihl <= 0xF:
             raise ValueError("version/ihl exceed 4 bits")
-        for name in ("total_length", "identification", "flags_fragment", "checksum"):
-            if not 0 <= getattr(self, name) <= 0xFFFF:
-                raise ValueError(f"{name} exceeds 16 bits")
-        for name in ("tos", "ttl", "protocol"):
-            if not 0 <= getattr(self, name) <= 0xFF:
-                raise ValueError(f"{name} exceeds 8 bits")
-        for name in ("src_ip", "dst_ip"):
-            if not 0 <= getattr(self, name) <= 0xFFFFFFFF:
-                raise ValueError(f"{name} exceeds 32 bits")
-        if self.ihl >= 5 and len(self.options) != (self.ihl - 5) * 4:
-            raise ValueError(f"ihl={self.ihl} requires {(self.ihl - 5) * 4} option octets")
+        if not 0 <= total_length <= 0xFFFF:
+            raise ValueError("total_length exceeds 16 bits")
+        if not 0 <= identification <= 0xFFFF:
+            raise ValueError("identification exceeds 16 bits")
+        if not 0 <= flags_fragment <= 0xFFFF:
+            raise ValueError("flags_fragment exceeds 16 bits")
+        if not 0 <= checksum <= 0xFFFF:
+            raise ValueError("checksum exceeds 16 bits")
+        if not 0 <= tos <= 0xFF:
+            raise ValueError("tos exceeds 8 bits")
+        if not 0 <= ttl <= 0xFF:
+            raise ValueError("ttl exceeds 8 bits")
+        if not 0 <= protocol <= 0xFF:
+            raise ValueError("protocol exceeds 8 bits")
+        if not 0 <= src_ip <= 0xFFFFFFFF:
+            raise ValueError("src_ip exceeds 32 bits")
+        if not 0 <= dst_ip <= 0xFFFFFFFF:
+            raise ValueError("dst_ip exceeds 32 bits")
+        if ihl >= 5 and len(options) != (ihl - 5) * 4:
+            raise ValueError(f"ihl={ihl} requires {(ihl - 5) * 4} option octets")
+        _set_attribute(self, "__dict__", {
+            "total_length": total_length, "protocol": protocol, "src_ip": src_ip, "dst_ip": dst_ip,
+            "version": version, "ihl": ihl, "tos": tos, "identification": identification,
+            "flags_fragment": flags_fragment, "ttl": ttl, "checksum": checksum, "options": options,
+        })
 
     def encode(self) -> bytes:
         return _IPV4_BASE.pack(
@@ -304,12 +331,10 @@ def encode_frame(
     chunks = [eth.encode()]
     seen_non_mpls = False
     for layer in layers:
-        if isinstance(layer, MplsLse):
-            if seen_non_mpls:
-                raise InconsistentLayering("label stack entry behind a non-MPLS layer")
-            chunks.append(layer.encode())
-        else:
+        if not isinstance(layer, MplsLse):
             seen_non_mpls = True
-            chunks.append(layer.encode())
+        elif seen_non_mpls:
+            raise InconsistentLayering("label stack entry behind a non-MPLS layer")
+        chunks.append(layer.encode())
     chunks.append(payload)
     return RawFrame.of(b"".join(chunks))

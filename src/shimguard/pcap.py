@@ -15,6 +15,9 @@ VERSION_MAJOR = 2
 VERSION_MINOR = 4
 SNAPLEN = 65535
 LINKTYPE_ETHERNET = 1
+_U32_MAX = 0xFFFFFFFF  # a record's timestamps and lengths are unsigned 32-bit fields
+# Positional NamedTuple construction: skips the generated __new__'s Python frame.
+_tuple_new = tuple.__new__
 
 
 class PcapError(Exception):
@@ -41,13 +44,19 @@ def write_pcap(path: str | Path, frames: Iterable[RawFrame]) -> None:
     """Write frames as records; raise ValueError at the first one read_pcap would reject."""
     with open(path, "wb") as fh:
         fh.write(global_header())
-        for index, frame in enumerate(frames):
-            if frame.capture_len > SNAPLEN:
-                raise ValueError(f"frame {index}: capture_len {frame.capture_len} > snaplen {SNAPLEN}")
-            if frame.orig_len < frame.capture_len:
-                raise ValueError(f"frame {index}: orig_len {frame.orig_len} < capture_len {frame.capture_len}")
-            fh.write(_RECORD.pack(frame.ts_sec, frame.ts_usec, frame.capture_len, frame.orig_len))
-            fh.write(frame.data)
+        for index, (data, orig_len, ts_sec, ts_usec) in enumerate(frames):
+            capture_len = len(data)
+            if capture_len > SNAPLEN:
+                raise ValueError(f"frame {index}: capture_len {capture_len} > snaplen {SNAPLEN}")
+            if orig_len < capture_len:
+                raise ValueError(f"frame {index}: orig_len {orig_len} < capture_len {capture_len}")
+            try:
+                record = _RECORD.pack(ts_sec, ts_usec, capture_len, orig_len)
+            except struct.error:
+                raise ValueError(f"frame {index}: ts_sec {ts_sec}, ts_usec {ts_usec} and orig_len {orig_len} "
+                                 f"must be integers in 0..{_U32_MAX}") from None
+            fh.write(record)
+            fh.write(data)
 
 
 def read_pcap(path: str | Path) -> list[RawFrame]:
@@ -62,18 +71,19 @@ def read_pcap(path: str | Path) -> list[RawFrame]:
         raise UnsupportedFormat(f"{path}: version {major}.{minor}, linktype {linktype}; "
                                 f"expected version {VERSION_MAJOR}.x, linktype {LINKTYPE_ETHERNET} (Ethernet)")
     frames: list[RawFrame] = []
+    end = len(blob)
     offset = _GLOBAL.size
-    while offset < len(blob):
-        if offset + _RECORD.size > len(blob):
+    while offset < end:
+        body = offset + _RECORD.size
+        if body > end:
             raise TruncatedRecord(f"{path}: record header cut short at offset {offset}")
         ts_sec, ts_usec, incl_len, orig_len = _RECORD.unpack_from(blob, offset)
         if incl_len > SNAPLEN:
             raise TruncatedRecord(f"{path}: record at offset {offset} claims incl_len {incl_len} > snaplen {SNAPLEN}")
-        offset += _RECORD.size
-        if offset + incl_len > len(blob):
-            raise TruncatedRecord(f"{path}: record body cut short at offset {offset}")
+        offset = body + incl_len
+        if offset > end:
+            raise TruncatedRecord(f"{path}: record body cut short at offset {body}")
         if orig_len < incl_len:
             raise TruncatedRecord(f"{path}: record claims orig_len {orig_len} < incl_len {incl_len}")
-        frames.append(RawFrame(blob[offset : offset + incl_len], orig_len, ts_sec, ts_usec))
-        offset += incl_len
+        frames.append(_tuple_new(RawFrame, (blob[body:offset], orig_len, ts_sec, ts_usec)))
     return frames

@@ -37,7 +37,7 @@ from shimguard.extract import (
     extract,
 )
 from shimguard.flowtable import Dropped, Forwarded, SwitchState, load_rules
-from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, ParseStatus, RawFrame, encode_frame
+from shimguard.packet import EthernetHeader, Ipv4Header, MplsLse, ParseStatus, RawFrame, decode_lse, encode_frame
 from shimguard.pcap import SNAPLEN
 
 
@@ -87,6 +87,61 @@ def test_craft_long_shim_payload_packing():
 def test_craft_long_shim_payload_too_large():
     with pytest.raises(PayloadTooLarge):
         craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=30, payload=bytes(64)))
+
+
+def _per_chunk_payload(data):
+    """encode_payload as a loop over 4-octet chunks: decode each one, reject the first with its S-bit set."""
+    lses = []
+    for index in range(0, len(data), 4):
+        lse = decode_lse(data[index : index + 4])
+        if lse.bottom_of_stack:
+            raise PayloadViolatesConstraint(index // 4)
+        lses.append(lse)
+    return lses
+
+
+def _per_entry_long_shim(spec):
+    """A long-shim frame assembled one label stack entry at a time, payload and filler alike."""
+    padded = b"" if spec.payload is None else spec.payload + bytes(-len(spec.payload) % 4)
+    lses = _per_chunk_payload(padded)
+    if len(lses) > spec.label_count:
+        raise PayloadTooLarge(f"payload needs {len(lses)} entries, frame budget is {spec.label_count}")
+    eth = EthernetHeader(attacks.CRAFT_DST_MAC, attacks.CRAFT_SRC_MAC, 0x8847)
+    return encode_frame(eth, lses + [attacks._FILLER_LSE] * (spec.label_count - len(lses)))
+
+
+def _outcome(build, arg):
+    """What build(arg) returns, or the type, message and chunk index of the ValueError it raises."""
+    try:
+        return build(arg)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "chunk_index", None)
+
+
+def test_craft_long_shim_equals_per_entry_assembly():
+    sizes = [*range(18, 1515), *range(SNAPLEN - 3, SNAPLEN + 1)]
+    for size in sizes:
+        spec = AttackSpec(AttackKind.LONG_SHIM, frame_size=size)
+        frame = craft(spec)
+        assert type(frame) is RawFrame
+        assert frame == _per_entry_long_shim(spec), size
+    rng = random.Random(2019)
+    outcomes = collections.Counter()
+    for _ in range(200):
+        payload = bytearray(rng.randbytes(rng.randrange(0, 1600)))
+        for i in range(2, len(payload), 4):
+            payload[i] &= 0xFE
+        if payload and rng.random() < 0.3:
+            payload[rng.randrange(len(payload))] |= 1  # sets an S-position bit unless it hits another octet
+        spec = AttackSpec(AttackKind.LONG_SHIM, frame_size=rng.choice((18, 64, 590, 1514, rng.randrange(18, 2000))),
+                          payload=bytes(payload))
+        expected = _outcome(_per_entry_long_shim, spec)
+        assert _outcome(craft, spec) == expected
+        outcomes[expected[0] if type(expected) is tuple else RawFrame] += 1
+        padded = spec.payload + bytes(-len(spec.payload) % 4)
+        assert _outcome(encode_payload, padded) == _outcome(_per_chunk_payload, padded)
+    # Every outcome is exercised: a frame, a chunk with its S-bit set, a payload past the budget.
+    assert set(outcomes) == {RawFrame, PayloadViolatesConstraint, PayloadTooLarge}, outcomes
 
 
 def test_craft_short_shim():

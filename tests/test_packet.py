@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 from functools import partial
 
@@ -142,6 +144,93 @@ def test_ipv4_options_length_checked():
     assert len(with_opts.encode()) == 24
 
 
+# Each Ipv4Header check in the order it runs: the field, an out-of-range value
+# below and above, and the message. The options check comes last.
+_IPV4_CHECKS = [
+    ("version", "version/ihl exceed 4 bits", 16),
+    ("ihl", "version/ihl exceed 4 bits", 16),
+    ("total_length", "total_length exceeds 16 bits", 1 << 16),
+    ("identification", "identification exceeds 16 bits", 1 << 16),
+    ("flags_fragment", "flags_fragment exceeds 16 bits", 1 << 16),
+    ("checksum", "checksum exceeds 16 bits", 1 << 16),
+    ("tos", "tos exceeds 8 bits", 256),
+    ("ttl", "ttl exceeds 8 bits", 256),
+    ("protocol", "protocol exceeds 8 bits", 256),
+    ("src_ip", "src_ip exceeds 32 bits", 1 << 32),
+    ("dst_ip", "dst_ip exceeds 32 bits", 1 << 32),
+]
+_IPV4_VALID = {"total_length": 20, "protocol": 17, "src_ip": 1, "dst_ip": 2}
+
+
+def test_ipv4_header_reports_first_bad_field_in_order():
+    rng = random.Random(791)
+    for _ in range(500):
+        bad = sorted(rng.sample(range(len(_IPV4_CHECKS)), rng.randrange(1, 5)))
+        fields = dict(_IPV4_VALID)
+        for index in bad:
+            name, _, over = _IPV4_CHECKS[index]
+            fields[name] = rng.choice((-1, over, over * 3))
+        if rng.random() < 0.5:
+            fields["options"] = b"\x00"  # wrong for any in-range ihl >= 5; checked last
+        with pytest.raises(ValueError) as exc:
+            Ipv4Header(**fields)
+        assert str(exc.value) == _IPV4_CHECKS[bad[0]][1], fields
+    with pytest.raises(ValueError, match=r"^ihl=5 requires 0 option octets$"):
+        Ipv4Header(**_IPV4_VALID, options=b"\x00")
+
+
+def test_ethernet_header_reports_first_bad_field_in_order():
+    for dst, src, ethertype, message in [
+        (bytes(5), bytes(6), -1, "MAC addresses must be 6 octets"),
+        (bytes(6), bytes(7), 1 << 16, "MAC addresses must be 6 octets"),
+        (bytes(6), bytes(6), -1, "ethertype -0x1 exceeds 16 bits"),
+        (bytes(6), bytes(6), 1 << 16, "ethertype 0x10000 exceeds 16 bits"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            EthernetHeader(dst, src, ethertype)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "cls, args, text",
+    [
+        (EthernetHeader, (MAC_B, MAC_A, 0x0800),
+         "EthernetHeader(dst_mac=b'\\x02\\x00\\x00\\x00\\x00\\x02', src_mac=b'\\x02\\x00\\x00\\x00\\x00\\x01', "
+         "ethertype=2048)"),
+        (Ipv4Header, (46, 17, 1, 2),
+         "Ipv4Header(total_length=46, protocol=17, src_ip=1, dst_ip=2, version=4, ihl=5, tos=0, "
+         "identification=0, flags_fragment=0, ttl=64, checksum=0, options=b'')"),
+        (Ipv4Header, (24, 6, 3, 4, 4, 6, 1, 2, 3, 5, 7, b"\x01\x02\x03\x04"),
+         "Ipv4Header(total_length=24, protocol=6, src_ip=3, dst_ip=4, version=4, ihl=6, tos=1, "
+         "identification=2, flags_fragment=3, ttl=5, checksum=7, options=b'\\x01\\x02\\x03\\x04')"),
+    ],
+    ids=["ethernet", "ipv4-defaults", "ipv4-every-field"],
+)
+def test_header_types_behave_as_frozen_dataclasses(cls, args, text):
+    fields = dataclasses.fields(cls)
+    # The signature's defaults are the fields' defaults, in field order.
+    params = list(inspect.signature(cls).parameters.values())
+    assert [p.name for p in params] == [f.name for f in fields]
+    assert [p.default for p in params] == [inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+                                           for f in fields]
+    header = cls(*args)
+    by_keyword = cls(**{f.name: value for f, value in zip(fields, args)})
+    assert header == by_keyword and hash(header) == hash(by_keyword)
+    assert repr(header) == repr(by_keyword) == text
+    assert vars(header) == {f.name: getattr(header, f.name) for f in fields}
+    assert dataclasses.astuple(header)[: len(args)] == args
+    assert dataclasses.replace(header) == header
+    assert header != dataclasses.replace(header, **{fields[2].name: getattr(header, fields[2].name) + 1})
+    for f in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(header, f.name, getattr(header, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(header, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        header.extra = 1
+    assert header == by_keyword
+
+
 def _old_describe(key):
     """FlowKey.describe as it rendered MACs and IPv4 addresses with per-octet joins."""
 
@@ -209,6 +298,19 @@ def test_rawframe_invariants():
     assert bigger.orig_len == 100
     with pytest.raises(ValueError):
         RawFrame.of(b"\x00" * 10, orig_len=5)
+
+
+def test_rawframe_of_builds_plain_rawframes():
+    for args, expected in [
+        ((bytearray(b"abc"),), RawFrame(data=b"abc", orig_len=3, ts_sec=0, ts_usec=0)),
+        ((b"abc", 9, 7, 5), RawFrame(data=b"abc", orig_len=9, ts_sec=7, ts_usec=5)),
+        ((memoryview(b"ab"), 2), RawFrame(data=b"ab", orig_len=2)),
+    ]:
+        frame = RawFrame.of(*args)
+        assert type(frame) is RawFrame and type(frame.data) is bytes
+        assert frame == expected and hash(frame) == hash(expected) and repr(frame) == repr(expected)
+    with pytest.raises(ValueError, match=r"^orig_len 2 < capture_len 3$"):
+        RawFrame.of(b"abc", 2)
 
 
 def test_mac_ip_text_helpers():

@@ -58,6 +58,8 @@ def test_roundtrip_crafted_corpus(tmp_path):
     write_pcap(path, corpus)
     back = read_pcap(path)
     assert back == corpus  # NamedTuple equality covers every field
+    assert [type(f) for f in back] == [RawFrame] * len(corpus)
+    assert back == [RawFrame(data=f.data, orig_len=f.orig_len, ts_sec=f.ts_sec, ts_usec=f.ts_usec) for f in corpus]
     # writing what was read reproduces the file bit-exactly
     path2 = tmp_path / "again.pcap"
     write_pcap(path2, back)
@@ -145,14 +147,23 @@ def test_record_over_snaplen_names_its_header_offset(tmp_path):
     [
         (RawFrame(bytes(65536), 65536), "frame 1: capture_len 65536 > snaplen 65535"),
         (RawFrame(bytes(8), 4), "frame 1: orig_len 4 < capture_len 8"),
+        (RawFrame(bytes(60), 60, -1, 0),
+         "frame 1: ts_sec -1, ts_usec 0 and orig_len 60 must be integers in 0..4294967295"),
+        (RawFrame(bytes(60), 60, 2**32, 0),
+         "frame 1: ts_sec 4294967296, ts_usec 0 and orig_len 60 must be integers in 0..4294967295"),
+        (RawFrame(bytes(60), 60, 0, -1),
+         "frame 1: ts_sec 0, ts_usec -1 and orig_len 60 must be integers in 0..4294967295"),
+        (RawFrame(bytes(60), 2**32, 0, 0),
+         "frame 1: ts_sec 0, ts_usec 0 and orig_len 4294967296 must be integers in 0..4294967295"),
     ],
-    ids=["over-snaplen", "orig-len-short"],
+    ids=["over-snaplen", "orig-len-short", "ts-sec-negative", "ts-sec-over-32-bits", "ts-usec-negative",
+         "orig-len-over-32-bits"],
 )
 def test_write_rejects_record_read_would_refuse(tmp_path, bad, message):
     """write_pcap stops at the first record read_pcap would reject; a snaplen-long one before it reads back."""
     path = tmp_path / "bad.pcap"
-    good = RawFrame.of(bytes(65535))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    good = RawFrame.of(bytes(65535), ts_sec=2**32 - 1, ts_usec=2**32 - 1)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_pcap(path, [good, bad, good])
     assert read_pcap(path) == [good]
 
