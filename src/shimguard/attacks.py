@@ -113,9 +113,10 @@ class AttackSpec:
             raise ValueError(f"fragment_len must be 1..3, got {self.fragment_len}")
         if not 0 <= self.total_length <= 0xFFFF:
             raise ValueError(f"total_length {self.total_length} exceeds 16 bits")
-        for name in ("sport", "dport"):
-            if not 0 <= getattr(self, name) <= 0xFFFF:
-                raise ValueError(f"{name} exceeds 16 bits")
+        if not 0 <= self.sport <= 0xFFFF:
+            raise ValueError("sport exceeds 16 bits")
+        if not 0 <= self.dport <= 0xFFFF:
+            raise ValueError("dport exceeds 16 bits")
 
     @property
     def label_count(self) -> int:

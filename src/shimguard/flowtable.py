@@ -13,7 +13,10 @@ slow-path device, which is how the benchmark isolates slow-path cost.
 
 A cache hit pays one count, its megaflow entry's ``hits``, as an OVS
 datapath flow keeps its own packet count. ``stats`` sums those on read: the
-other paths are rare, and count as they happen.
+other paths are rare, and count as they happen. What a rule's actions do is
+fixed when the switch is built: the disposition, and the ``pop_mpls_noop``
+count for a key with a label and for one without. The two exact-match
+caches, the microflow and the memo, hold at most MICROFLOW_CAPACITY keys each.
 
 The rule scan is one function generated when the switch is built
 (``_compile_scan``), one ``if`` per rule in scan order; it returns the scan
@@ -159,9 +162,9 @@ def disposition_of(actions: Sequence[Action]) -> Disposition:
     return Dropped()
 
 
-def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict) -> None:
-    """Walk the key's label depth through the actions, counting each pop that finds no label."""
-    depth = key.mpls_label is not None
+def apply_actions(actions: Sequence[Action], labelled: bool) -> int:
+    """Walk a key's label depth (1 if ``labelled``, else 0) through the actions; returns the pops finding none."""
+    depth, noops = labelled, 0
     for action in actions:
         if isinstance(action, PushMpls):
             depth += 1
@@ -169,17 +172,18 @@ def apply_actions(key: FlowKey, actions: Sequence[Action], stats: dict) -> None:
             if depth:
                 depth -= 1
             else:
-                stats["pop_mpls_noop"] += 1
+                noops += 1
+    return noops
 
 
 _COUNTERS = {Forwarded: "forwards", SentToController: "to_controller", Dropped: "drops"}
 
 
-def _outcome(actions: tuple[Action, ...]) -> tuple[tuple[Action, ...], Disposition, str, bool]:
-    """What a MegaflowEntry carries besides its match: actions, disposition, counter, pops_mpls."""
+def _outcome(actions: tuple[Action, ...]) -> tuple[tuple[Action, ...], Disposition, str, tuple[int, int] | None]:
+    """What a MegaflowEntry carries besides its match: actions, disposition, counter, noop_pops."""
     disposition = disposition_of(actions)
-    pops = any(isinstance(action, PopMpls) for action in actions)
-    return actions, disposition, _COUNTERS[type(disposition)], pops
+    noop_pops = apply_actions(actions, False), apply_actions(actions, True)
+    return actions, disposition, _COUNTERS[type(disposition)], noop_pops if any(noop_pops) else None
 
 
 # --- matching ---------------------------------------------------------------
@@ -308,9 +312,9 @@ class MegaflowEntry:
     """A wildcard cache entry: the key's values on the mask, in mask order, plus the actions.
 
     The disposition and the counter it bumps depend only on the actions, so
-    they are computed once per rule. ``pops_mpls`` marks the one case where
-    the key still matters per packet: a pop on a key without labels counts
-    as ``pop_mpls_noop``.
+    they are computed once per rule. So is ``noop_pops``, the pops that find
+    no label (``pop_mpls_noop``), which also depend on whether the key holds
+    a label: indexed by that, or None when both counts are 0.
     """
 
     mask: tuple[str, ...]
@@ -318,7 +322,7 @@ class MegaflowEntry:
     actions: tuple[Action, ...]
     disposition: Disposition
     counter: str
-    pops_mpls: bool
+    noop_pops: tuple[int, int] | None
     hits: int = 0
 
     def describe(self) -> str:
@@ -347,17 +351,10 @@ STAT_KEYS = (
 class SwitchState:
     """Rules plus caches plus counters for one switch. Single-writer."""
 
-    def __init__(
-        self,
-        rules: Iterable[Rule] = (),
-        megaflow_enabled: bool = True,
-        microflow_capacity: int = MICROFLOW_CAPACITY,
-    ) -> None:
-        if microflow_capacity < 1:
-            raise ValueError(f"microflow_capacity must be >= 1, got {microflow_capacity}")
+    def __init__(self, rules: Iterable[Rule] = (), megaflow_enabled: bool = True) -> None:
         self.rules: list[Rule] = list(rules)
         self.megaflow_enabled = megaflow_enabled
-        self.microflow_capacity = microflow_capacity
+        self.microflow_capacity = MICROFLOW_CAPACITY
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         # Microflow candidates left until the next is admitted; 1, so the first one is.
         self._admit_in = 1
@@ -466,12 +463,11 @@ class SwitchState:
                 probe.insert(ahead, probe.pop(at))
         return entry
 
-    def _remember(self, signature: tuple, key: FlowKey, entry: MegaflowEntry) -> None:
-        """Map a frame's signature to its key and entry, evicting the oldest signature when full."""
-        signatures = self.signatures
-        if len(signatures) >= self.microflow_capacity:
-            signatures.popitem(last=False)
-        signatures[signature] = key, entry
+    def _insert(self, cache: OrderedDict, key, value) -> None:
+        """Store a key the exact-match cache lacks, evicting its oldest insert first when it is full."""
+        if len(cache) >= self.microflow_capacity:
+            cache.popitem(last=False)
+        cache[key] = value
 
     def process(
         self,
@@ -490,6 +486,8 @@ class SwitchState:
 
         A hit, on any cache, counts only in its entry's ``hits``; a parse drop
         or an upcall counts in ``_answered``. ``stats`` derives the rest.
+        Acting walks no action list: it adds the entry's ``noop_pops`` count
+        for the key's label state, when the entry has one.
 
         A frame whose ``key_signature`` is in the memo (``signatures``) is
         answered by the entry stored with it, without ``extract`` or the
@@ -529,7 +527,8 @@ class SwitchState:
                 entry.hits += 1
                 if key.parse_status is _COMPLETE:
                     # The memo is as it was at the probe: a non-empty one was probed with this frame's signature.
-                    self._remember(signature if self.signatures else key_signature(frame.data, in_port), key, entry)
+                    memo = self.signatures
+                    self._insert(memo, signature if memo else key_signature(frame.data, in_port), (key, entry))
             else:
                 for project, table in self._probe:
                     entry = table.get(project(key))
@@ -544,11 +543,9 @@ class SwitchState:
                     self._admit_in -= 1
                     if not self._admit_in:
                         self._admit_in = MICROFLOW_ADMIT_EVERY
-                        if len(microflow) >= self.microflow_capacity:
-                            microflow.popitem(last=False)
-                        microflow[key] = entry
-        if entry.pops_mpls:
-            apply_actions(key, entry.actions, self._stats)
+                        self._insert(microflow, key, entry)
+        if entry.noop_pops:
+            self._stats["pop_mpls_noop"] += entry.noop_pops[key.mpls_label is not None]
         return entry.disposition
 
 

@@ -166,6 +166,14 @@ def test_craft_short_shim_bad_fragment():
         AttackSpec(AttackKind.SHORT_SHIM, fragment_len=4)
 
 
+@pytest.mark.parametrize("port", [-1, 65536])
+@pytest.mark.parametrize("name", ["sport", "dport"])
+def test_spec_rejects_ports_outside_16_bits(name, port):
+    with pytest.raises(ValueError, match=f"^{name} exceeds 16 bits$"):
+        AttackSpec(AttackKind.ACL_BYPASS, **{name: port})
+    assert getattr(AttackSpec(AttackKind.ACL_BYPASS, **{name: port % 65536}), name) == port % 65536
+
+
 ACL_RULES = (
     "priority=10, parse_status=Complete, l4_dst=8080, actions=drop\n"
     "priority=1, actions=output:1"

@@ -3,6 +3,8 @@ import re
 import struct
 from collections import OrderedDict
 from enum import Enum
+from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -53,6 +55,12 @@ def udp_frame(sport=53, dport=1024, src=0x0A000001, dst=0x0A000002):
 def acl_bypass_frame(total_length=0, dport=8080):
     ip = Ipv4Header(total_length=total_length, protocol=17, src_ip=0x0A000001, dst_ip=0x0A000002)
     return encode_frame(ETH_IP, [ip], payload=struct.pack(">HH", 1234, dport))
+
+
+def capped_switch(rules, capacity):
+    """A caching switch whose microflow and memo hold at most ``capacity`` keys each."""
+    with mock.patch.object(flowtable, "MICROFLOW_CAPACITY", capacity):
+        return SwitchState(rules)
 
 
 # --- rule file ----------------------------------------------------------------
@@ -327,7 +335,7 @@ def test_caches_off_never_probes_the_empty_microflow():
 
 @pytest.mark.usefixtures("admit_every_miss")
 def test_microflow_lru_eviction_keeps_megaflow():
-    state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=4)
+    state = capped_switch(load_rules("priority=1, actions=output:1"), 4)
     frames = [udp_frame(sport=1000 + i) for i in range(6)]
     for frame in frames:
         state.process(frame, 1, HARDENED)
@@ -340,7 +348,7 @@ def test_microflow_lru_eviction_keeps_megaflow():
 
 @pytest.mark.usefixtures("admit_every_miss")
 def test_microflow_evicts_oldest_insert():
-    state = SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=2)
+    state = capped_switch(load_rules("priority=1, actions=output:1"), 2)
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
     for frame in (a, b, a, c):
         state.process(frame, 1, HARDENED)
@@ -351,7 +359,7 @@ def test_microflow_evicts_oldest_insert():
 
 
 def test_microflow_admits_the_first_candidate_then_one_in_eight():
-    state = SwitchState(load_rules("priority=1, l4_src=7, actions=output:1"), microflow_capacity=2)
+    state = capped_switch(load_rules("priority=1, l4_src=7, actions=output:1"), 2)
     frames = [udp_frame(sport=1000 + i) for i in range(25)]
     for frame in frames:  # 25 distinct flows: 25 upcalls, so 25 candidates
         state.process(frame, 1, HARDENED)
@@ -364,12 +372,6 @@ def test_microflow_admits_the_first_candidate_then_one_in_eight():
         state.process(frame, 1, HARDENED)
     assert list(state.microflow) == [keys[24], keys[7]]
     assert state.stats["fast_path_hits"] == 12
-
-
-@pytest.mark.parametrize("capacity", [0, -1])
-def test_microflow_capacity_below_one_rejected(capacity):
-    with pytest.raises(ValueError, match=f"microflow_capacity must be >= 1, got {capacity}"):
-        SwitchState(load_rules("priority=1, actions=output:1"), microflow_capacity=capacity)
 
 
 @pytest.mark.parametrize("profile", [HARDENED, VULN_232, VULN_240, VULN_250], ids=lambda p: p.mode.value)
@@ -610,6 +612,13 @@ class Unreordered(OrderedDict):
         raise AssertionError("cache reordered")
 
 
+class NeverStores(OrderedDict):
+    """A memo that stores nothing, so its switch parses every frame."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _memo_pool(rng):
     """Distinct frames that share, or nearly share, a signature or a flow key."""
     pool = [ip_frame(size, sport=53, dport=80) for size in (60, 590, 1514)]
@@ -635,17 +644,17 @@ def _memo_pool(rng):
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
-def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, capacity):
+def test_signature_memo_equivalent_to_parsing_every_frame(parsed, capacity):
     rng = random.Random(capacity)
     push_pop = "priority=7, eth_type=0x0800, ip_proto=17, actions=pop_mpls,push_mpls:16,output:3"
     rulesets = [_random_rules(rng, mpls_actions=bool(i % 2)) for i in range(6)] + [load_rules(push_pop)]
     skipped = 0
     for round_no, rules in enumerate(rulesets):
         pool = _memo_pool(rng)
-        memo = SwitchState(rules, microflow_capacity=capacity)
+        memo = capped_switch(rules, capacity)
         memo.microflow, memo.signatures = Unreordered(), Unreordered()
-        plain = SwitchState(rules, microflow_capacity=capacity)
-        monkeypatch.setattr(plain, "_remember", lambda *args: None)
+        plain = capped_switch(rules, capacity)
+        plain.signatures = NeverStores()
         for i in range(400):
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
@@ -670,7 +679,7 @@ def test_microflow_size_is_capacity_or_distinct_accepted_keys(capacity):
     # Why eviction order is free: the one microflow figure any output prints never depends on it.
     rng = random.Random(100 + capacity)
     for round_no in range(4):
-        state = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)), microflow_capacity=capacity)
+        state = capped_switch(_random_rules(rng, mpls_actions=bool(round_no % 2)), capacity)
         pool = _memo_pool(rng)
         accepted = set()
         for i in range(300):
@@ -715,7 +724,7 @@ def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
                   for _ in range(200)]
         for profile in ALL_PROFILES:
             for capacity in (1, 2, 4096):
-                eighth, every = (SwitchState(rules, microflow_capacity=capacity) for _ in range(2))
+                eighth, every = (capped_switch(rules, capacity) for _ in range(2))
                 eighth.microflow, eighth.signatures = CountingHits(), CountingHits()
                 where = f"round {round_no} {profile.mode} capacity {capacity}"
                 for i, (frame, port, adjacent) in enumerate(stream):
@@ -753,7 +762,7 @@ def test_counters_equal_dispositions_sent_and_entry_hits(parsed, capacity):
             if capacity is None:
                 state = SwitchState(rules, megaflow_enabled=False)
             else:
-                state = SwitchState(rules, microflow_capacity=capacity)
+                state = capped_switch(rules, capacity)
             tally = dict.fromkeys(_COUNTER_OF.values(), 0)
             for sent in range(1, 201):
                 if rng.random() < 0.05:
@@ -1170,20 +1179,59 @@ def _random_key(rng):
                    parse_status=ParseStatus.L2_ONLY)
 
 
+def _walked_noops(key, actions):
+    """The per-packet walk: the key's label depth through the actions, counting each pop that finds no label."""
+    stats = {"pop_mpls_noop": 0}
+    depth = key.mpls_label is not None
+    for action in actions:
+        if isinstance(action, PushMpls):
+            depth += 1
+        elif isinstance(action, PopMpls):
+            if depth:
+                depth -= 1
+            else:
+                stats["pop_mpls_noop"] += 1
+    return stats["pop_mpls_noop"]
+
+
+UNLABELLED = udp_frame()
+LABELLED = encode_frame(ETH_MPLS, [MplsLse(16, bottom_of_stack=True)])
+
+
 @pytest.mark.parametrize(
     "names, depth, noops",
     [("pop", 0, 1), ("push,pop,pop", 0, 1), ("pop,pop", 1, 1), ("push,pop", 0, 0), ("pop,push,pop", 0, 1)],
 )
 def test_pop_without_label_is_flagged_noop(names, depth, noops):
     actions = {"push": PushMpls(77), "pop": PopMpls()}
-    stats = {"pop_mpls_noop": 0}
-    top = {"mpls_label": 16, "mpls_exp": 0, "mpls_s": True, "mpls_ttl": 64} if depth else {}
-    key = FlowKey(in_port=1, ethertype=0x8847 if depth else 0x0800, **top, mpls_depth_seen=depth,
-                  parse_status=ParseStatus.MPLS_TERMINATED if depth else ParseStatus.COMPLETE)
     walk = tuple(actions[name] for name in names.split(",")) + (Output(1),)
-    apply_actions(key, walk, stats)
-    assert stats["pop_mpls_noop"] == noops
+    state = SwitchState([Rule(priority=1, match=(), actions=walk)])
+    for sent in range(1, 4):  # an upcall, then cache hits
+        assert state.process(LABELLED if depth else UNLABELLED, 1, HARDENED) == Forwarded((1,))
+        assert state.stats["pop_mpls_noop"] == noops * sent
     assert disposition_of(walk) == Forwarded((1,))
+
+
+def test_stored_noop_pops_equal_the_per_packet_walk():
+    # Every list of 1 to 4 push, pop and output actions, against a key without a label and one with.
+    frames = (UNLABELLED, LABELLED)
+    keys = [extract(frame, 1, HARDENED).key for frame in frames]
+    assert [key.mpls_label is not None for key in keys] == [False, True]
+    choices = (PushMpls(77), PopMpls(), Output(1))
+    walks = [walk for length in range(1, 5) for walk in product(choices, repeat=length)]
+    assert len(walks) == 3 + 9 + 27 + 81
+    for walk in walks:
+        expected = tuple(_walked_noops(key, walk) for key in keys)
+        assert (apply_actions(walk, False), apply_actions(walk, True)) == expected, walk
+        state = SwitchState([Rule(priority=1, match=(), actions=walk)])
+        # An upcall and a megaflow hit, then a microflow hit and a megaflow hit, then a memo hit and a megaflow hit.
+        for frame, noops in zip(frames * 3, expected * 3):
+            before = state.stats["pop_mpls_noop"]
+            state.process(frame, 1, HARDENED)
+            assert state.stats["pop_mpls_noop"] - before == noops, walk
+        (entry,) = [entry for _, table in state.megaflows.values() for entry in table.values()]
+        assert entry.noop_pops == (expected if any(expected) else None), walk
+        assert len(state.signatures) == 1 and entry.hits == 5
 
 
 # --- dump_state -----------------------------------------------------------------

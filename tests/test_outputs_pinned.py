@@ -29,7 +29,7 @@ from shimguard.extract import ALL_PROFILES
 from shimguard.flowtable import SwitchState, dump_state
 from shimguard.packet import EthernetHeader, MplsLse, RawFrame, encode_frame
 from shimguard.pcap import write_pcap
-from test_flowtable import ETH_MPLS, MAC_A, MAC_B, _random_rules, _random_traffic, ip_frame, udp_frame
+from test_flowtable import ETH_MPLS, MAC_A, MAC_B, _random_rules, _random_traffic, capped_switch, ip_frame, udp_frame
 
 RULES = """\
 priority=20, eth_type=0x0800, ip_proto=17, l4_dst=8080, actions=drop
@@ -125,8 +125,7 @@ def flowtable_text():
         stream = [(pool[rng.randrange(len(pool))], rng.choice([1, 2]), rng.choice(regions)) for _ in range(100)]
         for profile in ALL_PROFILES:
             for capacity in (1, 2, 4096, None):
-                state = (SwitchState(rules, microflow_capacity=capacity) if capacity
-                         else SwitchState(rules, megaflow_enabled=False))
+                state = capped_switch(rules, capacity) if capacity else SwitchState(rules, megaflow_enabled=False)
                 for frame, port, adjacent in stream:
                     disposition = state.process(frame, port, profile, adjacent)
                     lines.append(f"{disposition} {len(state.microflow)} {tuple(state.stats.values())}")
