@@ -51,6 +51,7 @@ CRAFT_SRC_IP = 0x0A000001  # 10.0.0.1
 CRAFT_DST_IP = 0x0A000002  # 10.0.0.2
 _FILLER_LSE = MplsLse(label=0, exp=0, bottom_of_stack=False, ttl=64)
 _SHORT_FRAGMENT = b"\x12\x34\x56"
+_MPLS_ETH = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST).encode()  # heads both shim kinds
 
 STRATEGIES = ("bitflip", "byteflip", "field-splice", "length-truncate", "lse-duplicate")
 _SPLICE_SPANS = (1, 2, 4, 6)  # field-splice copies one of these many octets
@@ -158,12 +159,10 @@ def craft(spec: AttackSpec) -> RawFrame:
         entries = len(payload) // 4
         if entries > count:
             raise PayloadTooLarge(f"payload needs {entries} entries, frame budget is {count}")
-        eth = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST)
-        return RawFrame.of(eth.encode() + payload + _FILLER_LSE.encode() * (count - entries))
+        return RawFrame.of(_MPLS_ETH + payload + _FILLER_LSE.encode() * (count - entries))
 
     if spec.kind is AttackKind.SHORT_SHIM:
-        eth = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST)
-        return RawFrame.of(eth.encode() + _SHORT_FRAGMENT[: spec.fragment_len])
+        return RawFrame.of(_MPLS_ETH + _SHORT_FRAGMENT[: spec.fragment_len])
 
     eth = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_IPV4)
     ip = Ipv4Header(
@@ -343,17 +342,22 @@ class FuzzReport:
 
 
 def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile]) -> RawFrame:
-    """Greedy 1-octet suffix-then-prefix truncation while the class persists.
+    """Greedy 1-octet suffix truncation while the class persists.
 
-    A candidate keeps the class when any profile's extraction emits it. The
-    profile that emitted it last is asked first: extraction is pure, so the
-    order cannot change the answer, only how many profiles are asked.
+    Precondition: ``frame`` fires ``cls`` under one of ``profiles``, as every
+    ``diff_fuzz`` exemplar does. A candidate keeps the class when any
+    profile's extraction emits it. The profile that emitted it last is asked
+    first: extraction is pure, so the order cannot change the answer, only
+    how many profiles are asked.
+
+    Only the suffix is trimmed. Every class needs octets 12-13 to hold
+    0x8847/0x8848 (LongStack, ShortLse) or 0x0800 (IpUnderflow); dropping
+    the first octet moves the old ethertype's low octet (0x47, 0x48 or 0x00)
+    into the high place, never 0x88 or 0x08, so no prefix trim keeps a class.
     """
     order = list(profiles)
 
     def triggers(data: bytes) -> bool:
-        if not data:
-            return False
         candidate = _tuple_new(RawFrame, (data, len(data), 0, 0))
         for index, profile in enumerate(order):
             events = extract(candidate, 0, profile)[1]
@@ -366,11 +370,6 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
     data = frame.data
     while len(data) > 1:
         candidate = data[:-1]
-        if not triggers(candidate):
-            break
-        data = candidate
-    while len(data) > 1:
-        candidate = data[1:]
         if not triggers(candidate):
             break
         data = candidate

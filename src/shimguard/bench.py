@@ -283,6 +283,16 @@ def _sample(
     return samples
 
 
+def _latency(modes: tuple[PathMode, ...], sizes: tuple[int, ...], count: int, warmup: int, seed: int, pause: float):
+    """Per size, a tuple of one summary per mode: each mode's switch is built once, each size's pools are drawn in
+    mode order from one seeded generator, the modes are sampled in alternation and the warmup is dropped."""
+    rng = random.Random(seed)
+    states = [(mode, build_bench_state(mode)) for mode in modes]
+    for size in sizes:
+        runs = [(state, _frame_pool(mode, size, min(count, CHUNK), rng)) for mode, state in states]
+        yield tuple(_summarize(size, times[warmup:]) for times, _ in _sample(runs, range(count), pause))
+
+
 def compare_latency(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     count: int = 2000,
@@ -296,25 +306,14 @@ def compare_latency(
     comparison meaningful even when the host's speed drifts between runs.
     """
     _check_latency_plan(count, warmup, sizes)
-    rng = random.Random(seed)
-    states = {mode: build_bench_state(mode) for mode in (PathMode.ALL_SLOW_PATH, PathMode.ALL_FAST_PATH)}
-    pairs = []
-    for size in sizes:
-        runs = [(state, _frame_pool(mode, size, min(count, CHUNK), rng)) for mode, state in states.items()]
-        pairs.append(tuple(_summarize(size, times[warmup:]) for times, _ in _sample(runs, range(count), 0.0)))
-    return pairs
+    return list(_latency((PathMode.ALL_SLOW_PATH, PathMode.ALL_FAST_PATH), sizes, count, warmup, seed, 0.0))
 
 
 def run_latency(config: BenchConfig) -> BenchResult:
     """Per packet size on a new switch of the config's mode: time each process() call, drop the warmup, summarize."""
-    state = build_bench_state(config.path_mode)
-    rng = random.Random(config.seed)
-    result = BenchResult(mode=config.path_mode)
-    for size in config.packet_sizes:
-        pool = _frame_pool(config.path_mode, size, min(config.latency_count, CHUNK), rng)
-        ((times, _),) = _sample([(state, pool)], range(config.latency_count), config.interval_ms / 1000.0)
-        result.sizes.append(_summarize(size, times[config.warmup_drop :]))
-    return result
+    per_size = _latency((config.path_mode,), config.packet_sizes, config.latency_count, config.warmup_drop,
+                        config.seed, config.interval_ms / 1000.0)
+    return BenchResult(config.path_mode, sizes=[sample for (sample,) in per_size])
 
 
 THROUGHPUT_CSV_HEADER = "mode,rate_pps,offered,forwarded,loss_fraction"

@@ -537,6 +537,69 @@ def test_minimize_independent_of_profile_order():
             assert len(results) == 1, (frame.capture_len, cls)
 
 
+_BUG_CLASSES = (VulnClass.LONG_STACK_232, VulnClass.SHORT_LSE_240, VulnClass.IP_UNDERFLOW_250)
+# Every mode at label limits 1 and 3.
+_LIMIT_PROFILES = tuple(ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3))
+
+
+def _classes(data, profiles=_LIMIT_PROFILES):
+    """The bug classes extraction of data emits under any of profiles."""
+    frame = RawFrame.of(data)
+    return {classify_events(extract(frame, 0, profile).events) for profile in profiles} - {VulnClass.BENIGN}
+
+
+def _small_corpus():
+    """The crafted kinds, with a 16-entry long shim so minimizing its mutants stays cheap, and two benign frames."""
+    corpus = _c6_corpus()
+    corpus[0] = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=78))
+    return corpus
+
+
+def test_no_class_survives_a_prefix_trim():
+    """A class needs ethertype 0x8847/0x8848 or 0x0800 in octets 12-13; dropping the first octet moves
+    0x47, 0x48 or 0x00 into the high place, so no frame that fires a class fires one after a prefix trim."""
+    fired = collections.Counter()
+    for corpus in (_c6_corpus(), _small_corpus()):
+        for seed in (1, 2, 3):
+            for frame in [*corpus, *mutate(corpus, MutationBudget(iterations=3000, seed=seed))]:
+                classes = _classes(frame.data)
+                if classes:
+                    fired.update(classes)
+                    assert not _classes(frame.data[1:]), frame.data.hex()
+    assert min(fired[cls] for cls in _BUG_CLASSES) >= 1000, fired
+
+
+def _two_phase_minimize(frame, cls, profiles):
+    """minimize with its former prefix phase: greedy 1-octet suffix, then prefix, truncation."""
+
+    def triggers(data):
+        return bool(data) and cls in _classes(data, profiles)
+
+    data = frame.data
+    while len(data) > 1 and triggers(data[:-1]):
+        data = data[:-1]
+    while len(data) > 1 and triggers(data[1:]):
+        data = data[1:]
+    return RawFrame.of(data)
+
+
+def test_minimize_equals_two_phase_trim():
+    """Suffix trimming alone gives the former suffix-then-prefix answer on every crafted kind and class,
+    and on a few hundred class-firing mutants per class."""
+    for kind in AttackKind:
+        for cls in _BUG_CLASSES:
+            frame = craft(AttackSpec(kind))
+            assert minimize(frame, cls, ALL_PROFILES) == _two_phase_minimize(frame, cls, ALL_PROFILES)
+    firing = {cls: [] for cls in _BUG_CLASSES}
+    for frame in mutate(_small_corpus(), MutationBudget(iterations=3000, seed=5)):
+        for cls in _classes(frame.data, ALL_PROFILES):
+            firing[cls].append(frame)
+    for cls, frames in firing.items():
+        assert len(frames) >= 300, (cls, len(frames))
+        for frame in frames[:300]:
+            assert minimize(frame, cls, ALL_PROFILES) == _two_phase_minimize(frame, cls, ALL_PROFILES)
+
+
 def test_report_text_format():
     report = diff_fuzz(
         [craft(AttackSpec(AttackKind.LONG_SHIM)), craft(AttackSpec(AttackKind.SHORT_SHIM))],

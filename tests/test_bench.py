@@ -178,6 +178,34 @@ def test_latency_sample_counting():
     assert sample.variance_us2 == 0.0
 
 
+def test_latency_interval_pauses_after_every_round(monkeypatch):
+    pauses = []
+    sleep = bench.time.sleep
+    monkeypatch.setattr(bench.time, "sleep", lambda seconds: (pauses.append(seconds), sleep(seconds)))
+    config = _config(PathMode.ALL_SLOW_PATH, packet_sizes=(44, 512), latency_count=3, warmup_drop=1, interval_ms=0.01)
+    result = run_latency(config)
+    assert pauses == [0.01 / 1000.0] * 6
+    assert [(sample.size_b, sample.samples) for sample in result.sizes] == [(44, 2), (512, 2)]
+
+
+def test_run_latency_samples_the_slow_pools_compare_latency_samples(monkeypatch):
+    """One seed draws the same slow-mode pools alone as beside the fast mode, whose pool draws nothing."""
+    calls = []
+
+    def recording(runs, rounds, pause):
+        calls.append([pool for _, pool in runs])
+        return [([1e-6] * len(rounds), [Dropped()] * len(rounds)) for _ in runs]
+
+    monkeypatch.setattr(bench, "_sample", recording)
+    run_latency(_config(PathMode.ALL_SLOW_PATH, packet_sizes=(44, 512, 44)))
+    compare_latency(sizes=(44, 512, 44), count=700, warmup=200, seed=1)
+    alone, paired = calls[:3], calls[3:]
+    assert [len(pools) for pools in alone] == [1, 1, 1] and [len(pools) for pools in paired] == [2, 2, 2]
+    assert [pools[0] for pools in alone] == [pools[0] for pools in paired]
+    assert [len(pools[0]) for pools in alone] == [700, 700, 700]
+    assert alone[0][0] != alone[2][0]  # the generator runs on across sizes
+
+
 def test_fast_median_latency_below_slow_per_size():
     for slow, fast in compare_latency(sizes=(44, 512, 1500), count=1500, warmup=300, seed=2):
         assert fast.size_b == slow.size_b

@@ -309,6 +309,25 @@ def test_pipeline_rule_value_wider_than_field_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("priority=2, actions=", "empty action list"),
+        ("priority=2, priority=3, actions=drop", "duplicate field 'priority'"),
+        ("ip_proto=6, actions=drop", "missing priority="),
+    ],
+)
+def test_pipeline_rule_action_list_and_priority_errors_exit_2(tmp_path, capsys, line, message):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(f"priority=1, actions=output:1\n{line}\n")
+    frame_pcap = tmp_path / "acl.pcap"
+    run(capsys, "craft", "--kind", "acl-bypass", "--out", str(frame_pcap))
+    code, stdout, err = run(capsys, "pipeline", "--in", str(frame_pcap), "--rules", str(rules))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: line 2: {message}\n"
+
+
+@pytest.mark.parametrize(
     "actions, in_port, message",
     [
         ("output:-7", "1", "bad output port in 'output:-7'"),

@@ -102,6 +102,23 @@ def test_load_rules_unknown_and_duplicate_fields():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "line, error, message",
+    [
+        ("priority=5, actions=", RuleSyntaxError, "empty action list"),
+        ("priority=5, actions= \t", RuleSyntaxError, "empty action list"),
+        ("priority=5, priority=6, actions=drop", DuplicateFieldError, "duplicate field 'priority'"),
+        ("ip_proto=6, actions=drop", RuleSyntaxError, "missing priority="),
+    ],
+)
+def test_load_rules_rejects_action_list_and_priority_errors(line, error, message):
+    with pytest.raises(error) as exc:
+        load_rules("priority=1, actions=output:1\n# a comment\n" + line)
+    assert type(exc.value) is error
+    assert exc.value.line == 3
+    assert str(exc.value) == f"line 3: {message}"
+
+
 def test_load_rules_comments_and_values():
     text = """
     # access policy
