@@ -50,6 +50,7 @@ CRAFT_DST_MAC = bytes.fromhex("020000000002")
 CRAFT_SRC_IP = 0x0A000001  # 10.0.0.1
 CRAFT_DST_IP = 0x0A000002  # 10.0.0.2
 _FILLER_LSE = MplsLse(label=0, exp=0, bottom_of_stack=False, ttl=64)
+_FILLER_WORD = _FILLER_LSE.encode()  # every long shim's filler entry
 _SHORT_FRAGMENT = b"\x12\x34\x56"
 _MPLS_ETH = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST).encode()  # heads both shim kinds
 
@@ -159,7 +160,7 @@ def craft(spec: AttackSpec) -> RawFrame:
         entries = len(payload) // 4
         if entries > count:
             raise PayloadTooLarge(f"payload needs {entries} entries, frame budget is {count}")
-        return RawFrame.of(_MPLS_ETH + payload + _FILLER_LSE.encode() * (count - entries))
+        return RawFrame.of(_MPLS_ETH + payload + _FILLER_WORD * (count - entries))
 
     if spec.kind is AttackKind.SHORT_SHIM:
         return RawFrame.of(_MPLS_ETH + _SHORT_FRAGMENT[: spec.fragment_len])

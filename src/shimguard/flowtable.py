@@ -6,9 +6,9 @@ masked down to exactly the fields rule selection consulted. Of the packets
 a megaflow hit or an upcall answers, one in MICROFLOW_ADMIT_EVERY installs
 a microflow entry pointing at its megaflow entry. A packet is answered by
 exactly one of five paths, tried in order: a parse drop, a memo hit (a
-repeated well-formed IPv4 frame takes the key and megaflow entry of its
-earlier parse, skipping extraction and the microflow), a microflow hit, a
-megaflow hit, an upcall. A switch built with its caches disabled is a pure
+repeated well-formed IPv4 frame takes the megaflow entry of its earlier
+parse, skipping extraction and the microflow), a microflow hit, a megaflow
+hit, an upcall. A switch built with its caches disabled is a pure
 slow-path device, which is how the benchmark isolates slow-path cost.
 
 A cache hit pays one count, its megaflow entry's ``hits``, as an OVS
@@ -358,13 +358,13 @@ class SwitchState:
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         # Microflow candidates left until the next is admitted; 1, so the first one is.
         self._admit_in = 1
-        # key_signature of a frame -> the flow key extract built for it and that key's megaflow
-        # entry; oldest out first, same bound as the microflow. A signature is stored on a
-        # microflow hit, so a flow reaches the memo only after the microflow admitted its key.
-        # Exact only while the entry stays in `megaflows`: a megaflow eviction must also drop
-        # every microflow key and signature pointing at it. A memo hit counts only in the
-        # entry's `hits`, which `stats` reads from `megaflows`.
-        self.signatures: OrderedDict[tuple, tuple[FlowKey, MegaflowEntry]] = OrderedDict()
+        # key_signature of a frame -> the megaflow entry of the key extract built for it, as the
+        # microflow maps a key; oldest out first, same bound as the microflow. A signature is
+        # stored on a microflow hit of a COMPLETE key, so a flow reaches the memo only after the
+        # microflow admitted its key. Exact only while the entry stays in `megaflows`: a megaflow
+        # eviction must also drop every microflow key and signature pointing at it. A memo hit
+        # counts only in the entry's `hits`, which `stats` reads from `megaflows`.
+        self.signatures: OrderedDict[tuple, MegaflowEntry] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order. At most one
         # entry of all the tables matches any key, so the order tables are probed in is invisible.
         # Every cache hit is counted in one of these entries' `hits`, and `stats` sums them here.
@@ -490,60 +490,59 @@ class SwitchState:
         for the key's label state, when the entry has one.
 
         A frame whose ``key_signature`` is in the memo (``signatures``) is
-        answered by the entry stored with it, without ``extract`` or the
-        microflow. The key is exact: the memo holds only COMPLETE keys, read
-        from the signature alone whatever the profile or ``adjacent``. So is
-        the entry: it is the one megaflow entry the key matches, and megaflow
-        entries are never removed. A microflow miss answered by a megaflow hit
-        or an upcall is a candidate, and with caches on the first candidate
-        and every MICROFLOW_ADMIT_EVERY-th after it enter the microflow. Each
-        cache evicts its oldest insert, and neither admission nor eviction
-        shows in any output: every cache answers a key with the same entry, and
-        with caches on ``len(microflow) == min(microflow_capacity,
+        answered by the entry stored under it, without ``extract`` or the
+        microflow. That is exact: the memo holds only signatures of COMPLETE
+        keys, the signature determines the key under any profile and
+        ``adjacent``, such a key holds no label, and its entry is the one
+        megaflow entry it matches, as megaflow entries are never removed. A
+        microflow miss answered by a megaflow hit or an upcall is a candidate,
+        and with caches on the first candidate and every
+        MICROFLOW_ADMIT_EVERY-th after it enter the microflow. Each cache
+        evicts its oldest insert, and neither admission nor eviction shows in
+        any output: every cache answers a key with the same entry, and with
+        caches on ``len(microflow) == min(microflow_capacity,
         ceil(candidates / MICROFLOW_ADMIT_EVERY))``, as the microflow admits
         only keys it lacks and evicts only when full.
         """
-        hit = None
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
         if self.signatures and (adjacent is None or adjacent):
-            signature = key_signature(frame.data, in_port)
-            hit = self.signatures.get(signature)  # a None signature is never stored
-        if hit is not None:
-            key, entry = hit
-            entry.hits += 1
-        else:
-            try:
-                result = extract(frame, in_port, profile, adjacent)
-            except EmptyFrameError:
-                result = None
-            if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
-                self._answered["drops"] += 1
-                return Dropped()
-            key = result.key
-            microflow = self.microflow
-            # An empty microflow (always so with caches off) is not worth hashing the key for.
-            entry = microflow.get(key) if microflow else None
+            entry = self.signatures.get(key_signature(frame.data, in_port))  # a None signature is never stored
             if entry is not None:
                 entry.hits += 1
-                if key.parse_status is _COMPLETE:
-                    # The memo is as it was at the probe: a non-empty one was probed with this frame's signature.
-                    memo = self.signatures
-                    self._insert(memo, signature if memo else key_signature(frame.data, in_port), (key, entry))
+                if entry.noop_pops:
+                    # Only COMPLETE keys are memoized, and they hold no label.
+                    self._stats["pop_mpls_noop"] += entry.noop_pops[0]
+                return entry.disposition
+        try:
+            result = extract(frame, in_port, profile, adjacent)
+        except EmptyFrameError:
+            result = None
+        if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
+            self._answered["drops"] += 1
+            return Dropped()
+        key = result.key
+        microflow = self.microflow
+        # An empty microflow (always so with caches off) is not worth hashing the key for.
+        entry = microflow.get(key) if microflow else None
+        if entry is not None:
+            entry.hits += 1
+            if key.parse_status is _COMPLETE:
+                self._insert(self.signatures, key_signature(frame.data, in_port), entry)
+        else:
+            for project, table in self._probe:
+                entry = table.get(project(key))
+                if entry is not None:
+                    entry.hits += 1
+                    break
             else:
-                for project, table in self._probe:
-                    entry = table.get(project(key))
-                    if entry is not None:
-                        entry.hits += 1
-                        break
-                else:
-                    entry = self._upcall(key)
-                if self.megaflow_enabled:
-                    # One candidate (megaflow hit or upcall) in MICROFLOW_ADMIT_EVERY enters the
-                    # microflow, the first included; its oldest insert goes first.
-                    self._admit_in -= 1
-                    if not self._admit_in:
-                        self._admit_in = MICROFLOW_ADMIT_EVERY
-                        self._insert(microflow, key, entry)
+                entry = self._upcall(key)
+            if self.megaflow_enabled:
+                # One candidate (megaflow hit or upcall) in MICROFLOW_ADMIT_EVERY enters the
+                # microflow, the first included; its oldest insert goes first.
+                self._admit_in -= 1
+                if not self._admit_in:
+                    self._admit_in = MICROFLOW_ADMIT_EVERY
+                    self._insert(microflow, key, entry)
         if entry.noop_pops:
             self._stats["pop_mpls_noop"] += entry.noop_pops[key.mpls_label is not None]
         return entry.disposition

@@ -880,7 +880,8 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
     half = hits // 2  # the UDP flows forward through a pop that finds no label; the TCP flows drop
     assert gained == {"processed": hits, "fast_path_hits": hits, "forwards": half, "drops": half, "pop_mpls_noop": half}
     for frame in frames:
-        key, entry = state.signatures[key_signature(frame.data, 1)]
+        entry = state.signatures[key_signature(frame.data, 1)]
+        key = extract(frame, 1, HARDENED).key
         project, table = state.megaflows[entry.mask]
         assert table[project(key)] is entry and entry.hits == 1 + len(ALL_PROFILES)
 

@@ -26,6 +26,11 @@ def test_defaults_controller_shell_at_21s():
     assert timeline.total_compromise_time == 21.0
 
 
+def test_shell_time_of_a_node_outside_the_topology_names_it():
+    with pytest.raises(KeyError, match="no shell obtained on node3"):
+        simulate(Topology(compute_nodes=3)).shell_time("node3")
+
+
 def test_default_stage_arithmetic():
     t = StageTimings()
     # 21 s = send 0 + download 3 + sleep 12 + overhead 6 split across two hops
