@@ -49,8 +49,7 @@ CRAFT_SRC_MAC = bytes.fromhex("020000000001")
 CRAFT_DST_MAC = bytes.fromhex("020000000002")
 CRAFT_SRC_IP = 0x0A000001  # 10.0.0.1
 CRAFT_DST_IP = 0x0A000002  # 10.0.0.2
-_FILLER_LSE = MplsLse(label=0, exp=0, bottom_of_stack=False, ttl=64)
-_FILLER_WORD = _FILLER_LSE.encode()  # every long shim's filler entry
+_FILLER_WORD = MplsLse(label=0, exp=0, bottom_of_stack=False, ttl=64).encode()  # every long shim's filler entry
 _SHORT_FRAGMENT = b"\x12\x34\x56"
 _MPLS_ETH = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST).encode()  # heads both shim kinds
 

@@ -31,9 +31,10 @@ key when the ethertype is IPv4, version/IHL is 0x45 and 20 <= total length
 v240 need an MPLS ethertype, and v250 a total length below the 20-octet
 header. So the walk would return the same COMPLETE key, no events and Accept
 under every profile, label limit and ``adjacent``, which is what the shortcut
-returns. The 38 octets it reads are ``key_signature``'s IHL-5 prefix, and the
-frame length its bound, so the memo stays exact. Every other frame (IHL > 5,
-short, non-IPv4, every trigger) takes the walk.
+returns. The 38 octets it reads are ``key_signature``'s prefix (SIGNATURE_LEN),
+and the frame length its bound, so the memo stays exact. Every other frame
+(IHL > 5, short, non-IPv4, every trigger) takes the walk, and the memo holds
+none with IHL > 5.
 
 The shortcut first tests the ethertype's high octet (0x08), so only frames of
 38 octets or more whose ethertype is 0x08xx pay its 12-field unpack: IPv4,
@@ -77,6 +78,8 @@ _PORTS = struct.Struct(">HH")
 # _IPV4_FIELDS at offset 14, then _PORTS at offset 34.
 _IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
 _IPV4_FRAME_LEN = _IPV4_FRAME.size
+# key_signature's fixed prefix: the octets the option-less IPv4 shortcut reads.
+SIGNATURE_LEN = _IPV4_FRAME_LEN
 _IPV4_HIGH_OCTET = ETHERTYPE_IPV4 >> 8  # tested before the unpack, so MPLS and VLAN frames skip it
 _NO_IP = (None,) * 7
 _NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
@@ -351,14 +354,20 @@ def _extract_ipv4(data, profile, adjacent):
 
 
 def key_signature(data: bytes, in_port: int) -> tuple | None:
-    """Every input a COMPLETE flow key is read from; None for a frame too short to parse COMPLETE.
+    """Every input an option-less COMPLETE flow key is read from; None for any other frame.
 
-    Only ``_extract_ipv4`` and extract's option-less IPv4 step return
-    COMPLETE, and under any profile or ``adjacent`` they read just the port,
-    the frame length and the octets up to ``14 + 4*IHL + 4`` (Ethernet, the
-    IPv4 header, the L4 ports), never the payload. Widen the signature
-    whenever either reads more.
+    A frame of at least 34 octets whose version/IHL octet is 0x45 has the
+    signature ``(in_port, data[:SIGNATURE_LEN], len(data))``. Under any
+    profile or ``adjacent``, extract's option-less IPv4 step and
+    ``_extract_ipv4`` read just the port, the frame length and the first 38
+    octets of such a frame (Ethernet, the 20-octet header, the L4 ports),
+    never the payload. Widen the signature whenever either reads more. Every
+    other frame, IP options included, has none, so the memo never holds it.
+
+    A lookup needs no IHL test: a tuple equal to a signature has the same
+    first 38 octets, or the same whole frame when it is shorter, and the same
+    length, so the same octet 14, and so it is its own frame's signature.
     """
-    if len(data) < ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN:
+    if len(data) < ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN or data[ETHERNET_HEADER_LEN] != 0x45:
         return None
-    return in_port, data[: ETHERNET_HEADER_LEN + 4 * (data[ETHERNET_HEADER_LEN] & 0xF) + 4], len(data)
+    return in_port, data[:SIGNATURE_LEN], len(data)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .extract import EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
+from .extract import SIGNATURE_LEN, EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
 from .packet import (
     FlowKey,
     ParseStatus,
@@ -360,10 +360,11 @@ class SwitchState:
         self._admit_in = 1
         # key_signature of a frame -> the megaflow entry of the key extract built for it, as the
         # microflow maps a key; oldest out first, same bound as the microflow. A signature is
-        # stored on a microflow hit of a COMPLETE key, so a flow reaches the memo only after the
-        # microflow admitted its key. Exact only while the entry stays in `megaflows`: a megaflow
-        # eviction must also drop every microflow key and signature pointing at it. A memo hit
-        # counts only in the entry's `hits`, which `stats` reads from `megaflows`.
+        # stored on a microflow hit of a COMPLETE key without IP options, so a flow reaches the
+        # memo only after the microflow admitted its key. Exact only while the entry stays in
+        # `megaflows`: a megaflow eviction must also drop every microflow key and signature
+        # pointing at it. A memo hit counts only in the entry's `hits`, which `stats` reads from
+        # `megaflows`.
         self.signatures: OrderedDict[tuple, MegaflowEntry] = OrderedDict()
         # mask -> (compiled projector, table keyed by projection), in install order. At most one
         # entry of all the tables matches any key, so the order tables are probed in is invisible.
@@ -492,9 +493,13 @@ class SwitchState:
         A frame whose ``key_signature`` is in the memo (``signatures``) is
         answered by the entry stored under it, without ``extract`` or the
         microflow. That is exact: the memo holds only signatures of COMPLETE
-        keys, the signature determines the key under any profile and
-        ``adjacent``, such a key holds no label, and its entry is the one
-        megaflow entry it matches, as megaflow entries are never removed. A
+        keys without IP options, the signature determines the key under any
+        profile and ``adjacent``, such a key holds no label, and its entry is
+        the one megaflow entry it matches, as megaflow entries are never
+        removed. The probe builds the signature's tuple for any frame, with no
+        IHL test: a probe equal to a stored signature has the same first 38
+        octets, or the same whole frame when it is shorter, and the same
+        length, so the same octet 14, and is that frame's signature too. A
         microflow miss answered by a megaflow hit or an upcall is a candidate,
         and with caches on the first candidate and every
         MICROFLOW_ADMIT_EVERY-th after it enter the microflow. Each cache
@@ -506,7 +511,9 @@ class SwitchState:
         """
         # An empty memo costs one test; an empty adjacent must still reach extract's check.
         if self.signatures and (adjacent is None or adjacent):
-            entry = self.signatures.get(key_signature(frame.data, in_port))  # a None signature is never stored
+            data = frame.data
+            # key_signature inlined: the call cost as much as the rest of a memo hit.
+            entry = self.signatures.get((in_port, data[:SIGNATURE_LEN], len(data)))
             if entry is not None:
                 entry.hits += 1
                 if entry.noop_pops:
@@ -527,7 +534,9 @@ class SwitchState:
         if entry is not None:
             entry.hits += 1
             if key.parse_status is _COMPLETE:
-                self._insert(self.signatures, key_signature(frame.data, in_port), entry)
+                signature = key_signature(frame.data, in_port)
+                if signature is not None:  # None for a key read past IP options
+                    self._insert(self.signatures, signature, entry)
         else:
             for project, table in self._probe:
                 entry = table.get(project(key))

@@ -89,6 +89,31 @@ def test_craft_long_shim_payload_too_large():
         craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=30, payload=bytes(64)))
 
 
+def test_craft_long_shim_payload_fills_the_budget_exactly():
+    spec = AttackSpec(AttackKind.LONG_SHIM, frame_size=30)
+    assert spec.label_count == 4
+    assert craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=30, payload=bytes(16))).data[14:] == bytes(16)
+    with pytest.raises(PayloadTooLarge):
+        craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=30, payload=bytes(20)))
+
+
+def test_spec_range_checks_at_their_edges():
+    # A long shim needs room for one entry past Ethernet; a total length must fit 16 bits.
+    with pytest.raises(ValueError, match="no room"):
+        AttackSpec(AttackKind.LONG_SHIM, frame_size=17)
+    assert craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=18)).capture_len == 18
+    frame = craft(AttackSpec(AttackKind.ACL_BYPASS, total_length=0xFFFF))
+    assert frame.data[16:18] == b"\xff\xff"
+    with pytest.raises(ValueError, match="exceeds 16 bits"):
+        AttackSpec(AttackKind.ACL_BYPASS, total_length=0x10000)
+
+
+def test_has_failures_on_one_hardened_event_or_one_violation():
+    assert not FuzzReport(ALL_PROFILES, 1, 0).has_failures
+    assert FuzzReport(ALL_PROFILES, 1, 0, hardened_event_count=1).has_failures
+    assert FuzzReport(ALL_PROFILES, 1, 0, equivalence_violations=1).has_failures
+
+
 def _per_chunk_payload(data):
     """encode_payload as a loop over 4-octet chunks: decode each one, reject the first with its S-bit set."""
     lses = []
@@ -107,7 +132,7 @@ def _per_entry_long_shim(spec):
     if len(lses) > spec.label_count:
         raise PayloadTooLarge(f"payload needs {len(lses)} entries, frame budget is {spec.label_count}")
     eth = EthernetHeader(attacks.CRAFT_DST_MAC, attacks.CRAFT_SRC_MAC, 0x8847)
-    return encode_frame(eth, lses + [attacks._FILLER_LSE] * (spec.label_count - len(lses)))
+    return encode_frame(eth, lses + [MplsLse(0, ttl=64)] * (spec.label_count - len(lses)))
 
 
 def _outcome(build, arg):

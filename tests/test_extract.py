@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+import shimguard.extract as extract_module
 from shimguard.attacks import AttackKind, AttackSpec, MutationBudget, craft, mutate
 from shimguard.extract import (
     ALL_PROFILES,
@@ -391,7 +392,7 @@ def test_differential_equivalence_on_event_free_frames():
 
 
 def test_complete_key_depends_only_on_its_signature():
-    """What makes the flow table's parse memo exact: a COMPLETE key is read from key_signature's inputs alone."""
+    """What makes the flow table's parse memo exact: a signed COMPLETE key is read from key_signature's inputs alone."""
     rng = random.Random(2718)
     frames = [_random_frame(rng) for _ in range(400)]
     for _ in range(400):
@@ -401,8 +402,11 @@ def test_complete_key_depends_only_on_its_signature():
         frames.append(RawFrame.of(data))
     profiles = ALL_PROFILES + tuple(ParserProfile(p.mode, label_limit=1) for p in ALL_PROFILES)
     regions = [random.Random(seed).randbytes(64) for seed in (1, 2)]
-    complete = tails = 0
+    complete = tails = unsigned = 0
     for frame in frames:
+        # Signed exactly when the frame holds the 20-octet header and its version/IHL octet is 0x45.
+        signature = key_signature(frame.data, 1)
+        assert (signature is None) == (len(frame.data) < 34 or frame.data[14] != 0x45), frame.data.hex()
         results = [extract(frame, 1, profile, adjacent) for profile in profiles for adjacent in (None, *regions)]
         if all(r.key.parse_status is not ParseStatus.COMPLETE for r in results):
             continue
@@ -411,16 +415,21 @@ def test_complete_key_depends_only_on_its_signature():
             # Equal under every region: no octet past the packet is read.
             assert r == results[0] and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
             assert r.events == (), frame.data.hex()
+        if signature is None:
+            unsigned += 1  # IP options: the memo never holds it
+            continue
         # Every octet past the signature prefix replaced: same signature, same key under every profile.
-        signature = key_signature(frame.data, 1)
         prefix = signature[1]
         other = RawFrame.of(prefix + rng.randbytes(len(frame.data) - len(prefix)))
         tails += other.data != frame.data
         assert key_signature(other.data, 1) == signature
         for profile in profiles:
             assert extract(other, 1, profile, regions[0]).key == results[0].key, frame.data.hex()
-    assert 200 < complete < len(frames) and tails > 100
-    assert key_signature(bytes(33), 1) is None and key_signature(bytes(34), 1) is not None
+    assert 200 < complete < len(frames) and tails > 100 and unsigned > 5
+    # The shortest signed frame; a 34-octet frame with one option word has no signature.
+    option_less = bytes(14) + b"\x45" + bytes(19)
+    assert key_signature(option_less[:33], 1) is None and key_signature(option_less, 1) == (1, option_less, 34)
+    assert key_signature(bytes(14) + b"\x46" + bytes(19), 1) is None
 
 
 def test_profiles_of_one_label_limit_agree_where_hardened_accepts():
@@ -468,6 +477,31 @@ def _boundary_frames():
 def _takes_shortcut(data):
     total_length = int.from_bytes(data[16:18], "big")
     return len(data) >= 38 and data[12:15] == b"\x08\x00\x45" and 20 <= total_length <= len(data) - 14
+
+
+def test_ipv4_shortcut_skips_the_walk_exactly_on_its_frames(monkeypatch):
+    """extract calls the general walk for every frame but those the option-less IPv4 shortcut answers."""
+    walked = []
+    real_walk = extract_module._walk
+    monkeypatch.setattr(extract_module, "_walk", lambda data, *args: walked.append(data) or real_walk(data, *args))
+    rng = random.Random(3333)
+    skipped = 0
+    for size in (33, 34, 37, 38, 60):
+        for ethertype in (0x0800, 0x0806, 0x8847):
+            for version_ihl in (0x45, 0x46, 0x55):
+                for total_length in (19, 20, size - 14, size - 13):
+                    data = bytearray(rng.randbytes(size))
+                    struct.pack_into(">HBBH", data, 12, ethertype, version_ihl, 0, total_length)
+                    data[23] = 17
+                    data = bytes(data)
+                    shortcut = (size >= 38 and ethertype == 0x0800 and version_ihl == 0x45
+                                and 20 <= total_length <= size - 14)
+                    for profile in ALL_PROFILES:
+                        before = len(walked)
+                        extract(RawFrame.of(data), 2, profile)
+                        assert len(walked) == before + (not shortcut), (data.hex(), profile)
+                    skipped += shortcut
+    assert skipped == 4  # sizes 38 and 60, each at total length 20 and size - 14
 
 
 def test_ipv4_shortcut_equals_the_walk():

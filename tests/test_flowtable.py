@@ -915,6 +915,52 @@ def test_signature_memo_keyed_on_header_octets_and_port(parsed):
     assert parsed[2:] == [other_ident, frame]  # another header octet, another port: parsed
 
 
+def test_signature_memo_probe_is_key_signature():
+    # process builds the probe tuple inline; wherever a frame has a signature, the probe is it.
+    class RecordsProbes(OrderedDict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return OrderedDict.get(self, key, default)
+
+    probes = []
+    state = SwitchState(load_rules("priority=1, actions=output:2"))
+    state.signatures = RecordsProbes()
+    stored = ip_frame(sport=7)
+    for _ in range(2):  # an upcall, then a microflow hit that stores the memo entry; neither probes
+        state.process(stored, 1, HARDENED)
+    assert not probes and len(state.signatures) == 1
+    frames = [RawFrame.of(stored.data[:size]) for size in range(1, 61)]
+    frames += [ip_frame(64, options=bytes(4)), ip_frame(1514)] + _memo_pool(random.Random(34))
+    signed = 0
+    for frame in frames:
+        for port in (1, 3):
+            state.process(frame, port, HARDENED)
+            signature = key_signature(frame.data, port)
+            if signature is not None:
+                assert probes[-1] == signature, frame.data.hex()
+                signed += 1
+    assert len(probes) == 2 * len(frames) and signed > 100
+
+
+def test_signature_memo_never_holds_frames_with_ip_options(parsed):
+    # Two frames with one option word: their first 38 octets are equal, and their L4 ports lie past them.
+    rules = load_rules("priority=2, l4_dst=80, actions=output:2\npriority=1, actions=drop")
+    frames = [ip_frame(64, options=bytes(4), dport=dport) for dport in (80, 81)]
+    assert frames[0].data[:38] == frames[1].data[:38] and frames[0].data != frames[1].data
+    cached, uncached = SwitchState(rules), SwitchState(rules, megaflow_enabled=False)
+    for _ in range(2):  # an option-less flow fills the memo, so the frames below are probed
+        cached.process(ip_frame(), 1, HARDENED)
+    assert len(cached.signatures) == 1
+    del parsed[:]
+    for i in range(20):
+        frame = frames[i % 2]
+        disposition = cached.process(frame, 1, HARDENED)
+        assert len(parsed) == 2 * i + 1  # parsed on every arrival
+        assert disposition == uncached.process(frame, 1, HARDENED) == (Forwarded((2,)), Dropped())[i % 2]
+    # Each frame's later arrivals are parsed, then answered by a microflow or megaflow hit.
+    assert len(cached.signatures) == 1 and cached.stats["slow_path_upcalls"] == 3
+
+
 def _field_value(key, name):
     """A rule field's value in the key, read by attribute name rather than by key position."""
     return getattr(key, "ethertype" if name == "eth_type" else name)
