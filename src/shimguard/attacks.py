@@ -67,6 +67,8 @@ _tuple_new = tuple.__new__
 # ones seen are kept and none is evicted, so a call's memory stays bounded
 # however many mutants it runs.
 VERDICT_MEMO_FRAMES = 4096
+# The classes whose trigger is a threshold in the prefix length, so minimize bisects them.
+_THRESHOLD_CLASSES = frozenset({VulnClass.LONG_STACK_232, VulnClass.IP_UNDERFLOW_250})
 
 
 class PayloadTooLarge(ValueError):
@@ -342,7 +344,7 @@ class FuzzReport:
 
 
 def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile]) -> RawFrame:
-    """Greedy 1-octet suffix truncation while the class persists.
+    """The shortest prefix that greedy 1-octet suffix truncation reaches while the class persists.
 
     Precondition: ``frame`` fires ``cls`` under one of ``profiles``, as every
     ``diff_fuzz`` exemplar does. A candidate keeps the class when any
@@ -354,6 +356,27 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
     0x8847/0x8848 (LongStack, ShortLse) or 0x0800 (IpUnderflow); dropping
     the first octet moves the old ethertype's low octet (0x47, 0x48 or 0x00)
     into the high place, never 0x88 or 0x08, so no prefix trim keeps a class.
+
+    For LongStack and IpUnderflow, once the whole frame of n octets fires,
+    whether a prefix of L octets fires is a threshold in L over [1, n], so
+    the greedy answer (the smallest L from which every longer prefix fires)
+    is the smallest L that fires, and a bisection finds it in
+    ceil(log2 n) probes instead of one per trimmed octet:
+
+    - LongStack fires only under v232: an MPLS ethertype, no bottom-of-stack
+      flag among the complete entries, and more complete entries than the
+      profile's label limit. Cutting a suffix never adds an entry, so a
+      prefix fires exactly when ``(L - 14) // 4`` exceeds the smallest v232
+      label limit in ``profiles``.
+    - IpUnderflow fires only under v250, and reads octets 12-33 alone: an
+      IPv4 ethertype, and a total length of 0 or below the header length.
+      The option-less shortcut needs a total length of at least 20, the
+      minimum header length, so it never takes such a frame, and a prefix
+      fires exactly when L >= 34.
+
+    ShortLse fires when ``(L - 14) % 4 != 0``, which is no threshold, so it
+    keeps the scan, which stops within 3 trims. A frame that does not fire
+    its class whole keeps the scan too.
     """
     order = list(profiles)
 
@@ -368,6 +391,16 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
         return False
 
     data = frame.data
+    if cls in _THRESHOLD_CLASSES and triggers(data):
+        # The shortest firing prefix lies in [low, high]; high always fires.
+        low, high = 1, len(data)
+        while low < high:
+            middle = (low + high) // 2
+            if triggers(data[:middle]):
+                high = middle
+            else:
+                low = middle + 1
+        return RawFrame(data[:high], high)
     while len(data) > 1:
         candidate = data[:-1]
         if not triggers(candidate):

@@ -335,6 +335,8 @@ class MegaflowEntry:
 _DROP = Verdict.DROP
 _HARDENED = ParserMode.HARDENED
 _COMPLETE = ParseStatus.COMPLETE
+# Every parse drop's disposition; dispositions compare by value, so one instance serves them all.
+_DROPPED = Dropped()
 
 STAT_KEYS = (
     "processed",
@@ -526,7 +528,7 @@ class SwitchState:
             result = None
         if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
             self._answered["drops"] += 1
-            return Dropped()
+            return _DROPPED
         key = result.key
         microflow = self.microflow
         # An empty microflow (always so with caches off) is not worth hashing the key for.

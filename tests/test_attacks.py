@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import itertools
+import math
 import random
 import struct
 import zlib
@@ -433,6 +434,28 @@ def test_mutate_draws_equal_randrange_stream():
     assert mutants == 60 * 6 * 3 * (64 + 8 * 24)
 
 
+def test_mutate_draws_equal_randrange_stream_at_bit_length_edges():
+    """The same oracle on 2- and 3-seed corpora and on 2-strategy sets, where the inline rejection loops
+    draw 2 bits and redraw 2 and 3, or 3 alone."""
+    frames = [frame for (frame,) in _stream_oracle_corpora()[1:]]
+    corpora = [frames[start : start + count] for count in (2, 3) for start in range(0, len(frames) - count + 1, count)]
+    corpora += [frames[start : start + 1] for start in range(0, len(frames), 5)]
+    strategy_sets = [frozenset(pair) for pair in itertools.combinations(attacks.STRATEGIES, 2)]
+    strategy_sets += [frozenset({attacks.STRATEGIES[0]}), frozenset(attacks.STRATEGIES)]
+    sizes = collections.Counter()
+    for seed in range(6):
+        for strategies in strategy_sets:
+            for corpus in corpora:
+                if len(corpus) == 1 and len(strategies) != 2:
+                    continue
+                budget = MutationBudget(iterations=24, seed=seed, max_len=17 if seed % 2 else 9216, strategies=strategies)
+                expected = list(_randrange_stream(corpus, budget))
+                got = list(mutate(corpus, budget))
+                assert [(f.data, f.orig_len) for f in got] == [(f.data, f.orig_len) for f in expected], (seed, sorted(strategies), len(corpus))
+                sizes[len(corpus), len(strategies)] += len(got)
+    assert set(sizes) == {(1, 2), (2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 5)}, sizes
+
+
 # --- diff_fuzz ------------------------------------------------------------------
 
 
@@ -625,6 +648,131 @@ def test_minimize_equals_two_phase_trim():
             assert minimize(frame, cls, ALL_PROFILES) == _two_phase_minimize(frame, cls, ALL_PROFILES)
 
 
+def _greedy_minimize(frame, cls, profiles):
+    """minimize as a greedy 1-octet suffix trim for every class, before LongStack and IpUnderflow bisected."""
+    order = list(profiles)
+
+    def triggers(data: bytes) -> bool:
+        candidate = RawFrame(data, len(data))
+        for index, profile in enumerate(order):
+            events = extract(candidate, 0, profile)[1]
+            if events and classify_events(events) is cls:
+                if index:
+                    order.insert(0, order.pop(index))
+                return True
+        return False
+
+    data = frame.data
+    while len(data) > 1:
+        candidate = data[:-1]
+        if not triggers(candidate):
+            break
+        data = candidate
+    return RawFrame(data, len(data))
+
+
+def _at_limits(*limits):
+    """Every mode, at each of the label limits."""
+    return tuple(ParserProfile(mode, limit) for limit in limits for mode in ParserMode)
+
+
+_V232_AT = {limit: ParserProfile(ParserMode.VULN_232, limit) for limit in (1, 2, 3, 5)}
+# Label limits 1, 2, 3 and 5 alone, mixed v232 limits in both orders, and a set without v232 or v250.
+_MINIMIZE_PROFILE_SETS = (
+    _at_limits(1),
+    _at_limits(2),
+    ALL_PROFILES,
+    _at_limits(5),
+    (HARDENED, _V232_AT[5], VULN_240, _V232_AT[2], VULN_250),
+    (_V232_AT[1], VULN_250, _V232_AT[5], HARDENED, ParserProfile(ParserMode.VULN_240, 1)),
+    (HARDENED, VULN_240),
+)
+
+
+def _sized(kind, size):
+    """The crafted frame of kind at size octets: a long shim is crafted at it, the others cut or zero-padded to it."""
+    if kind is AttackKind.LONG_SHIM:
+        return craft(AttackSpec(kind, frame_size=size))
+    data = craft(AttackSpec(kind)).data
+    return RawFrame.of(data[:size] + bytes(max(0, size - len(data))))
+
+
+def _mid_stack_s_flags():
+    """16-entry long shims with the bottom-of-stack flag on entry k: none fires a class whole, yet a prefix that
+    cuts entry k off fires LongStack when more entries than the label limit remain."""
+    data = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=78)).data
+    frames = []
+    for entry in range(16):
+        cut = 14 + 4 * entry
+        frames.append(RawFrame.of(data[: cut + 2] + b"\x01" + data[cut + 3 :]))
+    return frames
+
+
+def test_minimize_equals_greedy_trim_on_every_kind_and_size():
+    """Bisection gives the greedy suffix trim's answer for every kind at sizes 18-64 under every profile set,
+    at 1,514 octets under label limits 2, 3 and 5, and at 9,216 and 65,535 under the default profiles."""
+    cases = [(size, _MINIMIZE_PROFILE_SETS) for size in range(18, 65)]
+    cases += [(1514, _MINIMIZE_PROFILE_SETS[1:4])]
+    cases += [(size, (ALL_PROFILES,)) for size in (9216, 65535)]
+    fired = collections.Counter()
+    for size, profile_sets in cases:
+        for kind in AttackKind:
+            frame = _sized(kind, size)
+            for profiles in profile_sets:
+                classes = _classes(frame.data, profiles)
+                fired.update(classes)
+                for cls in _BUG_CLASSES:
+                    assert minimize(frame, cls, profiles) == _greedy_minimize(frame, cls, profiles), (kind, size, cls, profiles)
+    assert min(fired[cls] for cls in _BUG_CLASSES) >= 100, fired
+
+
+def test_minimize_equals_greedy_trim_on_firing_mutants_and_non_firing_frames():
+    """At least 300 firing frames per class and profile set, among them long-shim truncations that fire
+    ShortLse after one or more complete entries, and frames that fire nothing whole."""
+    long_shim = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=78)).data
+    truncations = [RawFrame.of(long_shim[:size]) for size in range(15, 78) if (size - 14) % 4]
+    mutants = list(mutate(_small_corpus(), MutationBudget(iterations=3000, seed=5)))
+    for profiles in _MINIMIZE_PROFILE_SETS:
+        firing = {cls: [] for cls in _BUG_CLASSES}
+        for frame in truncations + mutants:
+            for cls in _classes(frame.data, profiles):
+                firing[cls].append(frame)
+        modes = {profile.mode for profile in profiles}
+        for cls, mode in zip(_BUG_CLASSES, (ParserMode.VULN_232, ParserMode.VULN_240, ParserMode.VULN_250)):
+            frames = firing[cls]
+            assert len(frames) >= 300 if mode in modes else not frames, (cls, len(frames))
+            for frame in frames[:300]:
+                assert minimize(frame, cls, profiles) == _greedy_minimize(frame, cls, profiles), (frame.data.hex(), cls)
+        silent = _mid_stack_s_flags() + [_udp(53, 1024), _sized(AttackKind.ACL_BYPASS, 33)]
+        for frame in silent:
+            assert not _classes(frame.data, profiles)
+            for cls in _BUG_CLASSES:
+                assert minimize(frame, cls, profiles) == _greedy_minimize(frame, cls, profiles), (frame.data.hex(), cls)
+    # A stack that ends mid-frame fires nothing whole, and the trim stops at once; below its end, LongStack fires.
+    frame = _mid_stack_s_flags()[8]
+    assert minimize(frame, VulnClass.LONG_STACK_232, ALL_PROFILES) == frame
+    assert _classes(frame.data[: 14 + 4 * 8], ALL_PROFILES) == {VulnClass.LONG_STACK_232}
+
+
+@pytest.mark.parametrize("profiles", [ALL_PROFILES, tuple(reversed(ALL_PROFILES)), _MINIMIZE_PROFILE_SETS[5]])
+def test_minimize_largest_long_shim_in_logarithmic_extract_calls(monkeypatch, profiles):
+    """A 65,535-octet long shim minimizes to one entry past the smallest v232 limit in at most
+    len(profiles) * (ceil(log2 n) + 2) extract calls."""
+    frame = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN))
+    real = attacks.extract
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(attacks, "extract", counted)
+    exemplar = minimize(frame, VulnClass.LONG_STACK_232, profiles)
+    limit = min(p.label_limit for p in profiles if p.mode is ParserMode.VULN_232)
+    assert exemplar == RawFrame.of(frame.data[: 14 + 4 * (limit + 1)])
+    assert 0 < len(calls) <= len(profiles) * (math.ceil(math.log2(SNAPLEN)) + 2), len(calls)
+
+
 def test_report_text_format():
     report = diff_fuzz(
         [craft(AttackSpec(AttackKind.LONG_SHIM)), craft(AttackSpec(AttackKind.SHORT_SHIM))],
@@ -636,6 +784,8 @@ def test_report_text_format():
     assert "class=ShortLse-2.4.0 count=1" in text
     assert "equivalence_violations=0" in text
     assert "hardened_events=0" in text
+    # A class never found prints its count and no exemplar length.
+    assert "class=IpUnderflow-2.5.0 count=0" in text.splitlines()
 
 
 def test_long_shim_frame_size_bounded_by_snaplen():

@@ -109,6 +109,8 @@ def test_load_rules_unknown_and_duplicate_fields():
         ("priority=5, actions= \t", RuleSyntaxError, "empty action list"),
         ("priority=5, priority=6, actions=drop", DuplicateFieldError, "duplicate field 'priority'"),
         ("ip_proto=6, actions=drop", RuleSyntaxError, "missing priority="),
+        ("priority=5, ip_proto=, actions=drop", RuleSyntaxError, "expected key=value, got 'ip_proto='"),
+        ("priority=5, ip_proto, actions=drop", RuleSyntaxError, "expected key=value, got 'ip_proto'"),
     ],
 )
 def test_load_rules_rejects_action_list_and_priority_errors(line, error, message):
