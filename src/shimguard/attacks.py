@@ -16,7 +16,7 @@ profiles on frames that triggered nothing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -309,12 +309,12 @@ class FuzzReport:
     profiles: tuple[ParserProfile, ...]
     seed_count: int
     mutant_count: int
-    class_counts: dict[VulnClass, int] = field(default_factory=dict)
-    exemplars: dict[VulnClass, RawFrame] = field(default_factory=dict)
-    equivalence_violations: int = 0
-    violation_exemplar: RawFrame | None = None
-    hardened_event_count: int = 0
-    empty_seeds: int = 0
+    class_counts: dict[VulnClass, int]
+    exemplars: dict[VulnClass, RawFrame]
+    equivalence_violations: int
+    violation_exemplar: RawFrame | None
+    hardened_event_count: int
+    empty_seeds: int
 
     @property
     def has_failures(self) -> bool:

@@ -243,15 +243,15 @@ def _summarize(size: int, samples_s: list[float]) -> SizeSample:
     )
 
 
-def _block_median_variance(samples_us: list[float], blocks: int = 10) -> float:
+def _block_median_variance(samples_us: list[float]) -> float:
     """Spread estimate robust to regime shifts: median of per-block variances.
 
-    Samples stay in time order; each block drops its single largest value as
-    a spike guard. A clock-speed step inflates only the blocks it touches,
-    and the median across blocks ignores that minority.
+    Samples stay in time order, in ten blocks of at least 3; each block drops
+    its largest value as a spike guard. A clock-speed step inflates only the
+    blocks it touches, and the median across blocks ignores that minority.
     """
     n = len(samples_us)
-    size = max(3, n // blocks)
+    size = max(3, n // 10)
     variances = []
     for start in range(0, n - size + 1, size):
         block = sorted(samples_us[start : start + size])[:-1]

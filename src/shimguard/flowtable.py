@@ -356,7 +356,6 @@ class SwitchState:
     def __init__(self, rules: Iterable[Rule] = (), megaflow_enabled: bool = True) -> None:
         self.rules: list[Rule] = list(rules)
         self.megaflow_enabled = megaflow_enabled
-        self.microflow_capacity = MICROFLOW_CAPACITY
         self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
         # Microflow candidates left until the next is admitted; 1, so the first one is.
         self._admit_in = 1
@@ -382,9 +381,8 @@ class SwitchState:
         # packet is a hit, counted only in its stored entry's `hits`; an entry removed from
         # `megaflows` must first add its hits here.
         self._answered: dict[str, int] = {counter: 0 for counter in _COUNTERS.values()}
-        # Scan order: descending priority, ties by file order.
-        self._ordered = sorted(range(len(self.rules)), key=lambda i: (-self.rules[i].priority, i))
-        scan = [self.rules[i] for i in self._ordered]
+        # Scan order: descending priority; the sort is stable, so ties keep file order.
+        scan = sorted(self.rules, key=lambda rule: -rule.priority)
         # key -> scan position of the first rule it matches, or None.
         self._scan_rules = _compile_scan(scan)
         # The fields rule selection must preserve when a rule of a given
@@ -468,24 +466,17 @@ class SwitchState:
 
     def _insert(self, cache: OrderedDict, key, value) -> None:
         """Store a key the exact-match cache lacks, evicting its oldest insert first when it is full."""
-        if len(cache) >= self.microflow_capacity:
+        if len(cache) >= MICROFLOW_CAPACITY:
             cache.popitem(last=False)
         cache[key] = value
 
-    def process(
-        self,
-        frame: RawFrame,
-        in_port: int,
-        profile: ParserProfile,
-        adjacent: bytes | None = None,
-    ) -> Disposition:
+    def process(self, frame: RawFrame, in_port: int, profile: ParserProfile) -> Disposition:
         """Extract, look up, act. Returns the packet's disposition.
 
         Exactly one answers, tried in order: a parse drop, a memo hit, a
         microflow hit, a megaflow hit, an upcall; a switch built with caches
         disabled stores nothing, so every packet it extracts is an upcall.
-        ``adjacent`` is handed to ``extract`` as the bytes past the packet. A
-        zero-length frame has nothing to extract; it is counted as a drop.
+        A zero-length frame has nothing to extract; it is counted as a drop.
 
         A hit, on any cache, counts only in its entry's ``hits``; a parse drop
         or an upcall counts in ``_answered``. ``stats`` derives the rest.
@@ -496,23 +487,22 @@ class SwitchState:
         answered by the entry stored under it, without ``extract`` or the
         microflow. That is exact: the memo holds only signatures of COMPLETE
         keys without IP options, the signature determines the key under any
-        profile and ``adjacent``, such a key holds no label, and its entry is
-        the one megaflow entry it matches, as megaflow entries are never
-        removed. The probe builds the signature's tuple for any frame, with no
-        IHL test: a probe equal to a stored signature has the same first 38
-        octets, or the same whole frame when it is shorter, and the same
-        length, so the same octet 14, and is that frame's signature too. A
-        microflow miss answered by a megaflow hit or an upcall is a candidate,
-        and with caches on the first candidate and every
-        MICROFLOW_ADMIT_EVERY-th after it enter the microflow. Each cache
-        evicts its oldest insert, and neither admission nor eviction shows in
-        any output: every cache answers a key with the same entry, and with
-        caches on ``len(microflow) == min(microflow_capacity,
-        ceil(candidates / MICROFLOW_ADMIT_EVERY))``, as the microflow admits
-        only keys it lacks and evicts only when full.
+        profile, such a key holds no label, and its entry is the one megaflow
+        entry it matches, as megaflow entries are never removed. The probe
+        builds the signature's tuple for any frame, with no IHL test: a probe
+        equal to a stored signature has the same first 38 octets, or the same
+        whole frame when it is shorter, and the same length, so the same octet
+        14, and is that frame's signature too. A microflow miss answered by a
+        megaflow hit or an upcall is a candidate, and with caches on the first
+        candidate and every MICROFLOW_ADMIT_EVERY-th after it enter the
+        microflow. Each cache evicts its oldest insert, and neither admission
+        nor eviction shows in any output: every cache answers a key with the
+        same entry, and with caches on ``len(microflow) ==
+        min(MICROFLOW_CAPACITY, ceil(candidates / MICROFLOW_ADMIT_EVERY))``,
+        as the microflow admits only keys it lacks and evicts only when full.
         """
-        # An empty memo costs one test; an empty adjacent must still reach extract's check.
-        if self.signatures and (adjacent is None or adjacent):
+        # An empty memo costs one test.
+        if self.signatures:
             data = frame.data
             # key_signature inlined: the call cost as much as the rest of a memo hit.
             entry = self.signatures.get((in_port, data[:SIGNATURE_LEN], len(data)))
@@ -523,7 +513,7 @@ class SwitchState:
                     self._stats["pop_mpls_noop"] += entry.noop_pops[0]
                 return entry.disposition
         try:
-            result = extract(frame, in_port, profile, adjacent)
+            result = extract(frame, in_port, profile)
         except EmptyFrameError:
             result = None
         if result is None or (result.verdict is _DROP and profile.mode is _HARDENED):
@@ -652,7 +642,7 @@ def dump_state(state: SwitchState) -> str:
         lines.append("caches: disabled")
     else:
         lines.append(
-            f"caches: microflow={len(state.microflow)}/{state.microflow_capacity}"
+            f"caches: microflow={len(state.microflow)}/{MICROFLOW_CAPACITY}"
             f" megaflow={state.megaflow_entry_count()}"
         )
         for _, table in state.megaflows.values():

@@ -92,12 +92,6 @@ class WormTimeline:
     events: tuple[WormEvent, ...]
     total_compromise_time: float
 
-    def shell_time(self, node: str) -> float:
-        for event in self.events:
-            if event.node == node and event.kind is WormEventKind.SHELL_OBTAINED:
-                return event.time
-        raise KeyError(f"no shell obtained on {node}")
-
     def to_csv(self) -> str:
         lines = ["time_s,node,event"]
         lines.extend(f"{e.time:g},{e.node},{e.kind}" for e in self.events)

@@ -53,7 +53,7 @@ from shimguard.packet import (
 )
 from shimguard.attacks import PayloadViolatesConstraint, encode_payload
 from shimguard.pcap import read_pcap, write_pcap
-from shimguard.wormsim import CONTROLLER, StageTimings, Topology, simulate, simulate_dos
+from shimguard.wormsim import CONTROLLER, StageTimings, Topology, WormEventKind, simulate, simulate_dos
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -127,7 +127,8 @@ def test_c3_acl_bypass_differential():
 @criterion("C4 worm timing reproduction", budget_s=1.0)
 def test_c4_worm_timing():
     single = simulate(Topology(compute_nodes=1), StageTimings())
-    assert single.shell_time(CONTROLLER) == 21.0  # exact by construction
+    shells = [e.time for e in single.events if e.node == CONTROLLER and e.kind is WormEventKind.SHELL_OBTAINED]
+    assert shells == [21.0]  # exact by construction
     hundred = simulate(Topology(compute_nodes=100), StageTimings())
     assert hundred.total_compromise_time <= 100.0
 

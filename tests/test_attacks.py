@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -110,9 +111,10 @@ def test_spec_range_checks_at_their_edges():
 
 
 def test_has_failures_on_one_hardened_event_or_one_violation():
-    assert not FuzzReport(ALL_PROFILES, 1, 0).has_failures
-    assert FuzzReport(ALL_PROFILES, 1, 0, hardened_event_count=1).has_failures
-    assert FuzzReport(ALL_PROFILES, 1, 0, equivalence_violations=1).has_failures
+    clean = FuzzReport(ALL_PROFILES, 1, 0, {}, {}, 0, None, 0, 0)
+    assert not clean.has_failures
+    assert dataclasses.replace(clean, hardened_event_count=1).has_failures
+    assert dataclasses.replace(clean, equivalence_violations=1).has_failures
 
 
 def _per_chunk_payload(data):
@@ -405,14 +407,16 @@ def _stream_oracle_corpora():
     """One corpus of every size below, and one of each of its frames alone.
 
     Each size is cut from an IPv4 frame whose total length holds its ports, one whose
-    total length is 0, and an MPLS frame, so every strategy meets frames it applies to
-    and frames it must hand to byteflip.
+    total length is 0, one whose total length needs both octets, and an MPLS frame, so
+    every strategy meets frames it applies to and frames it must hand to byteflip. The
+    sizes straddle length-truncate's edges: 2 is the shortest frame it cuts, and 34 the
+    shortest whose IPv4 total length it shrinks.
     """
     ip = _udp(53, 1024).data
     mpls = encode_frame(EthernetHeader(bytes(6), bytes(6), 0x8848), [MplsLse(16 + n) for n in range(6)]).data
     frames = []
-    for size in (1, 13, 14, 17, 18, 33, 34, 38):
-        for whole in (ip, ip[:16] + bytes(2) + ip[18:], mpls):
+    for size in (1, 2, 13, 14, 17, 18, 33, 34, 35, 38):
+        for whole in (ip, ip[:16] + bytes(2) + ip[18:], ip[:16] + b"\x05\xdc" + ip[18:], mpls):
             frames.append(RawFrame.of(whole[:size]))
     return [frames[:9] + [RawFrame.of(b"")] + frames[9:]] + [[frame] for frame in frames]
 
@@ -431,7 +435,7 @@ def test_mutate_draws_equal_randrange_stream():
                     got = list(mutate(corpus, budget))
                     assert [(f.data, f.orig_len) for f in got] == [(f.data, f.orig_len) for f in expected], (seed, sorted(strategies), max_len, len(corpus))
                     mutants += len(got)
-    assert mutants == 60 * 6 * 3 * (64 + 8 * 24)
+    assert mutants == 60 * 6 * 3 * (64 + 8 * 40)
 
 
 def test_mutate_draws_equal_randrange_stream_at_bit_length_edges():

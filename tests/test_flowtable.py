@@ -4,7 +4,6 @@ import struct
 from collections import OrderedDict
 from enum import Enum
 from itertools import product
-from unittest import mock
 
 import pytest
 
@@ -55,12 +54,6 @@ def udp_frame(sport=53, dport=1024, src=0x0A000001, dst=0x0A000002):
 def acl_bypass_frame(total_length=0, dport=8080):
     ip = Ipv4Header(total_length=total_length, protocol=17, src_ip=0x0A000001, dst_ip=0x0A000002)
     return encode_frame(ETH_IP, [ip], payload=struct.pack(">HH", 1234, dport))
-
-
-def capped_switch(rules, capacity):
-    """A caching switch whose microflow and memo hold at most ``capacity`` keys each."""
-    with mock.patch.object(flowtable, "MICROFLOW_CAPACITY", capacity):
-        return SwitchState(rules)
 
 
 # --- rule file ----------------------------------------------------------------
@@ -353,8 +346,9 @@ def test_caches_off_never_probes_the_empty_microflow():
 
 
 @pytest.mark.usefixtures("admit_every_miss")
-def test_microflow_lru_eviction_keeps_megaflow():
-    state = capped_switch(load_rules("priority=1, actions=output:1"), 4)
+def test_microflow_lru_eviction_keeps_megaflow(monkeypatch):
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", 4)
+    state = SwitchState(load_rules("priority=1, actions=output:1"))
     frames = [udp_frame(sport=1000 + i) for i in range(6)]
     for frame in frames:
         state.process(frame, 1, HARDENED)
@@ -366,8 +360,9 @@ def test_microflow_lru_eviction_keeps_megaflow():
 
 
 @pytest.mark.usefixtures("admit_every_miss")
-def test_microflow_evicts_oldest_insert():
-    state = capped_switch(load_rules("priority=1, actions=output:1"), 2)
+def test_microflow_evicts_oldest_insert(monkeypatch):
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", 2)
+    state = SwitchState(load_rules("priority=1, actions=output:1"))
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
     for frame in (a, b, a, c):
         state.process(frame, 1, HARDENED)
@@ -377,8 +372,9 @@ def test_microflow_evicts_oldest_insert():
     assert key_a not in state.microflow
 
 
-def test_microflow_admits_the_first_candidate_then_one_in_eight():
-    state = capped_switch(load_rules("priority=1, l4_src=7, actions=output:1"), 2)
+def test_microflow_admits_the_first_candidate_then_one_in_eight(monkeypatch):
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", 2)
+    state = SwitchState(load_rules("priority=1, l4_src=7, actions=output:1"))
     frames = [udp_frame(sport=1000 + i) for i in range(25)]
     for frame in frames:  # 25 distinct flows: 25 upcalls, so 25 candidates
         state.process(frame, 1, HARDENED)
@@ -558,10 +554,8 @@ def test_cache_equivalence_random_rulesets():
             where = f"{profile.mode} round {round_no}"
             for i, frame in enumerate(_random_traffic(rng, 100)):
                 port = rng.choice([1, 2])
-                # the vulnerable parsers read adjacent memory into the key
-                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
-                d1 = cached.process(frame, port, profile, adjacent)
-                d2 = uncached.process(frame, port, profile, adjacent)
+                d1 = cached.process(frame, port, profile)
+                d2 = uncached.process(frame, port, profile)
                 assert d1 == d2, f"{where} frame {i}: {d1} != {d2}"
                 for counter in _DISPOSITION_COUNTERS:
                     assert cached.stats[counter] == uncached.stats[counter], f"{where} frame {i}: {counter}"
@@ -663,27 +657,27 @@ def _memo_pool(rng):
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
-def test_signature_memo_equivalent_to_parsing_every_frame(parsed, capacity):
+def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, capacity):
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(capacity)
     push_pop = "priority=7, eth_type=0x0800, ip_proto=17, actions=pop_mpls,push_mpls:16,output:3"
     rulesets = [_random_rules(rng, mpls_actions=bool(i % 2)) for i in range(6)] + [load_rules(push_pop)]
     skipped = 0
     for round_no, rules in enumerate(rulesets):
         pool = _memo_pool(rng)
-        memo = capped_switch(rules, capacity)
+        memo = SwitchState(rules)
         memo.microflow, memo.signatures = Unreordered(), Unreordered()
-        plain = capped_switch(rules, capacity)
+        plain = SwitchState(rules)
         plain.signatures = NeverStores()
         for i in range(400):
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
             profile = rng.choice(ALL_PROFILES)
-            adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
             where = f"round {round_no} frame {i} ({frame.data.hex()})"
             before = len(parsed)
-            disposition = memo.process(frame, port, profile, adjacent)
+            disposition = memo.process(frame, port, profile)
             skipped += len(parsed) == before
-            assert disposition == plain.process(frame, port, profile, adjacent), where
+            assert disposition == plain.process(frame, port, profile), where
             assert memo.stats == plain.stats, where
             assert len(memo.microflow) == len(plain.microflow), where  # dump_state's one microflow figure
         assert dump_state(memo) == dump_state(plain)
@@ -694,22 +688,22 @@ def test_signature_memo_equivalent_to_parsing_every_frame(parsed, capacity):
 
 @pytest.mark.usefixtures("admit_every_miss")
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
-def test_microflow_size_is_capacity_or_distinct_accepted_keys(capacity):
+def test_microflow_size_is_capacity_or_distinct_accepted_keys(monkeypatch, capacity):
     # Why eviction order is free: the one microflow figure any output prints never depends on it.
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(100 + capacity)
     for round_no in range(4):
-        state = capped_switch(_random_rules(rng, mpls_actions=bool(round_no % 2)), capacity)
+        state = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)))
         pool = _memo_pool(rng)
         accepted = set()
         for i in range(300):
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
             profile = rng.choice(ALL_PROFILES)
-            adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
-            result = extract(frame, port, profile, adjacent)
+            result = extract(frame, port, profile)
             if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
                 accepted.add(result.key)
-            state.process(frame, port, profile, adjacent)
+            state.process(frame, port, profile)
             assert len(state.microflow) == min(capacity, len(accepted)), f"round {round_no} frame {i}"
         assert len(accepted) > 2
 
@@ -737,20 +731,19 @@ def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
     for round_no in range(10):
         rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
         pool = _memo_pool(rng)
-        stream = [(pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)],
-                   rng.choice([1, 2]),
-                   random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None)
+        stream = [(pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)], rng.choice([1, 2]))
                   for _ in range(200)]
         for profile in ALL_PROFILES:
             for capacity in (1, 2, 4096):
-                eighth, every = (capped_switch(rules, capacity) for _ in range(2))
+                monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
+                eighth, every = SwitchState(rules), SwitchState(rules)
                 eighth.microflow, eighth.signatures = CountingHits(), CountingHits()
                 where = f"round {round_no} {profile.mode} capacity {capacity}"
-                for i, (frame, port, adjacent) in enumerate(stream):
+                for i, (frame, port) in enumerate(stream):
                     monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 8)
-                    disposition = eighth.process(frame, port, profile, adjacent)
+                    disposition = eighth.process(frame, port, profile)
                     monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 1)
-                    assert disposition == every.process(frame, port, profile, adjacent), f"{where} frame {i}"
+                    assert disposition == every.process(frame, port, profile), f"{where} frame {i}"
                     assert eighth.stats == every.stats and _hits(eighth) == _hits(every), f"{where} frame {i}"
                     # Candidates: the packets a cache or an upcall answered, less memo and microflow hits.
                     answered = eighth.stats["fast_path_hits"] + eighth.stats["slow_path_upcalls"]
@@ -768,29 +761,27 @@ _COUNTER_OF = {Forwarded: "forwards", Dropped: "drops", SentToController: "to_co
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 4096, None], ids=["1", "2", "4096", "caches-off"])
-def test_counters_equal_dispositions_sent_and_entry_hits(parsed, capacity):
+def test_counters_equal_dispositions_sent_and_entry_hits(monkeypatch, parsed, capacity):
     # `stats` derives processed, fast_path_hits and the disposition counters on read, from
     # the entries' hits and the packets a parse drop or an upcall answered. After every
     # packet they must equal what the caller saw, and the hits what the entries hold.
+    if capacity:
+        monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(23 + (capacity or 0))
     memo_hits = 0
     for round_no in range(4):
         rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
         pool = _memo_pool(rng)
         for profile in ALL_PROFILES:
-            if capacity is None:
-                state = SwitchState(rules, megaflow_enabled=False)
-            else:
-                state = capped_switch(rules, capacity)
+            state = SwitchState(rules, megaflow_enabled=capacity is not None)
             tally = dict.fromkeys(_COUNTER_OF.values(), 0)
             for sent in range(1, 201):
                 if rng.random() < 0.05:
                     frame = RawFrame.of(b"")
                 else:
                     frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
-                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64) if rng.random() < 0.5 else None
                 before = len(parsed)
-                disposition = state.process(frame, rng.choice([1, 2]), profile, adjacent)
+                disposition = state.process(frame, rng.choice([1, 2]), profile)
                 memo_hits += len(parsed) == before
                 tally[_COUNTER_OF[type(disposition)]] += 1
                 stats = state.stats
@@ -831,11 +822,9 @@ def _repeated_flows():
 
 @pytest.mark.usefixtures("admit_every_miss")
 def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
-    state, frames = _repeated_flows()
+    state, _ = _repeated_flows()
     assert len(parsed) <= 2 * 64
     assert len(state.signatures) == 64
-    with pytest.raises(ValueError, match="adjacent must be non-empty"):  # a memoized frame is still checked
-        state.process(frames[0], 1, HARDENED, b"")
 
 
 def test_signature_memo_reaches_every_repeated_flow_admitting_one_in_eight(parsed):
@@ -875,7 +864,7 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
     for profile in ALL_PROFILES:
         for frame in frames:
             expected = Forwarded((2,)) if frame.data[23] == 17 else Dropped()
-            assert state.process(frame, 1, profile, bytes(64)) == expected
+            assert state.process(frame, 1, profile) == expected
     assert len(parsed) == 8 and len(state.microflow) == 4
     gained = {name: count - before[name] for name, count in state.stats.items() if count != before[name]}
     hits = 4 * len(ALL_PROFILES)
@@ -992,6 +981,11 @@ def test_mask_projector_matches_field_getters():
         assert mask_projector(mask)(key) == tuple(_field_value(key, name) for name in mask)
 
 
+def _scan_order(rules):
+    """The rules in scan order, built apart from SwitchState: descending priority, ties by file order."""
+    return [rules[i] for i in sorted(range(len(rules)), key=lambda i: (-rules[i].priority, i))]
+
+
 def _reference_scan(rules_in_scan_order, key):
     """Scan position of the first rule whose every field, read by name, equals its value."""
     for pos, rule in enumerate(rules_in_scan_order):
@@ -1008,7 +1002,7 @@ def test_scan_rules_matches_per_field_reference():
         for _ in range(30):
             rules = _random_rules(rng)
             state = SwitchState(rules)
-            scan = [rules[i] for i in state._ordered]
+            scan = _scan_order(rules)
             for frame in _random_traffic(rng, 60):
                 adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
                 key = extract(frame, rng.choice([1, 2]), profile, adjacent).key
@@ -1080,7 +1074,7 @@ def test_scan_rules_at_the_edges():
     cases = 0
     for case, rules, keys in _scan_rule_sets():
         state = SwitchState(rules)
-        scan = [rules[i] for i in state._ordered]
+        scan = _scan_order(rules)
         wins = [state._scan_rules(key) for key in keys]
         assert wins == [_reference_scan(scan, key) for key in keys], case
         # Every case but the empty one holds keys built to match a rule.
@@ -1140,9 +1134,8 @@ def test_megaflow_entries_reselect_same_actions():
             keys, reached, sizes = [], {}, {}
             for i, frame in enumerate(_random_traffic(rng, 80)):
                 port = rng.choice([1, 2])
-                adjacent = random.Random(rng.randrange(1 << 16)).randbytes(64)
-                result = extract(frame, port, profile, adjacent)
-                state.process(frame, port, profile, adjacent)
+                result = extract(frame, port, profile)
+                state.process(frame, port, profile)
                 if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
                     keys.append(result.key)
                 for _, table in state.megaflows.values():
@@ -1151,9 +1144,10 @@ def test_megaflow_entries_reselect_same_actions():
                 _probe_in_rank_order(state, reached)
             # Re-evaluating the full table for any key reproduces the actions of its
             # microflow entry (if still cached) and of the one megaflow entry matching it.
+            scan = _scan_order(rules)
             for key in keys:
                 pos = state._scan_rules(key)
-                expected = flowtable.DEFAULT_ACTIONS if pos is None else state.rules[state._ordered[pos]].actions
+                expected = flowtable.DEFAULT_ACTIONS if pos is None else scan[pos].actions
                 micro = state.microflow.get(key)
                 assert micro is None or micro.actions == expected
                 (mega,) = [table[project(key)] for project, table in state.megaflows.values() if project(key) in table]

@@ -19,9 +19,11 @@ import io
 import random
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import shimguard.flowtable as flowtable
 from shimguard.attacks import AttackKind, AttackSpec, MutationBudget, craft, mutate
 from shimguard.bench import LATENCY_CSV_HEADER, THROUGHPUT_CSV_HEADER
 from shimguard.cli import main
@@ -29,7 +31,7 @@ from shimguard.extract import ALL_PROFILES
 from shimguard.flowtable import SwitchState, dump_state
 from shimguard.packet import EthernetHeader, MplsLse, RawFrame, encode_frame
 from shimguard.pcap import write_pcap
-from test_flowtable import ETH_MPLS, MAC_A, MAC_B, _random_rules, _random_traffic, capped_switch, ip_frame, udp_frame
+from test_flowtable import ETH_MPLS, MAC_A, MAC_B, _random_rules, _random_traffic, ip_frame, udp_frame
 
 RULES = """\
 priority=20, eth_type=0x0800, ip_proto=17, l4_dst=8080, actions=drop
@@ -110,26 +112,26 @@ def flowtable_text():
 
     50 random rule sets, each under every profile with microflow capacities 1,
     2 and 4096 and with caches off, over one seeded stream that repeats frames
-    (so the microflow and the signature memo answer) and varies the port and
-    the adjacent region.
+    (so the microflow and the signature memo answer) and varies the port. The
+    capacity holds from each switch's build through its ``dump_state``.
     """
     acl = craft(AttackSpec(AttackKind.ACL_BYPASS)).data
-    # v250 reads the ports these frames cut short from the adjacent region.
+    # v250 reads the ports these frames cut short from the zero region past the packet.
     ports_cut = [RawFrame.of(acl[:size]) for size in (34, 35, 37)]
     rng = random.Random(1600)
     lines = []
     for round_no in range(50):
         rules = _random_rules(rng, mpls_actions=round_no % 2 == 1)
         pool = _random_traffic(rng, 30) + ports_cut + [RawFrame.of(b"")]
-        regions = (None, rng.randbytes(64), rng.randbytes(64), rng.randbytes(3))
-        stream = [(pool[rng.randrange(len(pool))], rng.choice([1, 2]), rng.choice(regions)) for _ in range(100)]
+        stream = [(pool[rng.randrange(len(pool))], rng.choice([1, 2])) for _ in range(100)]
         for profile in ALL_PROFILES:
             for capacity in (1, 2, 4096, None):
-                state = capped_switch(rules, capacity) if capacity else SwitchState(rules, megaflow_enabled=False)
-                for frame, port, adjacent in stream:
-                    disposition = state.process(frame, port, profile, adjacent)
-                    lines.append(f"{disposition} {len(state.microflow)} {tuple(state.stats.values())}")
-                lines.append(dump_state(state))
+                with mock.patch.object(flowtable, "MICROFLOW_CAPACITY", capacity or flowtable.MICROFLOW_CAPACITY):
+                    state = SwitchState(rules, megaflow_enabled=capacity is not None)
+                    for frame, port in stream:
+                        disposition = state.process(frame, port, profile)
+                        lines.append(f"{disposition} {len(state.microflow)} {tuple(state.stats.values())}")
+                    lines.append(dump_state(state))
     return "\n".join(lines)
 
 
@@ -174,7 +176,7 @@ OUTPUTS = {
 }
 
 PINNED = {
-    "flowtable": "dbc904887a51048b432ff827f8c63ec5d75e8d6147bc3455040764aa06753d47",
+    "flowtable": "bab52d68ad83c81318174536dc6df1d4a6757c80f1110d2a6ba6ab0eb0221ad4",
     "extract": "8aa2ca1274ea5c69a63c9235545979a795433fd14ecc9180a8c3dec2b915beca",
     "pipeline": "ffcf5037cf49a1f1bf96b9a8081ed89d99d7c100d4198f7a705d868047d6e81b",
     "wormsim": "07439668cdcae066dfb74705e5a388db48db31dec1a53223ea2aec9f41f01eee",
