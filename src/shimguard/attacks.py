@@ -22,7 +22,6 @@ from typing import Iterator, Sequence
 
 from .extract import (
     _KIND_TO_CLASS,
-    _S_FLAG_TABLE,
     ParserMode,
     ParserProfile,
     VulnClass,
@@ -33,6 +32,7 @@ from .packet import (
     ETHERTYPE_IPV4,
     ETHERTYPE_MPLS_UNICAST,
     MPLS_ETHERTYPES,
+    _S_FLAG_TABLE,
     EthernetHeader,
     Ipv4Header,
     MplsLse,
@@ -433,9 +433,9 @@ def diff_fuzz(
     every frame afresh. The first ``VERDICT_MEMO_FRAMES`` distinct frames are
     kept, none is evicted, and nothing outlives the call.
 
-    A vulnerable profile that takes its label limit's leader's result adds
-    that result's class again, but its key is compared with the hardened key
-    once, for the leader; once one key disagrees, no further key is compared.
+    A frame no hardened profile finds MALFORMED fires no trigger, and the
+    vulnerable profiles of one label limit agree on its key, so only the first
+    of each limit parses it; once one key disagrees, no further key is compared.
     """
     profiles = tuple(profiles)
     hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
@@ -445,18 +445,15 @@ def diff_fuzz(
     if not vulnerable:
         raise ValueError("profiles must include at least one vulnerable parser")
     seeds = _non_empty(corpus)
-    # A frame no hardened profile finds MALFORMED takes the same walk under
-    # every vulnerable profile of one label limit (extract's module
-    # docstring), so the first vulnerable profile of each limit parses it for
-    # all of them. The hardened profiles always parse on their own, so
-    # comparing keys stays a real check. Each vulnerable profile is paired
-    # with the position of its limit's leader among the vulnerable profiles,
-    # or None when it leads: a leader comes before every profile it serves.
-    leaders: dict[int, int] = {}
-    plan = []
-    for index, profile in enumerate(vulnerable):
-        leader = leaders.setdefault(profile.label_limit, index)
-        plan.append((profile, None if leader == index else leader))
+    # Every trigger lies on a path where the hardened walk returns MALFORMED,
+    # whatever the hardened label limit (extract's module docstring). So on a
+    # frame no hardened profile finds MALFORMED no vulnerable profile fires,
+    # and all of one label limit return the same key: only the first of each
+    # limit is asked.
+    first_of: dict[int, ParserProfile] = {}
+    for profile in vulnerable:
+        first_of.setdefault(profile.label_limit, profile)
+    firsts = tuple(first_of.values())
 
     # One ledger for both findings: a vulnerability class, or None for an
     # equivalence violation (no profile fired, yet the flow keys disagree).
@@ -491,16 +488,11 @@ def diff_fuzz(
                     agree = False
                 if result_key.parse_status is _MALFORMED:
                     malformed = True
-            parsed = []
-            for profile, leader in plan:
-                # A shared result is its leader's, whose key was compared already.
-                shared = leader is not None and not malformed
-                result = parsed[leader] if shared else extract(frame, 0, profile)
-                parsed.append(result)
-                result_key, result_events, _ = result
+            for profile in vulnerable if malformed else firsts:
+                result_key, result_events, _ = extract(frame, 0, profile)
                 if result_events:
                     found.append(_KIND_TO_CLASS[result_events[0].kind])
-                elif agree and not shared and result_key != key:
+                elif agree and result_key != key:
                     agree = False
             if not (found or agree):
                 found.append(None)

@@ -16,11 +16,12 @@ meaningful.
 
 Each trigger lies on a path where the hardened walk returns MALFORMED: v232
 and v240 on an unterminated MPLS stack, v250 on an IPv4 header whose total
-length is 0 or below its header length. So on a frame the hardened parser
-accepts (COMPLETE, MPLS_TERMINATED or L2_ONLY), every profile of one label
-limit runs the same code and returns an equal ExtractionResult; diff_fuzz
-relies on this to parse such a frame once for all its vulnerable profiles of
-that limit. It also relies on extract being a pure function of
+length is 0 or below its header length; whether that walk returns MALFORMED
+does not depend on the label limit. So on a frame the hardened parser accepts
+(COMPLETE, MPLS_TERMINATED or L2_ONLY), no profile fires, and every profile of
+one label limit runs the same code and returns an equal ExtractionResult;
+diff_fuzz relies on this to ask only the first vulnerable profile of each
+limit about such a frame. It also relies on extract being a pure function of
 ``frame.data``, the port, the profile and ``adjacent`` (never ``orig_len`` or
 the timestamps) to judge each distinct frame's octets once per call.
 
@@ -55,19 +56,16 @@ from .packet import (
     IPPROTO_UDP,
     IPV4_MIN_HEADER_LEN,
     MPLS_ETHERTYPES,
+    _S_FLAG_TABLE,
     FlowKey,
     ParseStatus,
     RawFrame,
     TextEnum,
+    _lse_fields,
 )
 
 DEFAULT_LABEL_LIMIT = 3
 DEFAULT_ADJACENT_LEN = 64
-
-# Maps an LSE's third octet to 1 when its least significant bit (the
-# bottom-of-stack flag) is set; lets bytes.translate()/find() locate the
-# stack bottom at C speed.
-_S_FLAG_TABLE = bytes((b & 1) for b in range(256))
 
 _ETHERNET = struct.Struct(">6s6sH")  # eth_dst, eth_src, ethertype
 # version/IHL, TOS, total length, TTL, protocol, source, destination; the
@@ -83,7 +81,6 @@ SIGNATURE_LEN = _IPV4_FRAME_LEN
 _IPV4_HIGH_OCTET = ETHERTYPE_IPV4 >> 8  # tested before the unpack, so MPLS and VLAN frames skip it
 _NO_IP = (None,) * 7
 _NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
-_LSE_WORD = struct.Struct(">I")
 _S_FLAG_OCTET = ETHERNET_HEADER_LEN + 2  # the top entry's third octet, which holds its bottom-of-stack flag
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
@@ -265,12 +262,6 @@ def _walk(data, in_port, profile, adjacent):
         return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
     verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
     return _tuple_new(ExtractionResult, (key, events, verdict))
-
-
-def _lse_fields(buf, offset=ETHERNET_HEADER_LEN):
-    """The key's four MPLS fields (label, exp, S flag, TTL) from the entry at ``offset``, the top one by default."""
-    (word,) = _LSE_WORD.unpack_from(buf, offset)
-    return word >> 12, (word >> 9) & 0x7, word & 0x100 != 0, word & 0xFF
 
 
 def _extract_mpls(data, profile, adjacent):

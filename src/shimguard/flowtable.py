@@ -211,8 +211,9 @@ class _Field(NamedTuple):
     """One field of the rule language.
 
     ``source`` is the name of the FlowKey field holding the value. ``bits``
-    is the header field's width; a numeric rule value must fit it, and a MAC
-    or IPv4 value fits it by its syntax.
+    is the header field's width, which a numeric rule value must fit; it is
+    None where the syntax already bounds the value: MAC and IPv4 addresses,
+    and the parse status.
     """
 
     source: str
@@ -226,13 +227,13 @@ class _Field(NamedTuple):
 # rule's an int; "{:d}" prints both as 0 or 1.
 _FIELDS: dict[str, _Field] = {
     "in_port": _Field("in_port", _decimal, str, 32),
-    "eth_src": _Field("eth_src", parse_mac, format_mac, 48),
-    "eth_dst": _Field("eth_dst", parse_mac, format_mac, 48),
+    "eth_src": _Field("eth_src", parse_mac, format_mac, None),
+    "eth_dst": _Field("eth_dst", parse_mac, format_mac, None),
     "eth_type": _Field("ethertype", _int0, "0x{:04x}".format, 16),
     "mpls_label": _Field("mpls_label", _int0, str, 20),
     "mpls_s": _Field("mpls_s", _decimal, "{:d}".format, 1),
-    "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, 32),
-    "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, 32),
+    "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, None),
+    "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, None),
     "ip_proto": _Field("ip_proto", _int0, str, 8),
     "l4_src": _Field("l4_src", _int0, str, 16),
     "l4_dst": _Field("l4_dst", _int0, str, 16),
@@ -556,7 +557,7 @@ def _parse_field(name: str, text: str):
     """Parse a rule value of field ``name``; raises ValueError unless it fits the field."""
     field = _FIELDS[name]
     value = field.parse(text)
-    if isinstance(value, int) and not 0 <= value < 1 << field.bits:
+    if field.bits is not None and not 0 <= value < 1 << field.bits:
         raise ValueError(f"{value} does not fit in {field.bits} bits")
     return value
 

@@ -27,6 +27,11 @@ IPPROTO_TCP = 6
 IPPROTO_UDP = 17
 
 _IPV4_BASE = struct.Struct(">BBHHHBBHII")
+_LSE_WORD = struct.Struct(">I")
+# Maps an LSE's third octet to 1 when its least significant bit (the
+# bottom-of-stack flag) is set; lets bytes.translate()/find() locate the
+# stack bottom at C speed.
+_S_FLAG_TABLE = bytes((b & 1) for b in range(256))
 # Positional NamedTuple construction: skips the generated __new__'s Python frame.
 _tuple_new = tuple.__new__
 
@@ -106,8 +111,13 @@ def decode_lse(raw: bytes) -> MplsLse:
     """
     if len(raw) != LSE_LEN:
         raise ValueError(f"LSE must be exactly {LSE_LEN} octets, got {len(raw)}")
-    word = int.from_bytes(raw, "big")
-    return MplsLse(word >> 12, (word >> 9) & 0x7, bool((word >> 8) & 1), word & 0xFF)
+    return MplsLse(*_lse_fields(raw, 0))
+
+
+def _lse_fields(buf, offset=ETHERNET_HEADER_LEN):
+    """An entry's four fields (label, exp, S flag, TTL) from ``offset``, the top entry's by default."""
+    (word,) = _LSE_WORD.unpack_from(buf, offset)
+    return word >> 12, (word >> 9) & 0x7, word & 0x100 != 0, word & 0xFF
 
 
 class RawFrame(NamedTuple):
@@ -139,8 +149,7 @@ class RawFrame(NamedTuple):
 # The header dataclasses below are frozen, but their __init__ is written out:
 # it checks the arguments directly and stores the instance's attribute dict
 # in one step, where the generated one pays a frozen __setattr__ per field
-# and __post_init__ reads every field back. Defaults are written twice, in
-# the field list and in the signature; a test holds them equal.
+# and __post_init__ reads every field back.
 _set_attribute = object.__setattr__
 
 
@@ -176,14 +185,14 @@ class Ipv4Header:
     protocol: int
     src_ip: int
     dst_ip: int
-    version: int = 4
-    ihl: int = 5
-    tos: int = 0
-    identification: int = 0
-    flags_fragment: int = 0
-    ttl: int = 64
-    checksum: int = 0
-    options: bytes = b""
+    version: int
+    ihl: int
+    tos: int
+    identification: int
+    flags_fragment: int
+    ttl: int
+    checksum: int
+    options: bytes
 
     def __init__(self, total_length: int, protocol: int, src_ip: int, dst_ip: int, version: int = 4, ihl: int = 5,
                  tos: int = 0, identification: int = 0, flags_fragment: int = 0, ttl: int = 64, checksum: int = 0,

@@ -801,23 +801,27 @@ def test_long_shim_frame_size_bounded_by_snaplen():
 # --- verdict memo -----------------------------------------------------------------
 
 
-def _reference_diff_fuzz(corpus, budget, profiles):
-    """diff_fuzz without its verdict memo: every frame, repeated or not, is judged afresh."""
+def _asked(vulnerable, malformed):
+    """The vulnerable profiles diff_fuzz asks: all on a MALFORMED frame, else the first of each label limit."""
+    return [p for i, p in enumerate(vulnerable)
+            if malformed or p.label_limit not in [q.label_limit for q in vulnerable[:i]]]
+
+
+def _reference_diff_fuzz(corpus, budget, profiles, ask_all=False):
+    """diff_fuzz without its verdict memo: every frame, repeated or not, is judged afresh.
+
+    ``ask_all`` asks every profile about every frame instead of the profiles ``_asked`` names.
+    """
     profiles = tuple(profiles)
     hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
     vulnerable = tuple(p for p in profiles if p.mode is not ParserMode.HARDENED)
     seeds = tuple(frame for frame in corpus if frame.data)
-    leaders = {}
-    for profile in vulnerable:
-        leaders.setdefault(profile.label_limit, profile)
     counts, best, hardened_events = {}, {}, 0
     for frame in itertools.chain(seeds, attacks.mutate(seeds, budget)):
         results = [attacks.extract(frame, 0, profile) for profile in hardened]
-        if any(result.key.parse_status is ParseStatus.MALFORMED for result in results):
-            results += [attacks.extract(frame, 0, profile) for profile in vulnerable]
-        else:
-            parsed = {limit: attacks.extract(frame, 0, leader) for limit, leader in leaders.items()}
-            results += [parsed[profile.label_limit] for profile in vulnerable]
+        malformed = any(result.key.parse_status is ParseStatus.MALFORMED for result in results)
+        results += [attacks.extract(frame, 0, profile)
+                    for profile in (vulnerable if ask_all else _asked(vulnerable, malformed))]
         found = [classify_events(result.events) for result in results if result.events]
         if found:
             hardened_events += sum(1 for result in results[: len(hardened)] if result.events)
@@ -848,7 +852,7 @@ def _noisy(real):
 
     So hardened events and equivalence violations both accrue, on repeated frames too. On
     another eighth, a silent vulnerable profile of label limit 1 fires: profiles of one limit
-    still agree, so diff_fuzz may share a limit's result, but only among that limit's profiles.
+    still agree, and on a frame the hardened profiles accept only the first of them is asked.
     """
     fake = CorruptionEvent(CorruptionKind.HEAP_OVERREAD, 0, 1)
     fake_short = CorruptionEvent(CorruptionKind.SHORT_LSE_OVERFLOW, 0, 1)
@@ -886,7 +890,7 @@ _MIXED_LIMITS = (
 )
 
 # Two hardened profiles, and vulnerable ones at both limits with one profile given twice:
-# each vulnerable profile must take the result of its own limit's leader.
+# on a frame the hardened profiles accept, only the first of each limit may be asked.
 _TWO_HARDENED = (
     ParserProfile(ParserMode.HARDENED, 3),
     ParserProfile(ParserMode.HARDENED, 1),
@@ -894,6 +898,16 @@ _TWO_HARDENED = (
     ParserProfile(ParserMode.VULN_232, 3),
     ParserProfile(ParserMode.VULN_240, 1),
     ParserProfile(ParserMode.VULN_250, 3),
+)
+
+
+# The first vulnerable profile reads one label, as the hardened one does; only the later ones
+# (limit 3) show keys that differ on deeper stacks, so asking just the first would miss them.
+_LOW_LIMIT_FIRST = (
+    ParserProfile(ParserMode.HARDENED, 1),
+    ParserProfile(ParserMode.VULN_240, 1),
+    ParserProfile(ParserMode.VULN_232, 3),
+    VULN_250,
 )
 
 
@@ -905,15 +919,19 @@ def _same_report(report, expected):
 
 @pytest.mark.parametrize("iterations", [0, 1, 2000])
 @pytest.mark.parametrize(
-    "profiles", [ALL_PROFILES, _MIXED_LIMITS, _TWO_HARDENED], ids=["all", "mixed-limits", "two-hardened"]
+    "profiles",
+    [ALL_PROFILES, _MIXED_LIMITS, _TWO_HARDENED, _LOW_LIMIT_FIRST],
+    ids=["all", "mixed-limits", "two-hardened", "low-limit-first"],
 )
 @pytest.mark.parametrize("noisy", [False, True], ids=["real", "noisy"])
 def test_diff_fuzz_equals_memo_free_reference(monkeypatch, iterations, profiles, noisy):
+    """With the real extract the reference asks every profile about every frame, so the
+    profiles diff_fuzz skips are checked by an oracle that does not share its rule."""
     if noisy:
         monkeypatch.setattr(attacks, "extract", _noisy(attacks.extract))
     for index, corpus in enumerate(_duplicated_corpora()):
         budget = MutationBudget(iterations=iterations, seed=100 + index)
-        expected = _reference_diff_fuzz(corpus, budget, profiles)
+        expected = _reference_diff_fuzz(corpus, budget, profiles, ask_all=not noisy)
         _same_report(diff_fuzz(corpus, budget, profiles), expected)
         if noisy and iterations >= 2000:
             assert expected.hardened_event_count and expected.equivalence_violations
@@ -924,14 +942,17 @@ def test_diff_fuzz_judges_each_distinct_frame_once(monkeypatch, cap):
     """Outside minimize, extract runs once per profile asked on each admitted distinct frame.
 
     Frames past the first ``VERDICT_MEMO_FRAMES`` distinct ones are judged at every occurrence.
+    Every hardened profile is asked about every frame, and the vulnerable ones as ``_asked``
+    says: all of them about a MALFORMED frame, the first of each label limit about any other.
     """
     real_extract, real_minimize = attacks.extract, attacks.minimize
+    position = {id(profile): index for index, profile in enumerate(_TWO_HARDENED)}
     calls = collections.Counter()
     minimizing = []
 
     def counting(frame, in_port, profile, adjacent=None):
         if not minimizing:
-            calls[frame.data] += 1
+            calls[frame.data, position[id(profile)]] += 1
         return real_extract(frame, in_port, profile, adjacent)
 
     def uncounted_minimize(*args):
@@ -949,23 +970,28 @@ def test_diff_fuzz_judges_each_distinct_frame_once(monkeypatch, cap):
     budget = MutationBudget(iterations=2000, seed=22)
     stream = [frame.data for frame in itertools.chain(corpus, mutate(corpus, budget))]
     occurrences = collections.Counter(stream)
-    expected = _reference_diff_fuzz(corpus, budget, ALL_PROFILES)
-    per_frame = {}
-    for data, n in calls.items():
-        per_frame[data], rest = divmod(n, occurrences[data])
-        assert rest == 0 and per_frame[data] >= 2
-    assert per_frame.keys() == occurrences.keys()
+    hardened = [p for p in _TWO_HARDENED if p.mode is ParserMode.HARDENED]
+    vulnerable = [p for p in _TWO_HARDENED if p.mode is not ParserMode.HARDENED]
+    asked = {}
+    for data in occurrences:
+        frame = RawFrame(data, len(data))
+        malformed = any(real_extract(frame, 0, p).key.parse_status is ParseStatus.MALFORMED for p in hardened)
+        asked[data] = [position[id(p)] for p in hardened + _asked(vulnerable, malformed)]
+    # Both kinds of frame occur: 2 hardened and 2 first-of-limit profiles, or all 6 profiles.
+    assert {len(indexes) for indexes in asked.values()} == {4, 6}
+    expected = _reference_diff_fuzz(corpus, budget, _TWO_HARDENED)
 
     calls.clear()
-    _same_report(diff_fuzz(corpus, budget, ALL_PROFILES), expected)
+    _same_report(diff_fuzz(corpus, budget, _TWO_HARDENED), expected)
     distinct = list(dict.fromkeys(stream))
     admitted = set(distinct[: attacks.VERDICT_MEMO_FRAMES])
     assert len(admitted) == min(len(distinct), attacks.VERDICT_MEMO_FRAMES)
-    assert calls == {data: per_frame[data] * (1 if data in admitted else occurrences[data]) for data in distinct}
+    assert calls == {(data, index): 1 if data in admitted else occurrences[data]
+                     for data in distinct for index in asked[data]}
     assert len(distinct) < len(stream)
     if cap is None:  # every distinct frame admitted: each is judged exactly once
         assert len(distinct) <= attacks.VERDICT_MEMO_FRAMES
-        assert calls == per_frame
+        assert set(calls.values()) == {1}
 
 
 def test_diff_fuzz_memo_lives_one_call(monkeypatch):

@@ -19,7 +19,6 @@ from shimguard.extract import (
     ParserProfile,
     Verdict,
     VulnClass,
-    _lse_fields,
     _walk,
     classify_events,
     extract,
@@ -32,6 +31,7 @@ from shimguard.packet import (
     MplsLse,
     ParseStatus,
     RawFrame,
+    _lse_fields,
     decode_lse,
     encode_frame,
 )
@@ -147,13 +147,17 @@ def test_short_shim_blended_top_from_seeded_region():
 
 
 def test_lse_fields_equal_decode_lse():
-    """The top-entry helper decodes a word as decode_lse does, S flag as a bool, at its offset."""
+    """The top-entry helper decodes a word as decode_lse does, S flag as a bool, at its offset.
+
+    decode_lse is built on the helper, so MplsLse.encode, written apart, is the oracle.
+    """
     rng = random.Random(22)
     for _ in range(2000):
         word = rng.getrandbits(32)
         for raw in ((word | 0x100).to_bytes(4, "big"), (word & ~0x100).to_bytes(4, "big")):
             fields = _lse_fields(raw, 0)
             assert fields == tuple(decode_lse(raw))
+            assert MplsLse(*fields).encode() == raw
             assert type(fields[2]) is bool
             assert _lse_fields(ETH_MPLS.encode() + raw + raw[::-1]) == fields
 

@@ -208,12 +208,15 @@ def test_ethernet_header_reports_first_bad_field_in_order():
 )
 def test_header_types_behave_as_frozen_dataclasses(cls, args, text):
     fields = dataclasses.fields(cls)
-    # The signature's defaults are the fields' defaults, in field order.
-    params = list(inspect.signature(cls).parameters.values())
-    assert [p.name for p in params] == [f.name for f in fields]
-    assert [p.default for p in params] == [inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-                                           for f in fields]
+    # The signature names the fields in field order and alone holds the defaults,
+    # which the header takes for every argument not given.
+    signature = inspect.signature(cls)
+    assert list(signature.parameters) == [f.name for f in fields]
+    assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING for f in fields)
     header = cls(*args)
+    bound = signature.bind(*args)
+    bound.apply_defaults()
+    assert vars(header) == bound.arguments
     by_keyword = cls(**{f.name: value for f, value in zip(fields, args)})
     assert header == by_keyword and hash(header) == hash(by_keyword)
     assert repr(header) == repr(by_keyword) == text
