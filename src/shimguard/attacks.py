@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 
 from .extract import (
     _KIND_TO_CLASS,
+    TRIGGERS,
     ParserMode,
     ParserProfile,
     VulnClass,
@@ -55,6 +56,8 @@ _MPLS_ETH = EthernetHeader(CRAFT_DST_MAC, CRAFT_SRC_MAC, ETHERTYPE_MPLS_UNICAST)
 
 STRATEGIES = ("bitflip", "byteflip", "field-splice", "length-truncate", "lse-duplicate")
 _SPLICE_SPANS = (1, 2, 4, 6)  # field-splice copies one of these many octets
+_N_SPLICE_SPANS = len(_SPLICE_SPANS)
+_SPLICE_SPAN_BITS = _N_SPLICE_SPANS.bit_length()
 
 # Reproduced in reports as inert documentation of what the historical payload
 # did; nothing in this package executes or emits it.
@@ -69,6 +72,8 @@ _tuple_new = tuple.__new__
 VERDICT_MEMO_FRAMES = 4096
 # The classes whose trigger is a threshold in the prefix length, so minimize bisects them.
 _THRESHOLD_CLASSES = frozenset({VulnClass.LONG_STACK_232, VulnClass.IP_UNDERFLOW_250})
+# The one mode whose trigger emits each class.
+_MODE_OF = {cls: mode for mode, (_, cls) in TRIGGERS.items()}
 
 
 class PayloadTooLarge(ValueError):
@@ -280,11 +285,21 @@ def _mutation_stream(corpus: tuple[RawFrame, ...], budget: MutationBudget) -> It
             if size >= 18 and (data[12] << 8 | data[13]) in MPLS_ETHERTYPES:
                 mutant = data[:18] + data[14:]
         elif strategy == "field-splice":
-            other = seeds[below(n_seeds)]
+            # Its three draws inline below() as well.
+            pick = getrandbits(seed_bits)
+            while pick >= n_seeds:
+                pick = getrandbits(seed_bits)
+            other = seeds[pick]
             limit = min(size, len(other))
             if limit >= 2:
-                offset = below(limit)
-                end = offset + min(_SPLICE_SPANS[below(len(_SPLICE_SPANS))], limit - offset)
+                bits = limit.bit_length()
+                offset = getrandbits(bits)
+                while offset >= limit:
+                    offset = getrandbits(bits)
+                span = getrandbits(_SPLICE_SPAN_BITS)
+                while span >= _N_SPLICE_SPANS:
+                    span = getrandbits(_SPLICE_SPAN_BITS)
+                end = offset + min(_SPLICE_SPANS[span], limit - offset)
                 mutant = data[:offset] + other[offset:end] + data[end:]
         elif strategy == "length-truncate":
             if size >= 34 and (data[12] << 8 | data[13]) == ETHERTYPE_IPV4 and rng.random() < 0.5:
@@ -298,8 +313,11 @@ def _mutation_stream(corpus: tuple[RawFrame, ...], budget: MutationBudget) -> It
             buf[below(size)] ^= 0xFF
             mutant = bytes(buf)
 
-        mutant = mutant[:max_len]
-        yield _tuple_new(RawFrame, (mutant, len(mutant), 0, 0))
+        size = len(mutant)
+        if size > max_len:
+            mutant = mutant[:max_len]
+            size = max_len
+        yield _tuple_new(RawFrame, (mutant, size, 0, 0))
 
 
 @dataclass
@@ -348,9 +366,9 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
 
     Precondition: ``frame`` fires ``cls`` under one of ``profiles``, as every
     ``diff_fuzz`` exemplar does. A candidate keeps the class when any
-    profile's extraction emits it. The profile that emitted it last is asked
-    first: extraction is pure, so the order cannot change the answer, only
-    how many profiles are asked.
+    profile's extraction emits it. Only the profiles of the class's own mode
+    are asked, in the order given: each mode emits one class (``TRIGGERS``),
+    so no other profile can emit it.
 
     Only the suffix is trimmed. Every class needs octets 12-13 to hold
     0x8847/0x8848 (LongStack, ShortLse) or 0x0800 (IpUnderflow); dropping
@@ -378,15 +396,13 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
     keeps the scan, which stops within 3 trims. A frame that does not fire
     its class whole keeps the scan too.
     """
-    order = list(profiles)
+    mode = _MODE_OF.get(cls)  # None for BENIGN, which no profile emits
+    asked = [profile for profile in profiles if profile.mode is mode]
 
     def triggers(data: bytes) -> bool:
         candidate = _tuple_new(RawFrame, (data, len(data), 0, 0))
-        for index, profile in enumerate(order):
-            events = extract(candidate, 0, profile)[1]
-            if events and _KIND_TO_CLASS[events[0].kind] is cls:
-                if index:
-                    order.insert(0, order.pop(index))
+        for profile in asked:
+            if extract(candidate, 0, profile)[1]:
                 return True
         return False
 
@@ -407,6 +423,19 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
             break
         data = candidate
     return RawFrame(data, len(data))
+
+
+def _asked_behind(vulnerable: tuple[ParserProfile, ...], ethertype: int | None) -> tuple[ParserProfile, ...]:
+    """The profiles whose trigger can fire behind ethertype, and the first of each label limit among the rest."""
+    asked = []
+    limits = set()
+    for profile in vulnerable:
+        if ethertype in TRIGGERS[profile.mode][0]:
+            asked.append(profile)
+        elif profile.label_limit not in limits:
+            limits.add(profile.label_limit)
+            asked.append(profile)
+    return tuple(asked)
 
 
 def diff_fuzz(
@@ -433,9 +462,13 @@ def diff_fuzz(
     every frame afresh. The first ``VERDICT_MEMO_FRAMES`` distinct frames are
     kept, none is evicted, and nothing outlives the call.
 
-    A frame no hardened profile finds MALFORMED fires no trigger, and the
-    vulnerable profiles of one label limit agree on its key, so only the first
-    of each limit parses it; once one key disagrees, no further key is compared.
+    Only the vulnerable profiles that could change the verdict parse a frame.
+    On a frame no hardened profile finds MALFORMED, no trigger can fire, and
+    those of one label limit agree on its key, so the first of each limit
+    parses it. On a MALFORMED frame, every profile whose trigger can fire
+    behind the frame's ethertype (``TRIGGERS``) parses it, plus the first of
+    each limit among the others, which run the same code as the rest of their
+    limit. Once one key disagrees, no further key is compared.
     """
     profiles = tuple(profiles)
     hardened = tuple(p for p in profiles if p.mode is ParserMode.HARDENED)
@@ -445,15 +478,11 @@ def diff_fuzz(
     if not vulnerable:
         raise ValueError("profiles must include at least one vulnerable parser")
     seeds = _non_empty(corpus)
-    # Every trigger lies on a path where the hardened walk returns MALFORMED,
-    # whatever the hardened label limit (extract's module docstring). So on a
-    # frame no hardened profile finds MALFORMED no vulnerable profile fires,
-    # and all of one label limit return the same key: only the first of each
-    # limit is asked.
-    first_of: dict[int, ParserProfile] = {}
-    for profile in vulnerable:
-        first_of.setdefault(profile.label_limit, profile)
-    firsts = tuple(first_of.values())
+    # A MALFORMED frame too short for an ethertype (its key's is None), or
+    # behind one no trigger lies behind, is asked as an accepted frame is.
+    firsts = _asked_behind(vulnerable, None)
+    asked_behind = {ethertype: _asked_behind(vulnerable, ethertype)
+                    for ethertypes, _ in TRIGGERS.values() for ethertype in ethertypes}
 
     # One ledger for both findings: a vulnerability class, or None for an
     # equivalence violation (no profile fired, yet the flow keys disagree).
@@ -488,7 +517,7 @@ def diff_fuzz(
                     agree = False
                 if result_key.parse_status is _MALFORMED:
                     malformed = True
-            for profile in vulnerable if malformed else firsts:
+            for profile in asked_behind.get(key.ethertype, firsts) if malformed else firsts:
                 result_key, result_events, _ = extract(frame, 0, profile)
                 if result_events:
                     found.append(_KIND_TO_CLASS[result_events[0].kind])
@@ -501,11 +530,12 @@ def diff_fuzz(
                 verdicts[data] = verdict
         found, events = verdict
         hardened_events += events
-        for cls in found:
+        if found:
             rank = (len(data), data)
-            counts[cls] = counts.get(cls, 0) + 1
-            if cls not in best or rank < best[cls]:
-                best[cls] = rank
+            for cls in found:
+                counts[cls] = counts.get(cls, 0) + 1
+                if cls not in best or rank < best[cls]:
+                    best[cls] = rank
 
     violations = counts.pop(None, 0)
     violation = best.pop(None, None)

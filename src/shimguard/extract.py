@@ -14,16 +14,20 @@ on frames that trigger nothing every profile produces an identical FlowKey.
 That property is what makes differential fuzzing against the hardened parser
 meaningful.
 
-Each trigger lies on a path where the hardened walk returns MALFORMED: v232
-and v240 on an unterminated MPLS stack, v250 on an IPv4 header whose total
-length is 0 or below its header length; whether that walk returns MALFORMED
-does not depend on the label limit. So on a frame the hardened parser accepts
-(COMPLETE, MPLS_TERMINATED or L2_ONLY), no profile fires, and every profile of
-one label limit runs the same code and returns an equal ExtractionResult;
-diff_fuzz relies on this to ask only the first vulnerable profile of each
-limit about such a frame. It also relies on extract being a pure function of
-``frame.data``, the port, the profile and ``adjacent`` (never ``orig_len`` or
-the timestamps) to judge each distinct frame's octets once per call.
+Each trigger lies on a path where the hardened walk returns MALFORMED, behind
+the ethertypes ``TRIGGERS`` lists for its mode: v232 and v240 on an
+unterminated MPLS stack, v250 on an IPv4 header whose total length is 0 or
+below its header length; whether that walk returns MALFORMED does not depend
+on the label limit. A profile whose trigger does not fire runs the code every
+profile of its label limit runs and returns an equal ExtractionResult. So
+diff_fuzz asks about a frame the hardened parser accepts (COMPLETE,
+MPLS_TERMINATED or L2_ONLY) only the first vulnerable profile of each limit,
+and about a MALFORMED one only the profiles whose trigger can fire behind its
+ethertype plus the first of each limit among the rest; minimize asks only the
+profiles of its class's mode. diff_fuzz also relies on extract being a pure
+function of ``frame.data``, the port, the profile and ``adjacent`` (never
+``orig_len`` or the timestamps) to judge each distinct frame's octets once
+per call.
 
 An option-less IPv4 frame takes a shortcut ahead of the walk: one unpack of
 its first 38 octets (Ethernet, the IPv4 fields, the L4 ports) yields the whole
@@ -79,8 +83,7 @@ _IPV4_FRAME_LEN = _IPV4_FRAME.size
 # key_signature's fixed prefix: the octets the option-less IPv4 shortcut reads.
 SIGNATURE_LEN = _IPV4_FRAME_LEN
 _IPV4_HIGH_OCTET = ETHERTYPE_IPV4 >> 8  # tested before the unpack, so MPLS and VLAN frames skip it
-_NO_IP = (None,) * 7
-_NO_LSE = (None,) * 4  # the key's four top-entry fields when no entry was recorded
+_IPV4_MIN_FRAME_LEN = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN  # the shortest frame whose IPv4 fields the walk reads
 _S_FLAG_OCTET = ETHERNET_HEADER_LEN + 2  # the top entry's third octet, which holds its bottom-of-stack flag
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
 _tuple_new = tuple.__new__
@@ -236,112 +239,112 @@ def extract(
     return _walk(data, in_port, profile, adjacent)
 
 
+# Each vulnerable mode's trigger: the ethertypes whose branch of _walk holds it,
+# and the class its event maps to. Every trigger also lies where the hardened
+# walk returns MALFORMED, so on any other frame, or behind any other ethertype,
+# the mode runs the code every profile of its label limit runs.
+TRIGGERS = {
+    ParserMode.VULN_232: (MPLS_ETHERTYPES, VulnClass.LONG_STACK_232),
+    ParserMode.VULN_240: (MPLS_ETHERTYPES, VulnClass.SHORT_LSE_240),
+    ParserMode.VULN_250: (frozenset({ETHERTYPE_IPV4}), VulnClass.IP_UNDERFLOW_250),
+}
+
+
 def _walk(data, in_port, profile, adjacent):
     """The general walk: every frame the option-less IPv4 shortcut does not take.
 
-    Each branch builds its key positionally, field by field: the keyword
-    constructor costs about 4x as much, and star-unpacking a branch's field
-    groups into one tuple builds a list first.
+    Each branch builds its key and result positionally, field by field, and
+    returns them: the keyword constructor costs about 4x as much, and
+    star-unpacking field groups into one tuple builds a list first. The
+    verdict is DROP exactly on the MALFORMED branches that fire no event.
     """
-    if len(data) < ETHERNET_HEADER_LEN:
+    size = len(data)
+    if size < ETHERNET_HEADER_LEN:
         key = _tuple_new(FlowKey, (in_port, None, None, None, None, None, None, None, 0,
                                    None, None, None, None, None, None, None, _MALFORMED))
         return _tuple_new(ExtractionResult, (key, (), _DROP))
     eth_dst, eth_src, ethertype = _ETHERNET.unpack_from(data)
+
     if ethertype in MPLS_ETHERTYPES:
-        status, (label, exp, s_flag, ttl), depth, events = _extract_mpls(data, profile, adjacent)
-        key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, label, exp, s_flag, ttl, depth,
-                                   None, None, None, None, None, None, None, status))
-    elif ethertype == ETHERTYPE_IPV4:
-        status, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), events = _extract_ipv4(data, profile, adjacent)
+        limit = profile.label_limit
+        rem = size - ETHERNET_HEADER_LEN
+        n_complete = rem >> 2  # complete 4-octet entries
+        frag_len = rem & 3  # octets of a trailing partial entry
+        # Index of the first entry with the bottom-of-stack flag, -1 when absent: one strided
+        # slice takes each complete entry's third octet, and is empty when there is none.
+        s_idx = data[_S_FLAG_OCTET : size - frag_len : 4].translate(_S_FLAG_TABLE).find(1)
+        if s_idx >= 0:
+            # Same result for every profile: record the top entry, count depth up
+            # to the buffer capacity, never parse beneath the stack.
+            label, exp, s_flag, ttl = _lse_fields(data)
+            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, label, exp, s_flag, ttl,
+                                       s_idx + 1 if s_idx < limit else limit,
+                                       None, None, None, None, None, None, None, _MPLS_TERMINATED))
+            return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
+        mode = profile.mode
+        if mode is _V232 and n_complete > limit:
+            # Unbounded copy loop: with no stack bottom in sight, every entry in
+            # the frame lands in the fixed-capacity buffer.
+            label, exp, s_flag, ttl = _lse_fields(data)
+            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, label, exp, s_flag, ttl, n_complete,
+                                       None, None, None, None, None, None, None, _MALFORMED))
+            event = _tuple_new(CorruptionEvent, (_STACK_OVERFLOW_WRITE, 0, 4 * (n_complete - limit)))
+            return _tuple_new(ExtractionResult, (key, (event,), _ACCEPT))
+        if mode is _V240 and frag_len:
+            # The walk reads a full 4-octet entry where only frag_len octets
+            # remain, blending frame bytes with whatever lies past the packet.
+            # The blended entry is the key's only when no complete entry precedes it.
+            missing = 4 - frag_len
+            if n_complete:
+                label, exp, s_flag, ttl = _lse_fields(data)
+            else:
+                label, exp, s_flag, ttl = _lse_fields(data[ETHERNET_HEADER_LEN:] + _adjacent_prefix(adjacent, missing), 0)
+            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, label, exp, s_flag, ttl, n_complete + 1,
+                                       None, None, None, None, None, None, None, _MALFORMED))
+            event = _tuple_new(CorruptionEvent, (_SHORT_LSE_OVERFLOW, 0, missing))
+            return _tuple_new(ExtractionResult, (key, (event,), _ACCEPT))
+        # Shared malformed path: the stack never terminated (and/or a trailing
+        # fragment remained) and no profile-specific trigger applies.
+        key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None,
+                                   n_complete if n_complete <= limit else limit,
+                                   None, None, None, None, None, None, None, _MALFORMED))
+        return _tuple_new(ExtractionResult, (key, (), _DROP))
+
+    if ethertype == ETHERTYPE_IPV4:
+        if size >= _IPV4_MIN_FRAME_LEN:
+            version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
+            header_len = (version_ihl & 0xF) * 4
+            l4_off = ETHERNET_HEADER_LEN + header_len
+            if profile.mode is _V250 and (total_length == 0 or total_length < header_len):
+                # 16-bit payload-length arithmetic underflows, so the parser believes
+                # an enormous datagram follows and reads L4 ports past the claimed
+                # end -- from the frame if the octets exist there, otherwise from the
+                # adjacent region.
+                l4_src = l4_dst = None
+                if proto in _L4_PROTOS:
+                    raw = data[l4_off : l4_off + 4]
+                    l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, 4 - len(raw)))
+                key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
+                                           ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _MALFORMED))
+                event = _tuple_new(CorruptionEvent, (_HEAP_OVERREAD, header_len - total_length, 2))
+                return _tuple_new(ExtractionResult, (key, (event,), _ACCEPT))
+            # Well-formed: version 4, at least the minimal header, and a total
+            # length from the header length up to the octets past Ethernet.
+            if (version_ihl >> 4 == 4 and header_len >= IPV4_MIN_HEADER_LEN
+                    and header_len <= total_length <= size - ETHERNET_HEADER_LEN):
+                l4_src = l4_dst = None
+                if proto in _L4_PROTOS and header_len + 4 <= total_length:
+                    l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
+                key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
+                                           ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
+                return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
         key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
-                                   ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, status))
-    else:
-        key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
-                                   None, None, None, None, None, None, None, _L2_ONLY))
-        return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
-    verdict = _DROP if status is _MALFORMED and not events else _ACCEPT
-    return _tuple_new(ExtractionResult, (key, events, verdict))
+                                   None, None, None, None, None, None, None, _MALFORMED))
+        return _tuple_new(ExtractionResult, (key, (), _DROP))
 
-
-def _extract_mpls(data, profile, adjacent):
-    """Walk an MPLS stack; returns (status, top entry or _NO_LSE, depth, events)."""
-    limit = profile.label_limit
-    mode = profile.mode
-    size = len(data)
-    n_complete = (size - ETHERNET_HEADER_LEN) // 4
-    frag_len = (size - ETHERNET_HEADER_LEN) % 4
-
-    # Index of the first entry with the bottom-of-stack flag, -1 when absent: one strided
-    # slice takes each complete entry's third octet, and is empty when there is none.
-    s_idx = data[_S_FLAG_OCTET : size - frag_len : 4].translate(_S_FLAG_TABLE).find(1)
-
-    if s_idx >= 0:
-        # Same result for every profile: record the top entry, count depth up
-        # to the buffer capacity, never parse beneath the stack.
-        depth = s_idx + 1 if s_idx < limit else limit
-        return _MPLS_TERMINATED, _lse_fields(data), depth, ()
-
-    if mode is _V232 and n_complete > limit:
-        # Unbounded copy loop: with no stack bottom in sight, every entry in
-        # the frame lands in the fixed-capacity buffer.
-        event = _tuple_new(CorruptionEvent, (_STACK_OVERFLOW_WRITE, 0, 4 * (n_complete - limit)))
-        return _MALFORMED, _lse_fields(data), n_complete, (event,)
-
-    if mode is _V240 and frag_len > 0:
-        # The walk reads a full 4-octet entry where only frag_len octets
-        # remain, blending frame bytes with whatever lies past the packet.
-        missing = 4 - frag_len
-        # The blended entry is the key's only when no complete entry precedes it.
-        if n_complete:
-            first = _lse_fields(data)
-        else:
-            first = _lse_fields(data[ETHERNET_HEADER_LEN:] + _adjacent_prefix(adjacent, missing), 0)
-        depth = n_complete + 1
-        event = _tuple_new(CorruptionEvent, (_SHORT_LSE_OVERFLOW, 0, missing))
-        return _MALFORMED, first, depth, (event,)
-
-    # Shared malformed path: the stack never terminated (and/or a trailing
-    # fragment remained) and no profile-specific trigger applies.
-    depth = n_complete if n_complete <= limit else limit
-    return _MALFORMED, _NO_LSE, depth, ()
-
-
-def _extract_ipv4(data, profile, adjacent):
-    """Parse IPv4 and its ports; returns (status, IP fields, events).
-
-    The IP fields are (ip_src, ip_dst, ip_proto, ip_tos, ip_ttl, l4_src, l4_dst).
-    """
-    rem = len(data) - ETHERNET_HEADER_LEN
-    if rem < IPV4_MIN_HEADER_LEN:
-        return _MALFORMED, _NO_IP, ()
-
-    version_ihl, tos, total_length, ttl, proto, ip_src, ip_dst = _IPV4_FIELDS.unpack_from(data, ETHERNET_HEADER_LEN)
-    version = version_ihl >> 4
-    ihl = version_ihl & 0xF
-    header_len = ihl * 4
-    l4_off = ETHERNET_HEADER_LEN + header_len
-
-    if profile.mode is _V250 and (total_length == 0 or total_length < header_len):
-        # 16-bit payload-length arithmetic underflows, so the parser believes
-        # an enormous datagram follows and reads L4 ports past the claimed
-        # end -- from the frame if the octets exist there, otherwise from the
-        # adjacent region.
-        l4_src = l4_dst = None
-        if proto in _L4_PROTOS:
-            raw = data[l4_off : l4_off + 4]
-            l4_src, l4_dst = _PORTS.unpack(raw + _adjacent_prefix(adjacent, 4 - len(raw)))
-        event = _tuple_new(CorruptionEvent, (_HEAP_OVERREAD, header_len - total_length, 2))
-        return _MALFORMED, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), (event,)
-
-    well_formed = version == 4 and ihl >= 5 and total_length >= header_len
-    if not well_formed or total_length > rem:
-        return _MALFORMED, _NO_IP, ()
-
-    l4_src = l4_dst = None
-    if proto in _L4_PROTOS and header_len + 4 <= total_length:
-        l4_src, l4_dst = _PORTS.unpack_from(data, l4_off)
-    return _COMPLETE, (ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst), ()
+    key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
+                               None, None, None, None, None, None, None, _L2_ONLY))
+    return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
 
 
 def key_signature(data: bytes, in_port: int) -> tuple | None:
@@ -349,8 +352,8 @@ def key_signature(data: bytes, in_port: int) -> tuple | None:
 
     A frame of at least 34 octets whose version/IHL octet is 0x45 has the
     signature ``(in_port, data[:SIGNATURE_LEN], len(data))``. Under any
-    profile or ``adjacent``, extract's option-less IPv4 step and
-    ``_extract_ipv4`` read just the port, the frame length and the first 38
+    profile or ``adjacent``, extract's option-less IPv4 step and the IPv4
+    branch of ``_walk`` read just the port, the frame length and the first 38
     octets of such a frame (Ethernet, the 20-octet header, the L4 ports),
     never the payload. Widen the signature whenever either reads more. Every
     other frame, IP options included, has none, so the memo never holds it.

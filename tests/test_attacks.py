@@ -761,7 +761,7 @@ def test_minimize_equals_greedy_trim_on_firing_mutants_and_non_firing_frames():
 @pytest.mark.parametrize("profiles", [ALL_PROFILES, tuple(reversed(ALL_PROFILES)), _MINIMIZE_PROFILE_SETS[5]])
 def test_minimize_largest_long_shim_in_logarithmic_extract_calls(monkeypatch, profiles):
     """A 65,535-octet long shim minimizes to one entry past the smallest v232 limit in at most
-    len(profiles) * (ceil(log2 n) + 2) extract calls."""
+    (ceil(log2 n) + 2) extract calls per v232 profile, the only mode that emits LongStack."""
     frame = craft(AttackSpec(AttackKind.LONG_SHIM, frame_size=SNAPLEN))
     real = attacks.extract
     calls = []
@@ -774,7 +774,9 @@ def test_minimize_largest_long_shim_in_logarithmic_extract_calls(monkeypatch, pr
     exemplar = minimize(frame, VulnClass.LONG_STACK_232, profiles)
     limit = min(p.label_limit for p in profiles if p.mode is ParserMode.VULN_232)
     assert exemplar == RawFrame.of(frame.data[: 14 + 4 * (limit + 1)])
-    assert 0 < len(calls) <= len(profiles) * (math.ceil(math.log2(SNAPLEN)) + 2), len(calls)
+    v232 = [p for p in profiles if p.mode is ParserMode.VULN_232]
+    assert {args[2] for args in calls} <= set(v232)
+    assert 0 < len(calls) <= len(v232) * (math.ceil(math.log2(SNAPLEN)) + 2), len(calls)
 
 
 def test_report_text_format():
@@ -801,10 +803,30 @@ def test_long_shim_frame_size_bounded_by_snaplen():
 # --- verdict memo -----------------------------------------------------------------
 
 
-def _asked(vulnerable, malformed):
-    """The vulnerable profiles diff_fuzz asks: all on a MALFORMED frame, else the first of each label limit."""
-    return [p for i, p in enumerate(vulnerable)
-            if malformed or p.label_limit not in [q.label_limit for q in vulnerable[:i]]]
+# The ethertypes each bug's trigger needs: an MPLS stack (RFC 3032) or an IPv4 header (RFC 791).
+_TRIGGER_ETHERTYPES = {
+    ParserMode.VULN_232: {0x8847, 0x8848},
+    ParserMode.VULN_240: {0x8847, 0x8848},
+    ParserMode.VULN_250: {0x0800},
+}
+
+
+def _ethertype(data):
+    """Octets 12-13 of a frame, or None when it is too short for an Ethernet header."""
+    return int.from_bytes(data[12:14], "big") if len(data) >= 14 else None
+
+
+def _asked(vulnerable, malformed, ethertype):
+    """The vulnerable profiles diff_fuzz asks: on a MALFORMED frame, each whose bug needs the frame's ethertype;
+    on every frame, the first of each label limit among the others."""
+    asked, limits = [], set()
+    for p in vulnerable:
+        if malformed and ethertype in _TRIGGER_ETHERTYPES[p.mode]:
+            asked.append(p)
+        elif p.label_limit not in limits:
+            limits.add(p.label_limit)
+            asked.append(p)
+    return asked
 
 
 def _reference_diff_fuzz(corpus, budget, profiles, ask_all=False):
@@ -821,7 +843,7 @@ def _reference_diff_fuzz(corpus, budget, profiles, ask_all=False):
         results = [attacks.extract(frame, 0, profile) for profile in hardened]
         malformed = any(result.key.parse_status is ParseStatus.MALFORMED for result in results)
         results += [attacks.extract(frame, 0, profile)
-                    for profile in (vulnerable if ask_all else _asked(vulnerable, malformed))]
+                    for profile in (vulnerable if ask_all else _asked(vulnerable, malformed, _ethertype(frame.data)))]
         found = [classify_events(result.events) for result in results if result.events]
         if found:
             hardened_events += sum(1 for result in results[: len(hardened)] if result.events)
@@ -911,6 +933,17 @@ _LOW_LIMIT_FIRST = (
 )
 
 
+# At label limit 3 only v250, whose trigger never lies behind MPLS. On an unterminated stack
+# of two entries or more that fires nothing (the long shim itself, under no v232), only its
+# key shows the deeper depth, so a MALFORMED MPLS frame must ask it as the first other
+# profile of its limit.
+_NO_MPLS_TRIGGER_AT_3 = (
+    ParserProfile(ParserMode.HARDENED, 1),
+    ParserProfile(ParserMode.VULN_240, 1),
+    VULN_250,
+)
+
+
 def _same_report(report, expected):
     assert report.to_text() == expected.to_text()
     assert [frame.data for frame in report.exemplar_frames()] == [frame.data for frame in expected.exemplar_frames()]
@@ -920,8 +953,8 @@ def _same_report(report, expected):
 @pytest.mark.parametrize("iterations", [0, 1, 2000])
 @pytest.mark.parametrize(
     "profiles",
-    [ALL_PROFILES, _MIXED_LIMITS, _TWO_HARDENED, _LOW_LIMIT_FIRST],
-    ids=["all", "mixed-limits", "two-hardened", "low-limit-first"],
+    [ALL_PROFILES, _MIXED_LIMITS, _TWO_HARDENED, _LOW_LIMIT_FIRST, _NO_MPLS_TRIGGER_AT_3],
+    ids=["all", "mixed-limits", "two-hardened", "low-limit-first", "no-mpls-trigger-at-3"],
 )
 @pytest.mark.parametrize("noisy", [False, True], ids=["real", "noisy"])
 def test_diff_fuzz_equals_memo_free_reference(monkeypatch, iterations, profiles, noisy):
@@ -943,7 +976,8 @@ def test_diff_fuzz_judges_each_distinct_frame_once(monkeypatch, cap):
 
     Frames past the first ``VERDICT_MEMO_FRAMES`` distinct ones are judged at every occurrence.
     Every hardened profile is asked about every frame, and the vulnerable ones as ``_asked``
-    says: all of them about a MALFORMED frame, the first of each label limit about any other.
+    says: about a MALFORMED frame, each whose bug needs its ethertype and the first of each label
+    limit among the others; about any other frame, the first of each label limit.
     """
     real_extract, real_minimize = attacks.extract, attacks.minimize
     position = {id(profile): index for index, profile in enumerate(_TWO_HARDENED)}
@@ -973,12 +1007,18 @@ def test_diff_fuzz_judges_each_distinct_frame_once(monkeypatch, cap):
     hardened = [p for p in _TWO_HARDENED if p.mode is ParserMode.HARDENED]
     vulnerable = [p for p in _TWO_HARDENED if p.mode is not ParserMode.HARDENED]
     asked = {}
+    counts_by_kind = collections.defaultdict(set)
     for data in occurrences:
         frame = RawFrame(data, len(data))
         malformed = any(real_extract(frame, 0, p).key.parse_status is ParseStatus.MALFORMED for p in hardened)
-        asked[data] = [position[id(p)] for p in hardened + _asked(vulnerable, malformed)]
-    # Both kinds of frame occur: 2 hardened and 2 first-of-limit profiles, or all 6 profiles.
-    assert {len(indexes) for indexes in asked.values()} == {4, 6}
+        ethertype = _ethertype(data)
+        asked[data] = [position[id(p)] for p in hardened + _asked(vulnerable, malformed, ethertype)]
+        kind = ("malformed-" + {None: "short", 0x0800: "ipv4", 0x8847: "mpls", 0x8848: "mpls"}[ethertype]) if malformed else "accepted"
+        counts_by_kind[kind].add(len(asked[data]))
+    # Every kind of frame occurs. Besides the 2 hardened profiles: an accepted or short frame asks the first
+    # of each limit (v240/1, v232/3); an MPLS one all 4 (v250/3 as the first other of limit 3); an IPv4 one
+    # v250/3 and the first others of each limit (v240/1, v232/3), skipping the second v240/1.
+    assert counts_by_kind == {"accepted": {4}, "malformed-mpls": {6}, "malformed-ipv4": {5}, "malformed-short": {4}}
     expected = _reference_diff_fuzz(corpus, budget, _TWO_HARDENED)
 
     calls.clear()

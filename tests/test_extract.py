@@ -459,6 +459,72 @@ def test_profiles_of_one_label_limit_agree_where_hardened_accepts():
     assert 1000 < accepted < 2 * len(frames)
 
 
+def _trigger_frames():
+    """Frames on the edges of every branch of the walk, for the trigger table's test.
+
+    Lengths around 14, 34 and 38 under each ethertype; IPv4 with IHL 0-15 and total
+    lengths 0, 19, 20 and the header length +-1; MPLS stacks of 0-5 entries with no
+    bottom entry, ending in fragments of 0-3 octets; long unterminated stacks; and
+    terminated ones.
+    """
+    rng = random.Random(232240250)
+    ethertypes = (0x0800, 0x8847, 0x8848, 0x86DD, 0x0806)
+    frames = [rng.randbytes(size) for size in range(1, 14)]
+    for size in (14, 15, 33, 34, 35, 37, 38, 39, 60):
+        for ethertype in ethertypes:
+            data = bytearray(rng.randbytes(size))
+            struct.pack_into(">H", data, 12, ethertype)
+            frames.append(data)
+    for size in (34, 37, 38, 60, 90):
+        for ihl in range(16):
+            for total_length in sorted({0, 19, 20, max(0, 4 * ihl - 1), 4 * ihl, 4 * ihl + 1, size - 14}):
+                for proto in (6, 17, 1):
+                    data = bytearray(rng.randbytes(size))
+                    struct.pack_into(">HBBH", data, 12, 0x0800, 0x40 | ihl, 0, total_length)
+                    data[23] = proto
+                    frames.append(data)
+    for ethertype in (0x8847, 0x8848):
+        head = bytes(12) + ethertype.to_bytes(2, "big")
+        for entries in range(6):
+            for frag in range(4):
+                data = bytearray(head + rng.randbytes(4 * entries + frag))
+                for offset in range(16, 14 + 4 * entries, 4):
+                    data[offset] &= 0xFE
+                frames.append(data)
+                if entries:
+                    terminated = bytearray(data)
+                    terminated[14 + 4 * (entries - 1) + 2] |= 1
+                    frames.append(terminated)
+        frames.append(head + MplsLse(0, ttl=64).encode() * 375)
+    return [RawFrame.of(bytes(data)) for data in frames]
+
+
+def test_trigger_table_agrees_with_the_walk():
+    """Each vulnerable mode fires only on frames the hardened walk finds MALFORMED, only behind the ethertypes
+    TRIGGERS lists for it, and behind every one of them, with the class TRIGGERS names; a profile that fires
+    nothing returns the hardened result of its label limit."""
+    assert set(extract_module.TRIGGERS) == set(ParserMode) - {ParserMode.HARDENED}
+    fired_behind = {mode: set() for mode in extract_module.TRIGGERS}
+    skipped = 0
+    for frame in _trigger_frames():
+        ethertype = int.from_bytes(frame.data[12:14], "big") if len(frame.data) >= 14 else None
+        for limit in (1, 3):
+            hardened = extract(frame, 0, ParserProfile(ParserMode.HARDENED, limit))
+            assert hardened.events == ()
+            malformed = hardened.key.parse_status is ParseStatus.MALFORMED
+            for mode, (ethertypes, cls) in extract_module.TRIGGERS.items():
+                result = extract(frame, 0, ParserProfile(mode, limit))
+                if result.events:
+                    assert malformed and ethertype in ethertypes, (frame.data.hex(), mode, limit)
+                    assert classify_events(result.events) is cls
+                    fired_behind[mode].add(ethertype)
+                else:
+                    assert result == hardened, (frame.data.hex(), mode, limit)
+                    skipped += malformed and ethertype not in ethertypes
+    assert fired_behind == {mode: set(ethertypes) for mode, (ethertypes, _) in extract_module.TRIGGERS.items()}
+    assert skipped > 1000
+
+
 def _boundary_frames():
     """Frames on every edge of the option-less IPv4 shortcut's entry test."""
     rng = random.Random(38)
