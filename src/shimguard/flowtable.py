@@ -1,22 +1,28 @@
-"""Match and action stages: rule table plus microflow and megaflow caches.
+"""Match and action stages: rule table plus the megaflow cache and its memo.
 
 One SwitchState is the full forwarding state of a switch: the rule list is
 the slow path, consulted on cache miss; each miss installs a megaflow entry
-masked down to exactly the fields rule selection consulted. Of the packets
-a megaflow hit or an upcall answers, one in MICROFLOW_ADMIT_EVERY installs
-a microflow entry pointing at its megaflow entry. A packet is answered by
-exactly one of five paths, tried in order: a parse drop, a memo hit (a
-repeated well-formed IPv4 frame takes the megaflow entry of its earlier
-parse, skipping extraction and the microflow), a microflow hit, a megaflow
-hit, an upcall. A switch built with its caches disabled is a pure
+masked down to exactly the fields rule selection consulted. A packet is
+answered by exactly one of four paths: a parse drop, a memo hit, a megaflow
+hit, an upcall. The memo (``signatures``) maps the first 38 octets, length
+and port of a repeated option-less IPv4 TCP or UDP frame straight to its
+megaflow entry. Such a frame (one past the raw gate, ``_RAW_GATE``) is never
+parsed: each mask table is probed with the frame's header fields projected
+onto the table's mask (``raw_projector``), as OVS probes each subtable with
+its mask over the packet's header, and an upcall builds its key from the
+same fields. Every other frame is parsed by ``extract`` and probed with its
+key. The microflow answers no packet: it is the memo's admission filter, a
+bounded set of the signatures of one in MICROFLOW_ADMIT_EVERY candidates
+(the raw megaflow hits and upcalls), and a signature sampled while already
+there enters the memo. A switch built with its caches disabled is a pure
 slow-path device, which is how the benchmark isolates slow-path cost.
 
 A cache hit pays one count, its megaflow entry's ``hits``, as an OVS
 datapath flow keeps its own packet count. ``stats`` sums those on read: the
 other paths are rare, and count as they happen. What a rule's actions do is
 fixed when the switch is built: the disposition, and the ``pop_mpls_noop``
-count for a key with a label and for one without. The two exact-match
-caches, the microflow and the memo, hold at most MICROFLOW_CAPACITY keys each.
+count for a key with a label and for one without. The microflow and the
+memo hold at most MICROFLOW_CAPACITY signatures each.
 
 The rule scan is one function generated when the switch is built
 (``_compile_scan``), one ``if`` per rule in scan order; it returns the scan
@@ -35,13 +41,17 @@ packet for packet.
 from __future__ import annotations
 
 import re
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .extract import SIGNATURE_LEN, EmptyFrameError, ParserMode, ParserProfile, Verdict, extract, key_signature
+from .extract import _L4_PROTOS, SIGNATURE_LEN, EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
+    ETHERNET_HEADER_LEN,
+    ETHERTYPE_IPV4,
+    IPV4_MIN_HEADER_LEN,
     FlowKey,
     ParseStatus,
     RawFrame,
@@ -53,9 +63,10 @@ from .packet import (
 )
 
 MICROFLOW_CAPACITY = 4096
-# The microflow admits one in this many of its candidates, the packets a megaflow hit or an
-# upcall answers (OVS's emc-insert-inv-prob, made deterministic): under churn most of them
-# skip the insert and its eviction, while a repeated flow gets in after about this many misses.
+# The microflow samples one in this many candidates, the frames past the raw gate that a
+# megaflow hit or an upcall answers (OVS's emc-insert-inv-prob, made deterministic): under
+# churn most of them skip the filter, while a flow repeated alone is sampled twice, and so
+# enters the memo, within twice this many packets.
 MICROFLOW_ADMIT_EVERY = 8
 
 
@@ -213,31 +224,34 @@ class _Field(NamedTuple):
     ``source`` is the name of the FlowKey field holding the value. ``bits``
     is the header field's width, which a numeric rule value must fit; it is
     None where the syntax already bounds the value: MAC and IPv4 addresses,
-    and the parse status.
+    and the parse status. ``raw`` is the field's value on a frame past the
+    raw gate (see ``raw_projector``), as source over the port ``p``, the
+    frame's octets ``d`` and ``f``, the _RAW_FIELDS unpack at octet 12.
     """
 
     source: str
     parse: Callable[[str], object]
     show: Callable[[object], str]
     bits: int | None
+    raw: str
 
 
 # The rule language, one row per field, in rule-file documentation order.
 # in_port and mpls_s parse as decimal only. The key's mpls_s is a bool and a
 # rule's an int; "{:d}" prints both as 0 or 1.
 _FIELDS: dict[str, _Field] = {
-    "in_port": _Field("in_port", _decimal, str, 32),
-    "eth_src": _Field("eth_src", parse_mac, format_mac, None),
-    "eth_dst": _Field("eth_dst", parse_mac, format_mac, None),
-    "eth_type": _Field("ethertype", _int0, "0x{:04x}".format, 16),
-    "mpls_label": _Field("mpls_label", _int0, str, 20),
-    "mpls_s": _Field("mpls_s", _decimal, "{:d}".format, 1),
-    "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, None),
-    "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, None),
-    "ip_proto": _Field("ip_proto", _int0, str, 8),
-    "l4_src": _Field("l4_src", _int0, str, 16),
-    "l4_dst": _Field("l4_dst", _int0, str, 16),
-    "parse_status": _Field("parse_status", parse_status, str, None),
+    "in_port": _Field("in_port", _decimal, str, 32, "p"),
+    "eth_src": _Field("eth_src", parse_mac, format_mac, None, "d[6:12]"),
+    "eth_dst": _Field("eth_dst", parse_mac, format_mac, None, "d[:6]"),
+    "eth_type": _Field("ethertype", _int0, "0x{:04x}".format, 16, "f[0]"),
+    "mpls_label": _Field("mpls_label", _int0, str, 20, "None"),
+    "mpls_s": _Field("mpls_s", _decimal, "{:d}".format, 1, "None"),
+    "ip_src": _Field("ip_src", parse_ipv4, format_ipv4, None, "f[6]"),
+    "ip_dst": _Field("ip_dst", parse_ipv4, format_ipv4, None, "f[7]"),
+    "ip_proto": _Field("ip_proto", _int0, str, 8, "f[5]"),
+    "l4_src": _Field("l4_src", _int0, str, 16, "f[8]"),
+    "l4_dst": _Field("l4_dst", _int0, str, 16, "f[9]"),
+    "parse_status": _Field("parse_status", parse_status, str, None, "COMPLETE"),
 }
 
 # Each rule field's position in the key.
@@ -256,6 +270,39 @@ def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
     if len(positions) > 1:
         return itemgetter(*positions)
     return lambda key: tuple([key[i] for i in positions])
+
+
+# The raw gate: a frame of at least 38 octets whose octets 12-14 are the IPv4 ethertype and
+# version/IHL 0x45, whose total length is 24 or more and fits the octets past Ethernet, and
+# whose protocol is TCP or UDP. extract's option-less IPv4 shortcut answers every such frame
+# with a COMPLETE key holding both ports, under any profile. Past the octet test, the frame is
+# read in one unpack at octet 12, extract's _IPV4_FRAME without the MAC addresses: ethertype,
+# version/IHL, TOS, total length, TTL, protocol, source, destination, the L4 ports.
+_RAW_GATE = bytes((ETHERTYPE_IPV4 >> 8, ETHERTYPE_IPV4 & 0xFF, 0x45))
+_RAW_FIELDS = struct.Struct(">HBBH4xBB2xIIHH")
+_RAW_MIN_TOTAL_LENGTH = IPV4_MIN_HEADER_LEN + 4  # the header and both ports
+_tuple_new = tuple.__new__
+
+
+def raw_projector(mask: tuple[str, ...]) -> Callable[[int, bytes, tuple], tuple]:
+    """Compile the projection, onto a field list, of a frame past the raw gate.
+
+    It takes the port, the frame's octets and their _RAW_FIELDS unpack at
+    octet 12, and returns what ``mask_projector(mask)`` returns for the key
+    extract builds from them, without building that key. Each field reads
+    its ``_Field.raw`` source; like ``_compile_scan``'s, the function runs
+    in a namespace without builtins.
+    """
+    namespace: dict[str, object] = {"__builtins__": {}, "COMPLETE": _COMPLETE}
+    exec(f"def raw(p, d, f): return ({''.join(_FIELDS[name].raw + ', ' for name in mask)})", namespace)
+    return namespace["raw"]
+
+
+def _raw_key(in_port: int, data: bytes, fields: tuple) -> FlowKey:
+    """The key extract's option-less IPv4 shortcut builds for a frame past the raw gate, from its raw fields."""
+    _, _, tos, _, ttl, proto, ip_src, ip_dst, l4_src, l4_dst = fields
+    return _tuple_new(FlowKey, (in_port, data[6:12], data[:6], ETHERTYPE_IPV4, None, None, None, None, 0,
+                                ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
 
 
 @dataclass(frozen=True)
@@ -357,24 +404,27 @@ class SwitchState:
     def __init__(self, rules: Iterable[Rule] = (), megaflow_enabled: bool = True) -> None:
         self.rules: list[Rule] = list(rules)
         self.megaflow_enabled = megaflow_enabled
-        self.microflow: OrderedDict[FlowKey, MegaflowEntry] = OrderedDict()
-        # Microflow candidates left until the next is admitted; 1, so the first one is.
+        # The memo's admission filter: signatures of sampled candidates -> their megaflow entry,
+        # oldest insert out first. It answers no packet.
+        self.microflow: OrderedDict[tuple, MegaflowEntry] = OrderedDict()
+        # Candidates left until the next is sampled; 1, so the first one is.
         self._admit_in = 1
-        # key_signature of a frame -> the megaflow entry of the key extract built for it, as the
-        # microflow maps a key; oldest out first, same bound as the microflow. A signature is
-        # stored on a microflow hit of a COMPLETE key without IP options, so a flow reaches the
-        # memo only after the microflow admitted its key. Exact only while the entry stays in
-        # `megaflows`: a megaflow eviction must also drop every microflow key and signature
-        # pointing at it. A memo hit counts only in the entry's `hits`, which `stats` reads from
-        # `megaflows`.
+        # The memo: the signature (in_port, data[:SIGNATURE_LEN], len(data)) of a frame past the
+        # raw gate -> the megaflow entry answering it; oldest out first, same bound as the
+        # microflow. A sampled candidate's signature is stored here when the microflow already
+        # holds it, so a flow reaches the memo only once two of its packets were sampled. Exact
+        # only while the entry stays in `megaflows`: a megaflow eviction must also drop every
+        # microflow and memo signature pointing at it. A memo hit counts only in the entry's
+        # `hits`, which `stats` reads from `megaflows`.
         self.signatures: OrderedDict[tuple, MegaflowEntry] = OrderedDict()
-        # mask -> (compiled projector, table keyed by projection), in install order. At most one
-        # entry of all the tables matches any key, so the order tables are probed in is invisible.
-        # Every cache hit is counted in one of these entries' `hits`, and `stats` sums them here.
-        self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = {}
-        # The same (projector, table) pairs in probe order: largest table first, ties in the
-        # order they reached that size. `_upcall` keeps it sorted, so a hit updates nothing.
-        self._probe: list[tuple[Callable[[FlowKey], tuple], dict[tuple, MegaflowEntry]]] = []
+        # mask -> (compiled projector, raw projector, table keyed by projection), in install order.
+        # At most one entry of all the tables matches any key, so the order tables are probed in
+        # is invisible. Every cache hit is counted in one of these entries' `hits`, and `stats`
+        # sums them here.
+        self.megaflows: dict[tuple[str, ...], tuple[Callable[[FlowKey], tuple], Callable, dict[tuple, MegaflowEntry]]] = {}
+        # The same triples in probe order: largest table first, ties in the order they reached
+        # that size. `_upcall` keeps it sorted, so a hit updates nothing.
+        self._probe: list[tuple[Callable[[FlowKey], tuple], Callable, dict[tuple, MegaflowEntry]]] = []
         # The dict `stats` fills and returns. slow_path_upcalls, no_rule_match and pop_mpls_noop
         # are counted here as they happen; `stats` writes the rest on each read.
         self._stats: dict[str, int] = {k: 0 for k in STAT_KEYS}
@@ -397,15 +447,15 @@ class SwitchState:
 
         def target(fields: frozenset[str], actions: tuple[Action, ...]) -> tuple:
             mask = tuple(sorted(fields))
-            return mask, mask_projector(mask), _outcome(actions)
+            return mask, mask_projector(mask), raw_projector(mask), _outcome(actions)
 
         # What an upcall installs when the rule at each scan position wins,
-        # and when none does: mask, compiled projector, outcome.
+        # and when none does: mask, compiled projector and raw projector, outcome.
         self._winners = [target(consulted[rule.priority], rule.actions) for rule in scan]
         self._miss = target(acc, DEFAULT_ACTIONS)
 
     def megaflow_entry_count(self) -> int:
-        return sum(len(table) for _, table in self.megaflows.values())
+        return sum(len(table) for *_, table in self.megaflows.values())
 
     @property
     def stats(self) -> dict[str, int]:
@@ -421,7 +471,7 @@ class SwitchState:
         """
         totals = dict(self._answered)
         hits = 0
-        for _, table in self.megaflows.values():
+        for *_, table in self.megaflows.values():
             for entry in table.values():
                 hits += entry.hits
                 totals[entry.counter] += entry.hits
@@ -439,9 +489,9 @@ class SwitchState:
         scan_pos = self._scan_rules(key)
         if scan_pos is None:
             stats["no_rule_match"] += 1
-            mask, project, outcome = self._miss
+            mask, project, raw, outcome = self._miss
         else:
-            mask, project, outcome = self._winners[scan_pos]
+            mask, project, raw, outcome = self._winners[scan_pos]
         # The slow path always derives the cache entry (that computation is
         # part of upcall handling); disabling the megaflow cache only stops
         # the entry from being stored.
@@ -451,66 +501,101 @@ class SwitchState:
         self._answered[entry.counter] += 1
         if self.megaflow_enabled:
             probe = self._probe
-            pair = self.megaflows.get(mask)
-            if pair is None:
-                pair = self.megaflows[mask] = project, {}
-                probe.append(pair)
-            pair[1][values] = entry
+            triple = self.megaflows.get(mask)
+            if triple is None:
+                triple = self.megaflows[mask] = project, raw, {}
+                probe.append(triple)
+            triple[2][values] = entry
             # The grown table moves ahead of every table it now outsizes; a tie keeps the one ahead.
-            size = len(pair[1])
-            at = ahead = probe.index(pair)
-            while ahead and len(probe[ahead - 1][1]) < size:
+            size = len(triple[2])
+            at = ahead = probe.index(triple)
+            while ahead and len(probe[ahead - 1][2]) < size:
                 ahead -= 1
             if ahead != at:
                 probe.insert(ahead, probe.pop(at))
         return entry
 
+    def _sample(self, signature: tuple, entry: MegaflowEntry) -> None:
+        """A sampled candidate: its signature enters the memo if the microflow holds it, else the microflow."""
+        self._admit_in = MICROFLOW_ADMIT_EVERY
+        self._insert(self.signatures if signature in self.microflow else self.microflow, signature, entry)
+
     def _insert(self, cache: OrderedDict, key, value) -> None:
-        """Store a key the exact-match cache lacks, evicting its oldest insert first when it is full."""
+        """Store a signature the microflow or the memo lacks, evicting its oldest insert first when it is full."""
         if len(cache) >= MICROFLOW_CAPACITY:
             cache.popitem(last=False)
         cache[key] = value
 
     def process(self, frame: RawFrame, in_port: int, profile: ParserProfile) -> Disposition:
-        """Extract, look up, act. Returns the packet's disposition.
+        """Look up, act. Returns the packet's disposition.
 
-        Exactly one answers, tried in order: a parse drop, a memo hit, a
-        microflow hit, a megaflow hit, an upcall; a switch built with caches
-        disabled stores nothing, so every packet it extracts is an upcall.
-        A zero-length frame has nothing to extract; it is counted as a drop.
+        Exactly one answers, tried in order: a memo hit; for a frame past the
+        raw gate, a raw megaflow hit or an upcall; for any other frame, a
+        parse drop, a megaflow hit or an upcall after ``extract``. A switch
+        built with caches disabled stores nothing, so every packet it does
+        not drop is an upcall. A zero-length frame has nothing to extract; it
+        is counted as a drop.
 
         A hit, on any cache, counts only in its entry's ``hits``; a parse drop
         or an upcall counts in ``_answered``. ``stats`` derives the rest.
         Acting walks no action list: it adds the entry's ``noop_pops`` count
         for the key's label state, when the entry has one.
 
-        A frame whose ``key_signature`` is in the memo (``signatures``) is
-        answered by the entry stored under it, without ``extract`` or the
-        microflow. That is exact: the memo holds only signatures of COMPLETE
-        keys without IP options, the signature determines the key under any
-        profile, such a key holds no label, and its entry is the one megaflow
-        entry it matches, as megaflow entries are never removed. The probe
-        builds the signature's tuple for any frame, with no IHL test: a probe
-        equal to a stored signature has the same first 38 octets, or the same
-        whole frame when it is shorter, and the same length, so the same octet
-        14, and is that frame's signature too. A microflow miss answered by a
-        megaflow hit or an upcall is a candidate, and with caches on the first
-        candidate and every MICROFLOW_ADMIT_EVERY-th after it enter the
-        microflow. Each cache evicts its oldest insert, and neither admission
-        nor eviction shows in any output: every cache answers a key with the
-        same entry, and with caches on ``len(microflow) ==
-        min(MICROFLOW_CAPACITY, ceil(candidates / MICROFLOW_ADMIT_EVERY))``,
-        as the microflow admits only keys it lacks and evicts only when full.
+        A frame past the raw gate (see _RAW_GATE) probes each mask table
+        with ``raw_projector``'s tuple, which equals the projection of the key
+        extract would build, so it meets the same entry; on a miss, the key
+        for the upcall is built from the fields already read. No such frame
+        is parsed, and its key holds no label.
+
+        A frame whose signature is in the memo (``signatures``) is answered by
+        the entry stored under it. That is exact: the memo holds only
+        signatures of frames past the raw gate, a signature fixes whether a
+        frame passes the gate and its key under any profile, and the entry is
+        the one megaflow entry that key matches, as megaflow entries are never
+        removed. The probe needs no gate test: a probe equal to a stored
+        signature has the same first 38 octets and the same length, so it is
+        that frame's signature too.
+
+        With caches on, a raw hit or raw upcall is a candidate, and the first
+        candidate and every MICROFLOW_ADMIT_EVERY-th after it are sampled. A
+        sampled signature the microflow already holds is stored in the memo;
+        any other is inserted into the microflow. Each of the two evicts its
+        oldest insert, and neither admission nor eviction shows in any output
+        but the microflow's size: with caches on ``len(microflow) ==
+        min(MICROFLOW_CAPACITY, ceil(candidates / MICROFLOW_ADMIT_EVERY) -
+        promotions)``, where promotions are the signatures stored in the memo,
+        as the microflow inserts only signatures it lacks and evicts only when
+        full. A flow repeated alone reaches the memo within 2 x
+        MICROFLOW_ADMIT_EVERY packets; a cycle of more than MICROFLOW_CAPACITY
+        x MICROFLOW_ADMIT_EVERY flows never does, so the memo stays empty and
+        costs one test.
         """
+        data = frame.data
         # An empty memo costs one test.
         if self.signatures:
-            data = frame.data
-            # key_signature inlined: the call cost as much as the rest of a memo hit.
             entry = self.signatures.get((in_port, data[:SIGNATURE_LEN], len(data)))
             if entry is not None:
                 entry.hits += 1
                 if entry.noop_pops:
-                    # Only COMPLETE keys are memoized, and they hold no label.
+                    # Only frames past the raw gate are memoized, and their keys hold no label.
+                    self._stats["pop_mpls_noop"] += entry.noop_pops[0]
+                return entry.disposition
+        size = len(data)
+        if size >= SIGNATURE_LEN and data[12:15] == _RAW_GATE:
+            fields = _RAW_FIELDS.unpack_from(data, 12)
+            if _RAW_MIN_TOTAL_LENGTH <= fields[3] <= size - ETHERNET_HEADER_LEN and fields[5] in _L4_PROTOS:
+                for _, raw, table in self._probe:
+                    entry = table.get(raw(in_port, data, fields))
+                    if entry is not None:
+                        entry.hits += 1
+                        break
+                else:
+                    entry = self._upcall(_raw_key(in_port, data, fields))
+                if self.megaflow_enabled:
+                    self._admit_in -= 1
+                    if not self._admit_in:
+                        self._sample((in_port, data[:SIGNATURE_LEN], size), entry)
+                if entry.noop_pops:
                     self._stats["pop_mpls_noop"] += entry.noop_pops[0]
                 return entry.disposition
         try:
@@ -521,30 +606,13 @@ class SwitchState:
             self._answered["drops"] += 1
             return _DROPPED
         key = result.key
-        microflow = self.microflow
-        # An empty microflow (always so with caches off) is not worth hashing the key for.
-        entry = microflow.get(key) if microflow else None
-        if entry is not None:
-            entry.hits += 1
-            if key.parse_status is _COMPLETE:
-                signature = key_signature(frame.data, in_port)
-                if signature is not None:  # None for a key read past IP options
-                    self._insert(self.signatures, signature, entry)
+        for project, _, table in self._probe:
+            entry = table.get(project(key))
+            if entry is not None:
+                entry.hits += 1
+                break
         else:
-            for project, table in self._probe:
-                entry = table.get(project(key))
-                if entry is not None:
-                    entry.hits += 1
-                    break
-            else:
-                entry = self._upcall(key)
-            if self.megaflow_enabled:
-                # One candidate (megaflow hit or upcall) in MICROFLOW_ADMIT_EVERY enters the
-                # microflow, the first included; its oldest insert goes first.
-                self._admit_in -= 1
-                if not self._admit_in:
-                    self._admit_in = MICROFLOW_ADMIT_EVERY
-                    self._insert(microflow, key, entry)
+            entry = self._upcall(key)
         if entry.noop_pops:
             self._stats["pop_mpls_noop"] += entry.noop_pops[key.mpls_label is not None]
         return entry.disposition
@@ -646,7 +714,7 @@ def dump_state(state: SwitchState) -> str:
             f"caches: microflow={len(state.microflow)}/{MICROFLOW_CAPACITY}"
             f" megaflow={state.megaflow_entry_count()}"
         )
-        for _, table in state.megaflows.values():
+        for *_, table in state.megaflows.values():
             for entry in table.values():
                 lines.append(f"  {entry.describe()}")
     stats = state.stats

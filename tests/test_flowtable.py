@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import shimguard.flowtable as flowtable
+from shimguard.attacks import MutationBudget, mutate
 from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract, key_signature
 from shimguard.flowtable import (
     Drop,
@@ -39,6 +40,7 @@ from shimguard.packet import (
     RawFrame,
     encode_frame,
 )
+from test_extract import _boundary_frames, _trigger_frames
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -306,8 +308,15 @@ def test_load_rules_soak_raises_only_rule_parse_errors():
 
 @pytest.fixture
 def admit_every_miss(monkeypatch):
-    """The microflow admits every candidate, so each megaflow hit and upcall fills it."""
+    """Every candidate is sampled, so a flow's second raw hit or upcall stores it in the memo."""
     monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 1)
+
+
+def _past_raw_gate(data):
+    """The raw gate, read from the octets: option-less IPv4, total length 24 up to the frame, TCP or UDP."""
+    total_length = int.from_bytes(data[16:18], "big")
+    return (len(data) >= 38 and data[12:15] == b"\x08\x00\x45"
+            and 24 <= total_length <= len(data) - 14 and data[23] in (6, 17))
 
 
 def test_repeated_flow_single_upcall():
@@ -366,10 +375,10 @@ def test_microflow_evicts_oldest_insert(monkeypatch):
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
     for frame in (a, b, a, c):
         state.process(frame, 1, HARDENED)
-    key_a, key_b, key_c = (extract(frame, 1, HARDENED).key for frame in (a, b, c))
-    # the hit on A reorders nothing, so C's install evicts A, the oldest insert
-    assert list(state.microflow) == [key_b, key_c]
-    assert key_a not in state.microflow
+    sig_a, sig_b, sig_c = (key_signature(frame.data, 1) for frame in (a, b, c))
+    # the second A is already there, so it goes to the memo and reorders nothing; C's insert evicts A, the oldest
+    assert list(state.microflow) == [sig_b, sig_c]
+    assert list(state.signatures) == [sig_a]
 
 
 def test_microflow_admits_the_first_candidate_then_one_in_eight(monkeypatch):
@@ -378,14 +387,14 @@ def test_microflow_admits_the_first_candidate_then_one_in_eight(monkeypatch):
     frames = [udp_frame(sport=1000 + i) for i in range(25)]
     for frame in frames:  # 25 distinct flows: 25 upcalls, so 25 candidates
         state.process(frame, 1, HARDENED)
-    keys = [extract(frame, 1, HARDENED).key for frame in frames]
+    keys = [key_signature(frame.data, 1) for frame in frames]
     assert flowtable.MICROFLOW_ADMIT_EVERY == 8
     # flows 0, 8, 16 and 24 were admitted; 24's admission evicted 0, the oldest
     assert list(state.microflow) == [keys[16], keys[24]]
     assert state.stats["slow_path_upcalls"] == 25 and state.megaflow_entry_count() == 25
     for frame in frames[:12]:  # 12 megaflow hits; the 8th candidate since flow 24, flow 7, is admitted
         state.process(frame, 1, HARDENED)
-    assert list(state.microflow) == [keys[24], keys[7]]
+    assert list(state.microflow) == [keys[24], keys[7]] and not state.signatures
     assert state.stats["fast_path_hits"] == 12
 
 
@@ -626,10 +635,12 @@ class Unreordered(OrderedDict):
 
 
 class NeverStores(OrderedDict):
-    """A memo that stores nothing, so its switch parses every frame."""
+    """A memo that stores nothing, so its switch looks every frame up; it counts the stores it refused."""
+
+    stores = 0
 
     def __setitem__(self, key, value):
-        pass
+        self.stores += 1
 
 
 def _memo_pool(rng):
@@ -656,71 +667,92 @@ def _memo_pool(rng):
     return pool + _random_traffic(rng, 20)
 
 
+def _occupancy(state, candidates):
+    """The microflow's size the occupancy law gives: sampled candidates less promotions, up to capacity."""
+    sampled = -(-candidates // flowtable.MICROFLOW_ADMIT_EVERY)
+    return min(flowtable.MICROFLOW_CAPACITY, sampled - state.signatures.stores)
+
+
+def _mask_microflow(report):
+    return re.sub(r"microflow=\d+/", "microflow=?/", report)
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
-def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, parsed, capacity):
+def test_signature_memo_equivalent_to_parsing_every_frame(monkeypatch, capacity):
     monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(capacity)
     push_pop = "priority=7, eth_type=0x0800, ip_proto=17, actions=pop_mpls,push_mpls:16,output:3"
     rulesets = [_random_rules(rng, mpls_actions=bool(i % 2)) for i in range(6)] + [load_rules(push_pop)]
-    skipped = 0
+    memo_hits = 0
     for round_no, rules in enumerate(rulesets):
         pool = _memo_pool(rng)
         memo = SwitchState(rules)
-        memo.microflow, memo.signatures = Unreordered(), Unreordered()
+        memo.microflow, memo.signatures = Unreordered(), CountingHits()
         plain = SwitchState(rules)
         plain.signatures = NeverStores()
+        candidates = {id(memo): 0, id(plain): 0}
         for i in range(400):
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
             profile = rng.choice(ALL_PROFILES)
             where = f"round {round_no} frame {i} ({frame.data.hex()})"
-            before = len(parsed)
+            before = memo.signatures.hits
             disposition = memo.process(frame, port, profile)
-            skipped += len(parsed) == before
+            hit = memo.signatures.hits - before
+            memo_hits += hit
             assert disposition == plain.process(frame, port, profile), where
             assert memo.stats == plain.stats, where
-            assert len(memo.microflow) == len(plain.microflow), where  # dump_state's one microflow figure
-        assert dump_state(memo) == dump_state(plain)
+            # dump_state's one microflow figure: the memo's hits are no candidates, so each switch
+            # follows the occupancy law over its own candidates.
+            gated = _past_raw_gate(frame.data)
+            candidates[id(memo)] += gated and not hit
+            candidates[id(plain)] += gated
+            for state in (memo, plain):
+                assert len(state.microflow) == _occupancy(state, candidates[id(state)]), where
+        assert _mask_microflow(dump_state(memo)) == _mask_microflow(dump_state(plain))
         assert not plain.signatures and len(memo.signatures) <= capacity
-    # One memo entry still answers about 90 of the 2800 packets; the larger memos answer over 100.
-    assert skipped > (50 if capacity == 1 else 100)
+    # One memo entry still answers about 50 of the 2800 packets; the larger memos answer over 100.
+    assert memo_hits > (40 if capacity == 1 else 100)
 
 
 @pytest.mark.usefixtures("admit_every_miss")
 @pytest.mark.parametrize("capacity", [1, 2, 4096])
-def test_microflow_size_is_capacity_or_distinct_accepted_keys(monkeypatch, capacity):
+def test_microflow_size_is_capacity_or_distinct_raw_signatures(monkeypatch, capacity):
     # Why eviction order is free: the one microflow figure any output prints never depends on it.
+    # Sampling every candidate, the microflow holds every signature past the raw gate up to capacity.
     monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(100 + capacity)
     for round_no in range(4):
         state = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)))
         pool = _memo_pool(rng)
-        accepted = set()
+        seen = set()
         for i in range(300):
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
-            profile = rng.choice(ALL_PROFILES)
-            result = extract(frame, port, profile)
-            if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
-                accepted.add(result.key)
-            state.process(frame, port, profile)
-            assert len(state.microflow) == min(capacity, len(accepted)), f"round {round_no} frame {i}"
-        assert len(accepted) > 2
+            if _past_raw_gate(frame.data):
+                seen.add(key_signature(frame.data, port))
+            state.process(frame, port, rng.choice(ALL_PROFILES))
+            assert len(state.microflow) == min(capacity, len(seen)), f"round {round_no} frame {i}"
+        assert len(seen) > 2
 
 
 class CountingHits(Unreordered):
-    """A cache that counts its probes that hit."""
+    """A cache that counts its probes that hit and its stores."""
 
-    hits = 0
+    hits = stores = 0
 
     def get(self, key, default=None):
         entry = super().get(key, default)
         self.hits += entry is not None
         return entry
 
+    def __setitem__(self, key, value):
+        self.stores += 1
+        super().__setitem__(key, value)
+
 
 def _hits(state):
-    return [entry.hits for _, table in state.megaflows.values() for entry in table.values()]
+    return [entry.hits for *_, table in state.megaflows.values() for entry in table.values()]
 
 
 def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
@@ -739,19 +771,21 @@ def test_admitting_one_in_eight_changes_only_the_microflow_size(monkeypatch):
                 eighth, every = SwitchState(rules), SwitchState(rules)
                 eighth.microflow, eighth.signatures = CountingHits(), CountingHits()
                 where = f"round {round_no} {profile.mode} capacity {capacity}"
+                candidates = memo_hits = 0
                 for i, (frame, port) in enumerate(stream):
                     monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 8)
                     disposition = eighth.process(frame, port, profile)
                     monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 1)
                     assert disposition == every.process(frame, port, profile), f"{where} frame {i}"
                     assert eighth.stats == every.stats and _hits(eighth) == _hits(every), f"{where} frame {i}"
-                    # Candidates: the packets a cache or an upcall answered, less memo and microflow hits.
-                    answered = eighth.stats["fast_path_hits"] + eighth.stats["slow_path_upcalls"]
-                    candidates = answered - eighth.signatures.hits - eighth.microflow.hits
-                    assert len(eighth.microflow) == min(capacity, -(-candidates // 8)), f"{where} frame {i}"
+                    # Candidates: the packets past the raw gate that the memo did not answer.
+                    candidates += _past_raw_gate(frame.data) and eighth.signatures.hits == memo_hits
+                    memo_hits = eighth.signatures.hits
+                    monkeypatch.setattr(flowtable, "MICROFLOW_ADMIT_EVERY", 8)
+                    assert len(eighth.microflow) == _occupancy(eighth, candidates), f"{where} frame {i}"
                     if len(eighth.microflow) != len(every.microflow):
                         differed.add(capacity)
-                masked = [re.sub(r"microflow=\d+/", "microflow=?/", dump_state(s)) for s in (eighth, every)]
+                masked = [_mask_microflow(dump_state(s)) for s in (eighth, every)]
                 assert masked[0] == masked[1], where
     # The microflows did hold different keys; at capacity 1 both admit the first candidate and stay full.
     assert differed == {2, 4096}
@@ -768,12 +802,13 @@ def test_counters_equal_dispositions_sent_and_entry_hits(monkeypatch, parsed, ca
     if capacity:
         monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
     rng = random.Random(23 + (capacity or 0))
-    memo_hits = 0
+    memo_hits = unparsed = 0
     for round_no in range(4):
         rules = _random_rules(rng, mpls_actions=bool(round_no % 2))
         pool = _memo_pool(rng)
         for profile in ALL_PROFILES:
             state = SwitchState(rules, megaflow_enabled=capacity is not None)
+            state.signatures = CountingHits()
             tally = dict.fromkeys(_COUNTER_OF.values(), 0)
             for sent in range(1, 201):
                 if rng.random() < 0.05:
@@ -782,15 +817,18 @@ def test_counters_equal_dispositions_sent_and_entry_hits(monkeypatch, parsed, ca
                     frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
                 before = len(parsed)
                 disposition = state.process(frame, rng.choice([1, 2]), profile)
-                memo_hits += len(parsed) == before
+                unparsed += len(parsed) == before
                 tally[_COUNTER_OF[type(disposition)]] += 1
                 stats = state.stats
                 where = f"round {round_no} {profile.mode} packet {sent} ({frame.data.hex()})"
                 assert stats["processed"] == sent, where
                 assert {counter: stats[counter] for counter in tally} == tally, where
                 assert stats["fast_path_hits"] == sum(_hits(state)), where
-    # The memo answered some packets, so its hit path was checked too; a switch without caches has none.
+            memo_hits += state.signatures.hits
+    # The memo and the raw lookup answered packets, so their paths were checked too; a switch
+    # without caches has no memo hit, and still answers frames past the raw gate unparsed.
     assert memo_hits > 0 if capacity else memo_hits == 0
+    assert unparsed > memo_hits
 
 
 def test_stats_is_one_dict_whose_live_counters_advance():
@@ -808,32 +846,41 @@ def test_stats_is_one_dict_whose_live_counters_advance():
     assert (held["processed"], held["fast_path_hits"], held["forwards"], held["drops"]) == (4, 1, 2, 2)
 
 
-def _repeated_flows():
-    """64 flows repeated in a seeded order, 2560 packets: the switch that answered them, and the flows."""
+def _repeated_flows(packets=64 * 40):
+    """64 flows repeated in a seeded order: the switch that answered them, and a call sending more of the stream."""
     state = SwitchState(load_rules("priority=2, ip_proto=17, actions=output:2\npriority=1, actions=output:1"))
-    state.microflow, state.signatures = Unreordered(), Unreordered()
+    state.microflow, state.signatures = Unreordered(), CountingHits()
     frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(64)]
     rng = random.Random(9)
-    for _ in range(64 * 40):
-        state.process(frames[rng.randrange(64)], 1, HARDENED)
-    assert state.stats["processed"] == 64 * 40
-    return state, frames
+
+    def send(count):
+        for _ in range(count):
+            state.process(frames[rng.randrange(64)], 1, HARDENED)
+
+    send(packets)
+    assert state.stats["processed"] == packets
+    return state, send
 
 
 @pytest.mark.usefixtures("admit_every_miss")
 def test_signature_memo_parses_each_repeated_flow_at_most_twice(parsed):
+    # Sampling every candidate, a flow's first packet enters the microflow and its second the memo:
+    # each flow is looked up outside the memo exactly twice, and, past the raw gate, never parsed.
     state, _ = _repeated_flows()
-    assert len(parsed) <= 2 * 64
+    assert 64 * 40 - state.signatures.hits == 2 * 64 and not parsed
     assert len(state.signatures) == 64
 
 
 def test_signature_memo_reaches_every_repeated_flow_admitting_one_in_eight(parsed):
-    # A flow waits for a microflow admission, then for a microflow hit, before the memo
-    # stores it; every flow still gets there, at more parses than one admission per miss.
-    state, frames = _repeated_flows()
-    assert len(state.signatures) == 64
-    assert len(parsed) == 569  # this seeded stream's count; admitting every candidate parses 128
-    assert state.stats["slow_path_upcalls"] == 2 and state.stats["fast_path_hits"] == 64 * 40 - 2
+    # A flow waits for two of its packets to be sampled, one candidate in 8, before the memo
+    # stores it; every flow still gets there, at more lookups than sampling every candidate.
+    # This seeded stream's counts: 62 flows by packet 2560, all 64 by packet 3179.
+    state, send = _repeated_flows()
+    assert len(state.signatures) == 62
+    send(64 * 10)
+    assert len(state.signatures) == 64 and not parsed
+    assert 64 * 50 - state.signatures.hits == 1017  # sampling every candidate gives 128
+    assert state.stats["slow_path_upcalls"] == 2 and state.stats["fast_path_hits"] == 64 * 50 - 2
 
 
 @pytest.mark.usefixtures("admit_every_miss")
@@ -851,21 +898,21 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
         "priority=1, actions=drop"
     ))
     frames = [ip_frame(sport=1000 + i, proto=(6, 17)[i % 2]) for i in range(4)]
-    for _ in range(2):  # an upcall, then a microflow hit that stores the memo entry
+    for _ in range(2):  # an upcall, then a raw megaflow hit whose sample stores the memo entry
         for frame in frames:
             state.process(frame, 1, HARDENED)
-    assert len(state.signatures) == 4 and len(parsed) == 8
+    assert len(state.signatures) == 4 and not parsed
     untouched = Untouched()
     for key, entry in state.microflow.items():
         OrderedDict.__setitem__(untouched, key, entry)
     state.microflow = untouched
-    state.signatures = Unreordered(state.signatures)
+    state.signatures = CountingHits(state.signatures)
     before = dict(state.stats)
     for profile in ALL_PROFILES:
         for frame in frames:
             expected = Forwarded((2,)) if frame.data[23] == 17 else Dropped()
             assert state.process(frame, 1, profile) == expected
-    assert len(parsed) == 8 and len(state.microflow) == 4
+    assert not parsed and len(state.microflow) == 4 and state.signatures.hits == 4 * len(ALL_PROFILES)
     gained = {name: count - before[name] for name, count in state.stats.items() if count != before[name]}
     hits = 4 * len(ALL_PROFILES)
     half = hits // 2  # the UDP flows forward through a pop that finds no label; the TCP flows drop
@@ -873,39 +920,44 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
     for frame in frames:
         entry = state.signatures[key_signature(frame.data, 1)]
         key = extract(frame, 1, HARDENED).key
-        project, table = state.megaflows[entry.mask]
+        project, _, table = state.megaflows[entry.mask]
         assert table[project(key)] is entry and entry.hits == 1 + len(ALL_PROFILES)
 
 
-def test_signature_memo_unused_without_caches(parsed):
+def test_signature_memo_unused_without_caches():
     rules = load_rules("priority=1, actions=output:2")
     uncached = SwitchState(rules, megaflow_enabled=False)
-    for _ in range(5):
+    for _ in range(20):
         uncached.process(udp_frame(), 1, HARDENED)
-    assert not uncached.signatures and len(parsed) == 5
+    assert not uncached.signatures and not uncached.microflow
+    assert uncached.stats["slow_path_upcalls"] == 20
     cached = SwitchState(rules)
-    for _ in range(3):
+    cached.signatures = CountingHits()
+    # The first packet and the ninth are sampled: the ninth finds the first in the microflow.
+    for _ in range(1 + 2 * flowtable.MICROFLOW_ADMIT_EVERY):
         cached.process(udp_frame(), 1, HARDENED)
-    assert len(cached.signatures) == 1 and len(parsed) == 7
+    assert len(cached.signatures) == 1 and cached.signatures.hits == flowtable.MICROFLOW_ADMIT_EVERY
 
 
-def test_signature_memo_keyed_on_header_octets_and_port(parsed):
+@pytest.mark.usefixtures("admit_every_miss")
+def test_signature_memo_keyed_on_header_octets_and_port():
     state = SwitchState(load_rules("priority=1, actions=output:2"))
+    state.signatures = CountingHits()
     frame = ip_frame(1514)
-    for _ in range(2):  # an upcall, then a microflow hit that stores the memo entry
+    for _ in range(2):  # an upcall, then a raw megaflow hit whose sample stores the memo entry
         state.process(frame, 1, HARDENED)
-    assert len(parsed) == 2 and list(state.signatures) == [(1, frame.data[:38], 1514)]  # no payload held
+    assert list(state.signatures) == [(1, frame.data[:38], 1514)]  # no payload held
     copy = RawFrame.of(bytes(bytearray(frame.data)))
     other_payload = RawFrame.of(frame.data[:-1] + bytes([frame.data[-1] ^ 1]))
     for twin in (copy, other_payload):
         assert state.process(twin, 1, HARDENED) == Forwarded((2,))
-    assert len(parsed) == 2  # an equal copy and a payload-only change: memo hits
-    other_ident = ip_frame(1514, ident=7)
-    state.process(other_ident, 1, HARDENED)
+    assert state.signatures.hits == 2  # an equal copy and a payload-only change: memo hits
+    state.process(ip_frame(1514, ident=7), 1, HARDENED)
     state.process(frame, 2, HARDENED)
-    assert parsed[2:] == [other_ident, frame]  # another header octet, another port: parsed
+    assert state.signatures.hits == 2  # another header octet, another port: looked up
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 def test_signature_memo_probe_is_key_signature():
     # process builds the probe tuple inline; wherever a frame has a signature, the probe is it.
     class RecordsProbes(OrderedDict):
@@ -917,7 +969,7 @@ def test_signature_memo_probe_is_key_signature():
     state = SwitchState(load_rules("priority=1, actions=output:2"))
     state.signatures = RecordsProbes()
     stored = ip_frame(sport=7)
-    for _ in range(2):  # an upcall, then a microflow hit that stores the memo entry; neither probes
+    for _ in range(2):  # an upcall, then a raw megaflow hit whose sample stores the memo entry; neither probes
         state.process(stored, 1, HARDENED)
     assert not probes and len(state.signatures) == 1
     frames = [RawFrame.of(stored.data[:size]) for size in range(1, 61)]
@@ -933,6 +985,7 @@ def test_signature_memo_probe_is_key_signature():
     assert len(probes) == 2 * len(frames) and signed > 100
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 def test_signature_memo_never_holds_frames_with_ip_options(parsed):
     # Two frames with one option word: their first 38 octets are equal, and their L4 ports lie past them.
     rules = load_rules("priority=2, l4_dst=80, actions=output:2\npriority=1, actions=drop")
@@ -948,8 +1001,164 @@ def test_signature_memo_never_holds_frames_with_ip_options(parsed):
         disposition = cached.process(frame, 1, HARDENED)
         assert len(parsed) == 2 * i + 1  # parsed on every arrival
         assert disposition == uncached.process(frame, 1, HARDENED) == (Forwarded((2,)), Dropped())[i % 2]
-    # Each frame's later arrivals are parsed, then answered by a microflow or megaflow hit.
+    # Each frame's later arrivals are parsed, then answered by a megaflow hit.
     assert len(cached.signatures) == 1 and cached.stats["slow_path_upcalls"] == 3
+
+
+# --- raw megaflow lookup ----------------------------------------------------------
+
+
+def _raw_lookup_frames():
+    """The trigger table's boundary frames and the shortcut's, plus seeded mutants of frames past the raw gate."""
+    frames = _trigger_frames() + _boundary_frames()
+    seeds = [udp_frame(), udp_frame(sport=0, dport=65535), ip_frame(60, proto=6), ip_frame(1514, sport=443),
+             ip_frame(38), ip_frame(total_length=24), ip_frame(64, pad=bytes(3))]
+    frames += mutate(seeds, MutationBudget(iterations=1500, seed=24))
+    rng = random.Random(24)
+    for _ in range(500):  # bit flips in the octets the gate and the raw fields read
+        data = bytearray(rng.choice(seeds).data)
+        data[rng.randrange(38)] ^= 1 << rng.randrange(8)
+        frames.append(RawFrame.of(bytes(data)))
+    return frames
+
+
+def _raw_masks():
+    """Each rule field alone, all twelve, and every mask an upcall installs under seeded random rule sets."""
+    names = sorted(flowtable._FIELDS)
+    masks = {(name,) for name in names} | {tuple(names)}
+    rng = random.Random(36)
+    for round_no in range(60):
+        state = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)))
+        masks.update(mask for mask, *_ in state._winners + [state._miss])
+    return sorted(masks)
+
+
+def test_raw_projection_equals_the_projection_of_the_extracted_key():
+    frames = _raw_lookup_frames()
+    masks = _raw_masks()
+    pairs = [(mask_projector(mask), flowtable.raw_projector(mask)) for mask in masks]
+    gated = 0
+    for frame in frames:
+        data = frame.data
+        if not _past_raw_gate(data):
+            continue
+        gated += 1
+        fields = flowtable._RAW_FIELDS.unpack_from(data, 12)
+        for port in (1, 0xFFFFFFFF):
+            key = extract(frame, port, VULN_250).key
+            assert key.parse_status is ParseStatus.COMPLETE and key.l4_dst is not None, data.hex()
+            for mask, (project, raw) in zip(masks, pairs):
+                assert raw(port, data, fields) == project(key), (data.hex(), mask)
+    assert gated > 1000 and len(frames) - gated > 2000 and len(masks) > 40
+
+
+def test_raw_lookup_builds_the_extracted_key_and_parses_only_frames_failing_the_gate(monkeypatch):
+    # Uncached, every packet past the raw gate is an upcall on a key built from its raw fields,
+    # and every other one that is not dropped is parsed first.
+    parsed, raw_probed, upcall_keys = [], [], []
+    real_extract, real_raw_projector = flowtable.extract, flowtable.raw_projector
+    monkeypatch.setattr(flowtable, "extract", lambda *args: parsed.append(args[0].data) or real_extract(*args))
+
+    def spying_raw_projector(mask):
+        raw = real_raw_projector(mask)
+        return lambda port, data, fields: raw_probed.append(data) or raw(port, data, fields)
+
+    monkeypatch.setattr(flowtable, "raw_projector", spying_raw_projector)
+    rng = random.Random(2436)
+    frames = _raw_lookup_frames()
+    uncached = SwitchState([], megaflow_enabled=False)
+    real_upcall = uncached._upcall
+    uncached._upcall = lambda key: upcall_keys.append(key) or real_upcall(key)
+    for frame in frames:
+        profile = rng.choice(ALL_PROFILES)
+        del parsed[:], upcall_keys[:]
+        uncached.process(frame, 5, profile)
+        gated = _past_raw_gate(frame.data)
+        assert parsed == ([] if gated else [frame.data]), frame.data.hex()
+        if gated:
+            assert upcall_keys == [extract(frame, 5, profile).key], frame.data.hex()
+    assert not raw_probed  # an uncached switch holds no table to probe
+    # Cached, under random rule sets: a frame failing the gate never reaches a raw probe, and
+    # every frame past it that the memo does not answer is probed raw and never parsed.
+    reached = 0
+    for round_no in range(8):
+        cached = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)))
+        cached.signatures = CountingHits()
+        for frame in rng.sample(frames, 400):
+            del parsed[:], raw_probed[:]
+            memo_hits, tables = cached.signatures.hits, len(cached._probe)
+            cached.process(frame, rng.choice([1, 2]), rng.choice(ALL_PROFILES))
+            assert all(data is frame.data for data in raw_probed), frame.data.hex()
+            if _past_raw_gate(frame.data):
+                assert not parsed
+                assert bool(raw_probed) == (tables and cached.signatures.hits == memo_hits), frame.data.hex()
+                reached += bool(raw_probed)
+            else:
+                assert not raw_probed and parsed == [frame.data], frame.data.hex()
+    assert reached > 800
+
+
+def _memo_reach(flows, packets):
+    """A fresh switch sent ``packets`` packets of ``flows`` in turn: its memo's size, and the packet that filled it."""
+    state = SwitchState(load_rules("priority=1, l4_src=7, actions=output:1"))  # one entry per flow
+    frames = [udp_frame(sport=1000 + i) for i in range(flows)]
+    filled = None
+    for sent in range(1, packets + 1):
+        state.process(frames[(sent - 1) % flows], 1, HARDENED)
+        if filled is None and len(state.signatures) == flows:
+            filled = sent
+    return state, filled
+
+
+@pytest.mark.parametrize("capacity", [2, 4, 64])
+def test_repeated_flow_reaches_the_memo_within_two_samples(monkeypatch, capacity):
+    # Whatever the sampling phase, a flow repeated alone is sampled within MICROFLOW_ADMIT_EVERY
+    # packets and again MICROFLOW_ADMIT_EVERY later, and then it is in the memo.
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
+    every = flowtable.MICROFLOW_ADMIT_EVERY
+    for lead in range(every):
+        state = SwitchState(load_rules("priority=1, actions=output:1"))
+        state.signatures = CountingHits()
+        for n in range(lead):  # other flows shift the sampling phase
+            state.process(udp_frame(sport=5000 + n), 1, HARDENED)
+        frame = udp_frame()
+        for sent in range(1, 2 * every + 1):
+            state.process(frame, 1, HARDENED)
+            if state.signatures:
+                break
+        assert list(state.signatures) == [key_signature(frame.data, 1)], lead
+        assert sent == (-lead) % every + 1 + every, lead
+        state.process(frame, 1, HARDENED)
+        assert state.signatures.hits == 1
+
+
+@pytest.mark.parametrize("capacity", [1, 4, 16])
+def test_uniform_cycle_longer_than_the_filter_leaves_the_memo_empty(monkeypatch, capacity):
+    # A flow sampled once is sampled again only after cycle / MICROFLOW_ADMIT_EVERY or more
+    # samples; when those are more than the microflow holds, it was evicted first, and no
+    # signature is ever promoted. fwd-churn's 65,536-flow cycle against 4096 x 8 is this case.
+    monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
+    every = flowtable.MICROFLOW_ADMIT_EVERY
+    longest_kept = capacity * every
+    for flows in (longest_kept + 1, longest_kept + every, 3 * longest_kept):
+        state, _ = _memo_reach(flows, 6 * flows)
+        assert not state.signatures and len(state.microflow) == capacity, flows
+    # At exactly capacity x MICROFLOW_ADMIT_EVERY flows, the flows sampled in the first cycle
+    # are sampled again before their eviction, and get in.
+    state, _ = _memo_reach(longest_kept, 6 * longest_kept)
+    assert len(state.signatures) == capacity
+
+
+def test_eight_flow_rotation_lets_every_flow_into_the_memo(monkeypatch):
+    # Sampling one candidate in 8 from a fixed rotation of 8 flows picks the same flow each
+    # time; once it is in the memo it is no candidate, the rotation of candidates shrinks, and
+    # the sampling moves on to the next flow.
+    # With room for every flow of the rotation, the last one gets in at packet 229.
+    assert flowtable.MICROFLOW_ADMIT_EVERY == 8
+    for capacity in (8, 16, 4096):
+        monkeypatch.setattr(flowtable, "MICROFLOW_CAPACITY", capacity)
+        state, filled = _memo_reach(8, 400)
+        assert len(state.signatures) == 8 and filled == 229, capacity
 
 
 def _field_value(key, name):
@@ -1117,10 +1326,10 @@ def test_empty_frame_counted_as_drop():
 def _probe_in_rank_order(state, reached):
     """``_probe`` holds every table once, largest first, ties in the order they reached their size."""
     assert sorted(map(id, state._probe)) == sorted(map(id, state.megaflows.values()))
-    sizes = [len(table) for _, table in state._probe]
+    sizes = [len(table) for *_, table in state._probe]
     assert sizes == sorted(sizes, reverse=True)
-    assert [id(table) for _, table in state._probe] == [
-        id(table) for _, table in sorted(state._probe, key=lambda pair: (-len(pair[1]), reached[id(pair[1])]))
+    assert [id(table) for *_, table in state._probe] == [
+        id(table) for *_, table in sorted(state._probe, key=lambda triple: (-len(triple[-1]), reached[id(triple[-1])]))
     ]
 
 
@@ -1137,20 +1346,22 @@ def test_megaflow_entries_reselect_same_actions():
                 result = extract(frame, port, profile)
                 state.process(frame, port, profile)
                 if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
-                    keys.append(result.key)
-                for _, table in state.megaflows.values():
+                    keys.append((result.key, key_signature(frame.data, port)))
+                for *_, table in state.megaflows.values():
                     if sizes.get(id(table)) != len(table):
                         sizes[id(table)], reached[id(table)] = len(table), i
                 _probe_in_rank_order(state, reached)
-            # Re-evaluating the full table for any key reproduces the actions of its
-            # microflow entry (if still cached) and of the one megaflow entry matching it.
+            # Re-evaluating the full table for any key reproduces the actions of the entries its
+            # frame's signature maps to in the microflow and the memo (if still cached), and of
+            # the one megaflow entry matching it.
             scan = _scan_order(rules)
-            for key in keys:
+            for key, signature in keys:
                 pos = state._scan_rules(key)
                 expected = flowtable.DEFAULT_ACTIONS if pos is None else scan[pos].actions
-                micro = state.microflow.get(key)
-                assert micro is None or micro.actions == expected
-                (mega,) = [table[project(key)] for project, table in state.megaflows.values() if project(key) in table]
+                for cache in (state.microflow, state.signatures):
+                    exact = cache.get(signature)
+                    assert exact is None or exact.actions == expected
+                (mega,) = [table[project(key)] for project, _, table in state.megaflows.values() if project(key) in table]
                 assert mega.actions == expected
 
 
@@ -1190,13 +1401,16 @@ def test_tuple_space_flood_leaves_busiest_table_probed_first(monkeypatch, flood_
     text = "".join(f"priority={100 - n}, {match}, actions=output:3\n" for n, (match, _, _) in enumerate(flood))
     rules = load_rules(text + "priority=1, eth_type=0x0800, actions=output:2")
     probes = []
-    real_projector = flowtable.mask_projector
 
-    def counting_projector(mask):
-        project = real_projector(mask)
-        return lambda key: probes.append(mask) or project(key)
+    def counting(make_projector):
+        def counting_projector(mask):
+            project = make_projector(mask)
+            return lambda *args: probes.append(mask) or project(*args)
 
-    monkeypatch.setattr(flowtable, "mask_projector", counting_projector)
+        return counting_projector
+
+    for name in ("mask_projector", "raw_projector"):  # a benign frame is probed raw
+        monkeypatch.setattr(flowtable, name, counting(getattr(flowtable, name)))
     cached, uncached = SwitchState(rules), SwitchState(rules, megaflow_enabled=False)
     benign = [(udp_frame(dport=2000 + n), 1) for n in range(64)]
     stream = [(frame, port) for _, frame, port in flood] + benign
@@ -1205,12 +1419,12 @@ def test_tuple_space_flood_leaves_busiest_table_probed_first(monkeypatch, flood_
         assert cached.process(frame, port, HARDENED) == uncached.process(frame, port, HARDENED)
         for counter in _DISPOSITION_COUNTERS:
             assert cached.stats[counter] == uncached.stats[counter]
-        _, table = cached.megaflows.get(benign_mask, (None, {}))
+        *_, table = cached.megaflows.get(benign_mask, (None, {}))
         # Once the benign table outgrows every flood table, it is probed first.
-        assert len(table) < 2 or cached._probe[0][1] is table
+        assert len(table) < 2 or cached._probe[0][-1] is table
     assert cached.stats["slow_path_upcalls"] == cached.megaflow_entry_count() == flood_masks + len(benign)
     assert len(cached.megaflows) == flood_masks + 1
-    assert [len(table) for _, table in cached._probe] == [len(benign)] + [1] * flood_masks
+    assert [len(table) for *_, table in cached._probe] == [len(benign)] + [1] * flood_masks
     # A benign megaflow hit probes the benign table alone, however many masks the flood added.
     for frame, port in benign:
         cached.microflow.clear()
@@ -1272,6 +1486,7 @@ def test_pop_without_label_is_flagged_noop(names, depth, noops):
     assert disposition_of(walk) == Forwarded((1,))
 
 
+@pytest.mark.usefixtures("admit_every_miss")
 def test_stored_noop_pops_equal_the_per_packet_walk():
     # Every list of 1 to 4 push, pop and output actions, against a key without a label and one with.
     frames = (UNLABELLED, LABELLED)
@@ -1284,12 +1499,13 @@ def test_stored_noop_pops_equal_the_per_packet_walk():
         expected = tuple(_walked_noops(key, walk) for key in keys)
         assert (apply_actions(walk, False), apply_actions(walk, True)) == expected, walk
         state = SwitchState([Rule(priority=1, match=(), actions=walk)])
-        # An upcall and a megaflow hit, then a microflow hit and a megaflow hit, then a memo hit and a megaflow hit.
+        # An upcall and a megaflow hit, then a raw megaflow hit whose sample stores the memo entry and a
+        # megaflow hit, then a memo hit and a megaflow hit.
         for frame, noops in zip(frames * 3, expected * 3):
             before = state.stats["pop_mpls_noop"]
             state.process(frame, 1, HARDENED)
             assert state.stats["pop_mpls_noop"] - before == noops, walk
-        (entry,) = [entry for _, table in state.megaflows.values() for entry in table.values()]
+        (entry,) = [entry for *_, table in state.megaflows.values() for entry in table.values()]
         assert entry.noop_pops == (expected if any(expected) else None), walk
         assert len(state.signatures) == 1 and entry.hits == 5
 
