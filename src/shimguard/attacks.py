@@ -388,9 +388,9 @@ def minimize(frame: RawFrame, cls: VulnClass, profiles: Sequence[ParserProfile])
       label limit in ``profiles``.
     - IpUnderflow fires only under v250, and reads octets 12-33 alone: an
       IPv4 ethertype, and a total length of 0 or below the header length.
-      The option-less shortcut needs a total length of at least 20, the
-      minimum header length, so it never takes such a frame, and a prefix
-      fires exactly when L >= 34.
+      The walk reaches that test on every frame of at least 34 octets with
+      that ethertype, and cutting a suffix changes neither field, so a
+      prefix fires exactly when L >= 34.
 
     ShortLse fires when ``(L - 14) % 4 != 0``, which is no threshold, so it
     keeps the scan, which stops within 3 trims. A frame that does not fire

@@ -28,23 +28,6 @@ profiles of its class's mode. diff_fuzz also relies on extract being a pure
 function of ``frame.data``, the port, the profile and ``adjacent`` (never
 ``orig_len`` or the timestamps) to judge each distinct frame's octets once
 per call.
-
-An option-less IPv4 frame takes a shortcut ahead of the walk: one unpack of
-its first 38 octets (Ethernet, the IPv4 fields, the L4 ports) yields the whole
-key when the ethertype is IPv4, version/IHL is 0x45 and 20 <= total length
-<= the octets past Ethernet. No trigger can fire on such a frame: v232 and
-v240 need an MPLS ethertype, and v250 a total length below the 20-octet
-header. So the walk would return the same COMPLETE key, no events and Accept
-under every profile, label limit and ``adjacent``, which is what the shortcut
-returns. The 38 octets it reads are ``key_signature``'s prefix (SIGNATURE_LEN),
-and the frame length its bound, so the memo stays exact. Every other frame
-(IHL > 5, short, non-IPv4, every trigger) takes the walk, and the memo holds
-none with IHL > 5.
-
-The shortcut first tests the ethertype's high octet (0x08), so only frames of
-38 octets or more whose ethertype is 0x08xx pay its 12-field unpack: IPv4,
-and the rare 0x0806-0x08FF frames, which then fail the ethertype test and
-take the walk. MPLS, VLAN and every other frame go straight to the walk.
 """
 
 from __future__ import annotations
@@ -76,13 +59,6 @@ _ETHERNET = struct.Struct(">6s6sH")  # eth_dst, eth_src, ethertype
 # identification, fragment and checksum fields are skipped.
 _IPV4_FIELDS = struct.Struct(">BBH4xBB2xII")
 _PORTS = struct.Struct(">HH")
-# An option-less IPv4 frame through its L4 ports: the Ethernet fields, then
-# _IPV4_FIELDS at offset 14, then _PORTS at offset 34.
-_IPV4_FRAME = struct.Struct(">6s6sHBBH4xBB2xIIHH")
-_IPV4_FRAME_LEN = _IPV4_FRAME.size
-# key_signature's fixed prefix: the octets the option-less IPv4 shortcut reads.
-SIGNATURE_LEN = _IPV4_FRAME_LEN
-_IPV4_HIGH_OCTET = ETHERTYPE_IPV4 >> 8  # tested before the unpack, so MPLS and VLAN frames skip it
 _IPV4_MIN_FRAME_LEN = ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN  # the shortest frame whose IPv4 fields the walk reads
 _S_FLAG_OCTET = ETHERNET_HEADER_LEN + 2  # the top entry's third octet, which holds its bottom-of-stack flag
 _L4_PROTOS = (IPPROTO_TCP, IPPROTO_UDP)  # the protocols whose ports the key holds
@@ -216,6 +192,12 @@ def extract(
     an exception; only a zero-length frame or an empty ``adjacent`` raises.
     ``adjacent`` stands in for the bytes past the packet (zeros by default; a
     seeded region makes overread blending observable); it is only read.
+
+    Past those checks, one walk serves every profile and every frame. Each
+    branch builds its key and result positionally, field by field, and
+    returns them: the keyword constructor costs about 4x as much, and
+    star-unpacking field groups into one tuple builds a list first. The
+    verdict is DROP exactly on the MALFORMED branches that fire no event.
     """
     data = frame.data
     if not data:
@@ -225,39 +207,6 @@ def extract(
     elif not adjacent:
         raise ValueError("adjacent must be non-empty")
 
-    size = len(data)
-    if size >= _IPV4_FRAME_LEN and data[12] == _IPV4_HIGH_OCTET:
-        (eth_dst, eth_src, ethertype, version_ihl, tos, total_length,
-         ttl, proto, ip_src, ip_dst, l4_src, l4_dst) = _IPV4_FRAME.unpack_from(data)
-        if (ethertype == ETHERTYPE_IPV4 and version_ihl == 0x45
-                and IPV4_MIN_HEADER_LEN <= total_length <= size - ETHERNET_HEADER_LEN):
-            if total_length < IPV4_MIN_HEADER_LEN + 4 or proto not in _L4_PROTOS:
-                l4_src = l4_dst = None
-            key = _tuple_new(FlowKey, (in_port, eth_src, eth_dst, ethertype, None, None, None, None, 0,
-                                       ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
-            return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
-    return _walk(data, in_port, profile, adjacent)
-
-
-# Each vulnerable mode's trigger: the ethertypes whose branch of _walk holds it,
-# and the class its event maps to. Every trigger also lies where the hardened
-# walk returns MALFORMED, so on any other frame, or behind any other ethertype,
-# the mode runs the code every profile of its label limit runs.
-TRIGGERS = {
-    ParserMode.VULN_232: (MPLS_ETHERTYPES, VulnClass.LONG_STACK_232),
-    ParserMode.VULN_240: (MPLS_ETHERTYPES, VulnClass.SHORT_LSE_240),
-    ParserMode.VULN_250: (frozenset({ETHERTYPE_IPV4}), VulnClass.IP_UNDERFLOW_250),
-}
-
-
-def _walk(data, in_port, profile, adjacent):
-    """The general walk: every frame the option-less IPv4 shortcut does not take.
-
-    Each branch builds its key and result positionally, field by field, and
-    returns them: the keyword constructor costs about 4x as much, and
-    star-unpacking field groups into one tuple builds a list first. The
-    verdict is DROP exactly on the MALFORMED branches that fire no event.
-    """
     size = len(data)
     if size < ETHERNET_HEADER_LEN:
         key = _tuple_new(FlowKey, (in_port, None, None, None, None, None, None, None, 0,
@@ -347,21 +296,12 @@ def _walk(data, in_port, profile, adjacent):
     return _tuple_new(ExtractionResult, (key, (), _ACCEPT))
 
 
-def key_signature(data: bytes, in_port: int) -> tuple | None:
-    """Every input an option-less COMPLETE flow key is read from; None for any other frame.
-
-    A frame of at least 34 octets whose version/IHL octet is 0x45 has the
-    signature ``(in_port, data[:SIGNATURE_LEN], len(data))``. Under any
-    profile or ``adjacent``, extract's option-less IPv4 step and the IPv4
-    branch of ``_walk`` read just the port, the frame length and the first 38
-    octets of such a frame (Ethernet, the 20-octet header, the L4 ports),
-    never the payload. Widen the signature whenever either reads more. Every
-    other frame, IP options included, has none, so the memo never holds it.
-
-    A lookup needs no IHL test: a tuple equal to a signature has the same
-    first 38 octets, or the same whole frame when it is shorter, and the same
-    length, so the same octet 14, and so it is its own frame's signature.
-    """
-    if len(data) < ETHERNET_HEADER_LEN + IPV4_MIN_HEADER_LEN or data[ETHERNET_HEADER_LEN] != 0x45:
-        return None
-    return in_port, data[:SIGNATURE_LEN], len(data)
+# Each vulnerable mode's trigger: the ethertypes whose branch of extract's walk holds it,
+# and the class its event maps to. Every trigger also lies where the hardened
+# walk returns MALFORMED, so on any other frame, or behind any other ethertype,
+# the mode runs the code every profile of its label limit runs.
+TRIGGERS = {
+    ParserMode.VULN_232: (MPLS_ETHERTYPES, VulnClass.LONG_STACK_232),
+    ParserMode.VULN_240: (MPLS_ETHERTYPES, VulnClass.SHORT_LSE_240),
+    ParserMode.VULN_250: (frozenset({ETHERTYPE_IPV4}), VulnClass.IP_UNDERFLOW_250),
+}

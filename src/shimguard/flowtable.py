@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .extract import _L4_PROTOS, SIGNATURE_LEN, EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
+from .extract import _L4_PROTOS, EmptyFrameError, ParserMode, ParserProfile, Verdict, extract
 from .packet import (
     ETHERNET_HEADER_LEN,
     ETHERTYPE_IPV4,
@@ -274,13 +274,20 @@ def mask_projector(mask: tuple[str, ...]) -> Callable[[FlowKey], tuple]:
 
 # The raw gate: a frame of at least 38 octets whose octets 12-14 are the IPv4 ethertype and
 # version/IHL 0x45, whose total length is 24 or more and fits the octets past Ethernet, and
-# whose protocol is TCP or UDP. extract's option-less IPv4 shortcut answers every such frame
-# with a COMPLETE key holding both ports, under any profile. Past the octet test, the frame is
-# read in one unpack at octet 12, extract's _IPV4_FRAME without the MAC addresses: ethertype,
-# version/IHL, TOS, total length, TTL, protocol, source, destination, the L4 ports.
+# whose protocol is TCP or UDP. On every such frame extract takes its well-formed IPv4 branch
+# under any profile (v250's trigger needs a total length below the 20-octet header) and
+# returns a COMPLETE key holding both ports. Past the octet test, the frame is read in one
+# unpack at octet 12: ethertype, version/IHL, TOS, total length, TTL, protocol, source,
+# destination, the L4 ports.
 _RAW_GATE = bytes((ETHERTYPE_IPV4 >> 8, ETHERTYPE_IPV4 & 0xFF, 0x45))
 _RAW_FIELDS = struct.Struct(">HBBH4xBB2xIIHH")
 _RAW_MIN_TOTAL_LENGTH = IPV4_MIN_HEADER_LEN + 4  # the header and both ports
+# The memo's signature of a frame is (in_port, data[:SIGNATURE_LEN], len(data)): the Ethernet
+# header, the 20-octet IPv4 header and the L4 ports, the octets the raw gate and _RAW_FIELDS
+# read. On a frame of at least 34 octets whose version/IHL octet is 0x45, a COMPLETE key from
+# extract, under any profile or adjacent region, is read from the port, the frame length and
+# these octets alone, never the payload. Widen the signature whenever either reads more.
+SIGNATURE_LEN = ETHERNET_HEADER_LEN + _RAW_MIN_TOTAL_LENGTH
 _tuple_new = tuple.__new__
 
 
@@ -299,7 +306,7 @@ def raw_projector(mask: tuple[str, ...]) -> Callable[[int, bytes, tuple], tuple]
 
 
 def _raw_key(in_port: int, data: bytes, fields: tuple) -> FlowKey:
-    """The key extract's option-less IPv4 shortcut builds for a frame past the raw gate, from its raw fields."""
+    """The key extract's well-formed IPv4 branch builds for a frame past the raw gate, from its raw fields."""
     _, _, tos, _, ttl, proto, ip_src, ip_dst, l4_src, l4_dst = fields
     return _tuple_new(FlowKey, (in_port, data[6:12], data[:6], ETHERTYPE_IPV4, None, None, None, None, 0,
                                 ip_src, ip_dst, proto, tos, ttl, l4_src, l4_dst, _COMPLETE))
@@ -542,10 +549,11 @@ class SwitchState:
         for the key's label state, when the entry has one.
 
         A frame past the raw gate (see _RAW_GATE) probes each mask table
-        with ``raw_projector``'s tuple, which equals the projection of the key
-        extract would build, so it meets the same entry; on a miss, the key
-        for the upcall is built from the fields already read. No such frame
-        is parsed, and its key holds no label.
+        with ``raw_projector``'s tuple, which equals the projection of the
+        COMPLETE key extract's well-formed IPv4 branch builds for it under
+        any profile, so it meets the same entry; on a miss, the key for the
+        upcall is built from the fields already read. No such frame is
+        parsed, and its key holds no label.
 
         A frame whose signature is in the memo (``signatures``) is answered by
         the entry stored under it. That is exact: the memo holds only

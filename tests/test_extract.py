@@ -19,11 +19,10 @@ from shimguard.extract import (
     ParserProfile,
     Verdict,
     VulnClass,
-    _walk,
     classify_events,
     extract,
-    key_signature,
 )
+from shimguard.flowtable import SIGNATURE_LEN
 from shimguard.packet import (
     EthernetHeader,
     FlowKey,
@@ -396,7 +395,13 @@ def test_differential_equivalence_on_event_free_frames():
 
 
 def test_complete_key_depends_only_on_its_signature():
-    """What makes the flow table's parse memo exact: a signed COMPLETE key is read from key_signature's inputs alone."""
+    """What makes the flow table's parse memo exact: a signed COMPLETE key is read from its signature's inputs alone."""
+
+    def signature(data, port):
+        # The memo's tuple; only a frame holding the 20-octet header with version/IHL 0x45 is signed.
+        signed = len(data) >= 34 and data[14] == 0x45
+        return (port, data[:SIGNATURE_LEN], len(data)) if signed else None
+
     rng = random.Random(2718)
     frames = [_random_frame(rng) for _ in range(400)]
     for _ in range(400):
@@ -409,8 +414,8 @@ def test_complete_key_depends_only_on_its_signature():
     complete = tails = unsigned = 0
     for frame in frames:
         # Signed exactly when the frame holds the 20-octet header and its version/IHL octet is 0x45.
-        signature = key_signature(frame.data, 1)
-        assert (signature is None) == (len(frame.data) < 34 or frame.data[14] != 0x45), frame.data.hex()
+        signed = signature(frame.data, 1)
+        assert (signed is None) == (len(frame.data) < 34 or frame.data[14] != 0x45), frame.data.hex()
         results = [extract(frame, 1, profile, adjacent) for profile in profiles for adjacent in (None, *regions)]
         if all(r.key.parse_status is not ParseStatus.COMPLETE for r in results):
             continue
@@ -419,21 +424,21 @@ def test_complete_key_depends_only_on_its_signature():
             # Equal under every region: no octet past the packet is read.
             assert r == results[0] and r.key.parse_status is ParseStatus.COMPLETE, frame.data.hex()
             assert r.events == (), frame.data.hex()
-        if signature is None:
+        if signed is None:
             unsigned += 1  # IP options: the memo never holds it
             continue
         # Every octet past the signature prefix replaced: same signature, same key under every profile.
-        prefix = signature[1]
+        prefix = signed[1]
         other = RawFrame.of(prefix + rng.randbytes(len(frame.data) - len(prefix)))
         tails += other.data != frame.data
-        assert key_signature(other.data, 1) == signature
+        assert signature(other.data, 1) == signed
         for profile in profiles:
             assert extract(other, 1, profile, regions[0]).key == results[0].key, frame.data.hex()
     assert 200 < complete < len(frames) and tails > 100 and unsigned > 5
     # The shortest signed frame; a 34-octet frame with one option word has no signature.
     option_less = bytes(14) + b"\x45" + bytes(19)
-    assert key_signature(option_less[:33], 1) is None and key_signature(option_less, 1) == (1, option_less, 34)
-    assert key_signature(bytes(14) + b"\x46" + bytes(19), 1) is None
+    assert signature(option_less[:33], 1) is None and signature(option_less, 1) == (1, option_less, 34)
+    assert signature(bytes(14) + b"\x46" + bytes(19), 1) is None
 
 
 def test_profiles_of_one_label_limit_agree_where_hardened_accepts():
@@ -523,127 +528,6 @@ def test_trigger_table_agrees_with_the_walk():
                     skipped += malformed and ethertype not in ethertypes
     assert fired_behind == {mode: set(ethertypes) for mode, (ethertypes, _) in extract_module.TRIGGERS.items()}
     assert skipped > 1000
-
-
-def _boundary_frames():
-    """Frames on every edge of the option-less IPv4 shortcut's entry test."""
-    rng = random.Random(38)
-    frames = []
-    for size in (37, 38, 39, 60, 90):
-        for ethertype in (0x0800, 0x8847, 0x86DD):
-            for version in (4, 6):
-                for ihl in (4, 5, 6, 15):
-                    for total_length in (0, 19, 20, 23, 24, size - 14, size - 13):
-                        for proto in (1, 6, 17):
-                            data = bytearray(rng.randbytes(size))
-                            struct.pack_into(">H", data, 12, ethertype)
-                            data[14] = version << 4 | ihl
-                            struct.pack_into(">H", data, 16, total_length)
-                            data[23] = proto
-                            frames.append(RawFrame.of(bytes(data)))
-    return frames
-
-
-def _takes_shortcut(data):
-    total_length = int.from_bytes(data[16:18], "big")
-    return len(data) >= 38 and data[12:15] == b"\x08\x00\x45" and 20 <= total_length <= len(data) - 14
-
-
-def test_ipv4_shortcut_skips_the_walk_exactly_on_its_frames(monkeypatch):
-    """extract calls the general walk for every frame but those the option-less IPv4 shortcut answers."""
-    walked = []
-    real_walk = extract_module._walk
-    monkeypatch.setattr(extract_module, "_walk", lambda data, *args: walked.append(data) or real_walk(data, *args))
-    rng = random.Random(3333)
-    skipped = 0
-    for size in (33, 34, 37, 38, 60):
-        for ethertype in (0x0800, 0x0806, 0x8847):
-            for version_ihl in (0x45, 0x46, 0x55):
-                for total_length in (19, 20, size - 14, size - 13):
-                    data = bytearray(rng.randbytes(size))
-                    struct.pack_into(">HBBH", data, 12, ethertype, version_ihl, 0, total_length)
-                    data[23] = 17
-                    data = bytes(data)
-                    shortcut = (size >= 38 and ethertype == 0x0800 and version_ihl == 0x45
-                                and 20 <= total_length <= size - 14)
-                    for profile in ALL_PROFILES:
-                        before = len(walked)
-                        extract(RawFrame.of(data), 2, profile)
-                        assert len(walked) == before + (not shortcut), (data.hex(), profile)
-                    skipped += shortcut
-    assert skipped == 4  # sizes 38 and 60, each at total length 20 and size - 14
-
-
-def test_ipv4_shortcut_equals_the_walk():
-    """extract's one-unpack step for option-less IPv4 returns what the general walk returns."""
-    rng = random.Random(4545)
-    frames = _boundary_frames()
-    frames += [_random_frame(rng) for _ in range(2000)]
-    seeds = [craft(AttackSpec(kind)) for kind in AttackKind] + [udp_frame()]
-    frames += mutate(seeds, MutationBudget(iterations=2000, seed=12))
-    region = random.Random(3).randbytes(3)
-    profiles = [ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3, 7)]
-    shortcut = 0
-    for frame in frames:
-        shortcut += _takes_shortcut(frame.data)
-        for profile in profiles:
-            for adjacent in (None, region):
-                walked = _walk(frame.data, 2, profile, adjacent or bytes(DEFAULT_ADJACENT_LEN))
-                assert extract(frame, 2, profile, adjacent) == walked, (frame.data.hex(), profile, adjacent)
-    assert shortcut > 600 and len(frames) - shortcut > 5000
-
-
-def _gate_frames():
-    """Frames on each side of extract's ethertype test ahead of its IPv4 unpack.
-
-    Non-IPv4 frames whose high ethertype octet is 0x08, IPv4 frames of every IHL but 5,
-    and MPLS and VLAN frames; each of 38 octets or more, so the old code unpacked them all.
-    """
-    rng = random.Random(3838)
-    frames = []
-    for size in (38, 39, 42, 60, 1514):
-        for ethertype in (0x0806, 0x08FF):
-            for total_length in (0, 20, 24, size - 14):
-                data = bytearray(rng.randbytes(size))
-                struct.pack_into(">HBBH", data, 12, ethertype, 0x45, 0, total_length)
-                data[23] = 17
-                frames.append(data)
-        for ihl in (*range(5), *range(6, 16)):
-            for total_length in sorted({0, max(0, 4 * ihl - 1), 4 * ihl, 4 * ihl + 4, size - 14, size - 13}):
-                for proto in (6, 17):
-                    data = bytearray(rng.randbytes(size))
-                    struct.pack_into(">HBBH", data, 12, 0x0800, 0x40 | ihl, 0, total_length)
-                    data[23] = proto
-                    frames.append(data)
-    for ethertype in (0x8847, 0x8848, 0x8100):
-        for size in (38, 39, 42, 1514):
-            # Random stacks, stacks with no bottom entry, and one that ends at its first entry, each
-            # followed by what looks like an option-less IPv4 header to the unpack.
-            for s_bits in ("random", "clear", "first"):
-                data = bytearray(rng.randbytes(size))
-                struct.pack_into(">H", data, 12, ethertype)
-                for offset in range(16, size - 1, 4):
-                    if s_bits != "random":
-                        data[offset] &= 0xFE
-                if s_bits == "first":
-                    data[16] |= 1
-                frames.append(data)
-    return [RawFrame.of(bytes(data)) for data in frames]
-
-
-def test_ethertype_gate_equals_the_walk():
-    """Frames the gate turns away, and IPv4 frames it lets through to a failing shortcut, extract as the walk does."""
-    region = random.Random(3).randbytes(3)
-    profiles = [ParserProfile(mode, limit) for mode in ParserMode for limit in (1, 3)]
-    frames = _gate_frames()
-    for frame in frames:
-        assert len(frame.data) >= 38 and not _takes_shortcut(frame.data)
-        for profile in profiles:
-            for adjacent in (None, region):
-                walked = _walk(frame.data, 2, profile, adjacent or bytes(DEFAULT_ADJACENT_LEN))
-                assert extract(frame, 2, profile, adjacent) == walked, (frame.data.hex(), profile, adjacent)
-    assert {frame.data[12] for frame in frames} == {0x08, 0x88, 0x81}
-    assert len(frames) > 800
 
 
 # sha256 of every result below, taken before extract's walk built its keys positionally.

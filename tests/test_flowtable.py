@@ -9,8 +9,9 @@ import pytest
 
 import shimguard.flowtable as flowtable
 from shimguard.attacks import MutationBudget, mutate
-from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract, key_signature
+from shimguard.extract import ALL_PROFILES, HARDENED, VULN_232, VULN_240, VULN_250, Verdict, extract
 from shimguard.flowtable import (
+    SIGNATURE_LEN,
     Drop,
     DuplicateFieldError,
     Dropped,
@@ -40,7 +41,7 @@ from shimguard.packet import (
     RawFrame,
     encode_frame,
 )
-from test_extract import _boundary_frames, _trigger_frames
+from test_extract import _trigger_frames
 
 MAC_A = bytes.fromhex("020000000001")
 MAC_B = bytes.fromhex("020000000002")
@@ -375,7 +376,7 @@ def test_microflow_evicts_oldest_insert(monkeypatch):
     a, b, c = (udp_frame(sport=port) for port in (1000, 1001, 1002))
     for frame in (a, b, a, c):
         state.process(frame, 1, HARDENED)
-    sig_a, sig_b, sig_c = (key_signature(frame.data, 1) for frame in (a, b, c))
+    sig_a, sig_b, sig_c = ((1, frame.data[:SIGNATURE_LEN], len(frame.data)) for frame in (a, b, c))
     # the second A is already there, so it goes to the memo and reorders nothing; C's insert evicts A, the oldest
     assert list(state.microflow) == [sig_b, sig_c]
     assert list(state.signatures) == [sig_a]
@@ -387,7 +388,7 @@ def test_microflow_admits_the_first_candidate_then_one_in_eight(monkeypatch):
     frames = [udp_frame(sport=1000 + i) for i in range(25)]
     for frame in frames:  # 25 distinct flows: 25 upcalls, so 25 candidates
         state.process(frame, 1, HARDENED)
-    keys = [key_signature(frame.data, 1) for frame in frames]
+    keys = [(1, frame.data[:SIGNATURE_LEN], len(frame.data)) for frame in frames]
     assert flowtable.MICROFLOW_ADMIT_EVERY == 8
     # flows 0, 8, 16 and 24 were admitted; 24's admission evicted 0, the oldest
     assert list(state.microflow) == [keys[16], keys[24]]
@@ -730,7 +731,7 @@ def test_microflow_size_is_capacity_or_distinct_raw_signatures(monkeypatch, capa
             frame = pool[rng.randrange(len(pool))] if rng.random() < 0.5 else pool[rng.randrange(6)]
             port = rng.choice([1, 2])
             if _past_raw_gate(frame.data):
-                seen.add(key_signature(frame.data, port))
+                seen.add((port, frame.data[:SIGNATURE_LEN], len(frame.data)))
             state.process(frame, port, rng.choice(ALL_PROFILES))
             assert len(state.microflow) == min(capacity, len(seen)), f"round {round_no} frame {i}"
         assert len(seen) > 2
@@ -918,7 +919,7 @@ def test_signature_memo_hit_never_touches_the_microflow(parsed):
     half = hits // 2  # the UDP flows forward through a pop that finds no label; the TCP flows drop
     assert gained == {"processed": hits, "fast_path_hits": hits, "forwards": half, "drops": half, "pop_mpls_noop": half}
     for frame in frames:
-        entry = state.signatures[key_signature(frame.data, 1)]
+        entry = state.signatures[1, frame.data[:SIGNATURE_LEN], len(frame.data)]
         key = extract(frame, 1, HARDENED).key
         project, _, table = state.megaflows[entry.mask]
         assert table[project(key)] is entry and entry.hits == 1 + len(ALL_PROFILES)
@@ -958,8 +959,8 @@ def test_signature_memo_keyed_on_header_octets_and_port():
 
 
 @pytest.mark.usefixtures("admit_every_miss")
-def test_signature_memo_probe_is_key_signature():
-    # process builds the probe tuple inline; wherever a frame has a signature, the probe is it.
+def test_signature_memo_probe_is_the_stored_signature():
+    # process builds the probe tuple inline; for every frame it is the tuple a sample stores.
     class RecordsProbes(OrderedDict):
         def get(self, key, default=None):
             probes.append(key)
@@ -971,17 +972,15 @@ def test_signature_memo_probe_is_key_signature():
     stored = ip_frame(sport=7)
     for _ in range(2):  # an upcall, then a raw megaflow hit whose sample stores the memo entry; neither probes
         state.process(stored, 1, HARDENED)
-    assert not probes and len(state.signatures) == 1
+    assert not probes and list(state.signatures) == [(1, stored.data[:SIGNATURE_LEN], len(stored.data))]
     frames = [RawFrame.of(stored.data[:size]) for size in range(1, 61)]
     frames += [ip_frame(64, options=bytes(4)), ip_frame(1514)] + _memo_pool(random.Random(34))
     signed = 0
     for frame in frames:
         for port in (1, 3):
             state.process(frame, port, HARDENED)
-            signature = key_signature(frame.data, port)
-            if signature is not None:
-                assert probes[-1] == signature, frame.data.hex()
-                signed += 1
+            assert probes[-1] == (port, frame.data[:SIGNATURE_LEN], len(frame.data)), frame.data.hex()
+            signed += len(frame.data) >= 34 and frame.data[14] == 0x45
     assert len(probes) == 2 * len(frames) and signed > 100
 
 
@@ -1008,9 +1007,69 @@ def test_signature_memo_never_holds_frames_with_ip_options(parsed):
 # --- raw megaflow lookup ----------------------------------------------------------
 
 
+def _boundary_frames():
+    """Frames on every edge of the raw gate: its length, ethertype, version/IHL, total-length and protocol tests."""
+    rng = random.Random(38)
+    frames = []
+    for size in (37, 38, 39, 60, 90):
+        for ethertype in (0x0800, 0x8847, 0x86DD):
+            for version in (4, 6):
+                for ihl in (4, 5, 6, 15):
+                    for total_length in (0, 19, 20, 23, 24, size - 14, size - 13):
+                        for proto in (1, 6, 17):
+                            data = bytearray(rng.randbytes(size))
+                            struct.pack_into(">H", data, 12, ethertype)
+                            data[14] = version << 4 | ihl
+                            struct.pack_into(">H", data, 16, total_length)
+                            data[23] = proto
+                            frames.append(RawFrame.of(bytes(data)))
+    return frames
+
+
+def _gate_frames():
+    """Frames of 38 octets or more that the raw gate's octet test turns away.
+
+    Non-IPv4 frames whose high ethertype octet is 0x08, IPv4 frames of every IHL but 5,
+    and MPLS and VLAN frames.
+    """
+    rng = random.Random(3838)
+    frames = []
+    for size in (38, 39, 42, 60, 1514):
+        for ethertype in (0x0806, 0x08FF):
+            for total_length in (0, 20, 24, size - 14):
+                data = bytearray(rng.randbytes(size))
+                struct.pack_into(">HBBH", data, 12, ethertype, 0x45, 0, total_length)
+                data[23] = 17
+                frames.append(data)
+        for ihl in (*range(5), *range(6, 16)):
+            for total_length in sorted({0, max(0, 4 * ihl - 1), 4 * ihl, 4 * ihl + 4, size - 14, size - 13}):
+                for proto in (6, 17):
+                    data = bytearray(rng.randbytes(size))
+                    struct.pack_into(">HBBH", data, 12, 0x0800, 0x40 | ihl, 0, total_length)
+                    data[23] = proto
+                    frames.append(data)
+    for ethertype in (0x8847, 0x8848, 0x8100):
+        for size in (38, 39, 42, 1514):
+            # Random stacks, stacks with no bottom entry, and one that ends at its first entry, each
+            # followed by what looks like an option-less IPv4 header.
+            for s_bits in ("random", "clear", "first"):
+                data = bytearray(rng.randbytes(size))
+                struct.pack_into(">H", data, 12, ethertype)
+                for offset in range(16, size - 1, 4):
+                    if s_bits != "random":
+                        data[offset] &= 0xFE
+                if s_bits == "first":
+                    data[16] |= 1
+                frames.append(data)
+    return [RawFrame.of(bytes(data)) for data in frames]
+
+
+
+
 def _raw_lookup_frames():
-    """The trigger table's boundary frames and the shortcut's, plus seeded mutants of frames past the raw gate."""
-    frames = _trigger_frames() + _boundary_frames()
+    """The trigger table's boundary frames, the raw gate's edges and the frames its octet test turns away,
+    plus seeded mutants of frames past the raw gate."""
+    frames = _trigger_frames() + _boundary_frames() + _gate_frames()
     seeds = [udp_frame(), udp_frame(sport=0, dport=65535), ip_frame(60, proto=6), ip_frame(1514, sport=443),
              ip_frame(38), ip_frame(total_length=24), ip_frame(64, pad=bytes(3))]
     frames += mutate(seeds, MutationBudget(iterations=1500, seed=24))
@@ -1084,7 +1143,7 @@ def test_raw_lookup_builds_the_extracted_key_and_parses_only_frames_failing_the_
     for round_no in range(8):
         cached = SwitchState(_random_rules(rng, mpls_actions=bool(round_no % 2)))
         cached.signatures = CountingHits()
-        for frame in rng.sample(frames, 400):
+        for frame in rng.sample(frames, 480):
             del parsed[:], raw_probed[:]
             memo_hits, tables = cached.signatures.hits, len(cached._probe)
             cached.process(frame, rng.choice([1, 2]), rng.choice(ALL_PROFILES))
@@ -1126,7 +1185,7 @@ def test_repeated_flow_reaches_the_memo_within_two_samples(monkeypatch, capacity
             state.process(frame, 1, HARDENED)
             if state.signatures:
                 break
-        assert list(state.signatures) == [key_signature(frame.data, 1)], lead
+        assert list(state.signatures) == [(1, frame.data[:SIGNATURE_LEN], len(frame.data))], lead
         assert sent == (-lead) % every + 1 + every, lead
         state.process(frame, 1, HARDENED)
         assert state.signatures.hits == 1
@@ -1346,7 +1405,7 @@ def test_megaflow_entries_reselect_same_actions():
                 result = extract(frame, port, profile)
                 state.process(frame, port, profile)
                 if not (result.verdict is Verdict.DROP and profile.mode is HARDENED.mode):
-                    keys.append((result.key, key_signature(frame.data, port)))
+                    keys.append((result.key, (port, frame.data[:SIGNATURE_LEN], len(frame.data))))
                 for *_, table in state.megaflows.values():
                     if sizes.get(id(table)) != len(table):
                         sizes[id(table)], reached[id(table)] = len(table), i
